@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
 
 from citescreen import corpus, pipeline, retrieve
 from citescreen.corpus import Citation, ClinicalTopic
-from citescreen.errors import CitescreenError, StatusError, TransportError
-from citescreen.extract import build_concept_set, extract_population
+from citescreen.errors import CitescreenError, FormatError, StatusError, TransportError
+from citescreen.evaluate import confusion
+from citescreen.extract import ConceptSet, build_concept_set, extract_population
 from citescreen.pipeline import Resources
 from citescreen.rank import rank_citations
 from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
@@ -59,9 +61,15 @@ def _emit(ctx, tsv_text: str, json_text: str):
 def _load_citations_jsonl(path: str) -> list[Citation]:
     citations = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 citations.append(Citation.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(
+                    f"{path} line {lineno}: bad citation record: {exc!r}"
+                ) from exc
     return citations
 
 
@@ -207,12 +215,9 @@ def rank(ctx, title, citations_jsonl):
     per_citation = {}
     for citation in _load_citations_jsonl(citations_jsonl):
         concepts = pipeline.citation_concepts(citation, res)
-        merged = pipeline.ConceptSet()
-        for cs in [concepts.title, *concepts.sentences]:
-            merged.population.extend(cs.population)
-            merged.intervention.extend(cs.intervention)
-            merged.disease.extend(cs.disease)
-        per_citation[citation.pmid] = merged
+        per_citation[citation.pmid] = ConceptSet.merged(
+            [concepts.title, *concepts.sentences]
+        )
     ranked = rank_citations(
         sorted(per_citation), query_concepts, per_citation, res.weights
     )
@@ -233,25 +238,12 @@ def _read_ranked_pmids(path: str) -> list[int]:
     return pmids
 
 
-@main.command("eval")
-@click.argument("gold_tsv", type=click.Path(exists=True))
-@click.argument("ranked_dir", type=click.Path(exists=True))
-@click.pass_context
-@_handle_errors
-def eval_cmd(ctx, gold_tsv, ranked_dir):
-    """Score per-topic ranked lists (<topic_id>.tsv) against a gold table."""
-    import os
-
-    from citescreen.evaluate import confusion
-
-    topics = corpus.load_gold_standard(gold_tsv)
+def _score(ctx, topics: list[ClinicalTopic], ranked_pmids) -> None:
+    """Print P/R/F of ``ranked_pmids(topic)`` against each topic's gold set."""
     per_topic = {}
     gold_k_counts = {}
     for topic in topics:
-        path = os.path.join(ranked_dir, f"{topic.topic_id}.tsv")
-        pmids = _read_ranked_pmids(path) if os.path.exists(path) else []
-        if ctx.obj["top_k"]:
-            pmids = pmids[:ctx.obj["top_k"]]
+        pmids = ranked_pmids(topic)
         per_topic[topic.topic_id] = confusion(pmids, set(topic.gold_pmids))
         if ctx.obj["gold_k"]:
             gold_k_counts[topic.topic_id] = confusion(
@@ -262,19 +254,29 @@ def eval_cmd(ctx, gold_tsv, ranked_dir):
 
 
 def _report_tsv(report: dict) -> str:
+    rows = [*report["topics"].items(),
+            *((key, report[key]) for key in ("overall_micro", "overall_macro"))]
     lines = ["topic\tprecision\trecall\tf_score"]
-    for topic_id, entry in report["topics"].items():
+    for name, entry in rows:
         lines.append(
-            f"{topic_id}\t{entry['precision']}\t{entry['recall']}"
-            f"\t{entry['f_score']}"
-        )
-    for key in ("overall_micro", "overall_macro"):
-        entry = report[key]
-        lines.append(
-            f"{key}\t{entry['precision']}\t{entry['recall']}"
-            f"\t{entry['f_score']}"
+            f"{name}\t{entry['precision']}\t{entry['recall']}\t{entry['f_score']}"
         )
     return "\n".join(lines) + "\n"
+
+
+@main.command("eval")
+@click.argument("gold_tsv", type=click.Path(exists=True))
+@click.argument("ranked_dir", type=click.Path(exists=True))
+@click.pass_context
+@_handle_errors
+def eval_cmd(ctx, gold_tsv, ranked_dir):
+    """Score per-topic ranked lists (<topic_id>.tsv) against a gold table."""
+    def ranked_pmids(topic: ClinicalTopic) -> list[int]:
+        path = os.path.join(ranked_dir, f"{topic.topic_id}.tsv")
+        pmids = _read_ranked_pmids(path) if os.path.exists(path) else []
+        return pmids[:ctx.obj["top_k"] or None]
+
+    _score(ctx, corpus.load_gold_standard(gold_tsv), ranked_pmids)
 
 
 @main.command("pipeline")
@@ -285,31 +287,18 @@ def _report_tsv(report: dict) -> str:
 @_handle_errors
 def pipeline_cmd(ctx, gold_tsv, out_dir):
     """Run query, fetch, screen and rank for every topic, then score."""
-    import os
-
     res = _resources(ctx)
-    per_topic = {}
-    gold_k_counts = {}
-    for topic in corpus.load_gold_standard(gold_tsv):
-        run = pipeline.run_topic(topic, res)
-        ranked = run.ranked
-        if ctx.obj["top_k"]:
-            ranked = ranked[:ctx.obj["top_k"]]
+
+    def ranked_pmids(topic: ClinicalTopic) -> list[int]:
+        ranked = pipeline.run_topic(topic, res).ranked[:ctx.obj["top_k"] or None]
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"{topic.topic_id}.tsv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(pipeline.ranked_tsv(ranked))
-        pmids = [r.pmid for r in ranked]
-        from citescreen.evaluate import confusion
+        return [r.pmid for r in ranked]
 
-        per_topic[topic.topic_id] = confusion(pmids, set(topic.gold_pmids))
-        if ctx.obj["gold_k"]:
-            gold_k_counts[topic.topic_id] = confusion(
-                pmids[:ctx.obj["gold_k"]], set(topic.gold_pmids)
-            )
-    report = pipeline.metric_report(per_topic, gold_k_counts or None)
-    _emit(ctx, _report_tsv(report), json.dumps(report, indent=2))
+    _score(ctx, corpus.load_gold_standard(gold_tsv), ranked_pmids)
 
 
 if __name__ == "__main__":

@@ -129,19 +129,28 @@ class ConceptLexicon:
     def __init__(self, entries: list[LexiconEntry]):
         self.entries = list(entries)
         self._by_surface: dict[str, list[LexiconEntry]] = {}
+        self._trie: dict = {}  # word -> child node; None -> entries ending here
         for e in self.entries:
             self._by_surface.setdefault(e.surface, []).append(e)
-        self.max_tokens = max(
-            (len(e.surface.split()) for e in self.entries), default=0
-        )
+            node = self._trie
+            for word in e.surface.split():
+                node = node.setdefault(word, {})
+            node.setdefault(None, []).append(e)
 
     def lookup(self, surface: str) -> list[LexiconEntry]:
         return self._by_surface.get(preprocess.normalize_token(surface), [])
 
-    def surfaces(self, group: str | None = None) -> list[str]:
-        if group is None:
-            return list(self._by_surface)
-        return [e.surface for e in self.entries if e.group == group]
+    def longest_match(self, words: list[str], start: int):
+        """Longest entry list starting at ``words[start]``, with its word length."""
+        node = self._trie
+        best = None
+        i = start
+        while i < len(words) and words[i] in node:
+            node = node[words[i]]
+            i += 1
+            if None in node:
+                best = (i - start, node[None])
+        return best
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -190,9 +199,6 @@ class DrugDictionary:
             chain.append(self._names[key])
         return chain
 
-    def ancestors(self, name: str) -> list[str]:
-        return self.hierarchy(name)[1:]
-
     def is_drug(self, name: str) -> bool:
         return self.level(name) == self.DRUG_LEVEL
 
@@ -211,9 +217,6 @@ class HyponymTable:
 
     def hyponyms(self, term: str) -> list[str]:
         return list(self._table.get(preprocess.normalize_token(term), []))
-
-    def items(self):
-        return self._table.items()
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +441,12 @@ def load_synonym_table(path: str) -> dict[str, str]:
     return table
 
 
+def load_journal_whitelist(path: str) -> list[str]:
+    """Load one journal title per line; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
 def _bundled(name: str) -> str:
     return str(resources.files("citescreen.data").joinpath(name))
 
@@ -459,5 +468,4 @@ def default_synonym_table() -> dict[str, str]:
 
 
 def default_journal_whitelist() -> list[str]:
-    with open(_bundled("journals.txt"), encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return load_journal_whitelist(_bundled("journals.txt"))

@@ -9,6 +9,7 @@ onto the class hierarchy with a cascade of normalization rules.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from citescreen import preprocess
@@ -40,6 +41,35 @@ class ConceptSet:
     def bag(self, category: str) -> list[str]:
         return getattr(self, category)
 
+    @classmethod
+    def merged(cls, sets: Iterable[ConceptSet]) -> ConceptSet:
+        """One set holding every bag's concepts in order, duplicates kept."""
+        out = cls()
+        for cs in sets:
+            out.population.extend(cs.population)
+            out.intervention.extend(cs.intervention)
+            out.disease.extend(cs.disease)
+        return out
+
+
+def population_terms(bag: list[str]) -> list[str]:
+    """Stemmed, stopword-filtered tokens of the population phrases."""
+    tokens: list[str] = []
+    for phrase in bag:
+        tokens.extend(phrase.split())
+    return preprocess.stem_and_filter(tokens)
+
+
+def _normalized_words(tokens: list[str]) -> tuple[list[str], list[int]]:
+    """Normalized words of ``tokens``, each with its source token index."""
+    words: list[str] = []
+    sources: list[int] = []
+    for i, tok in enumerate(tokens):
+        for w in preprocess.normalize_token(tok).split():
+            words.append(w)
+            sources.append(i)
+    return words, sources
+
 
 # ---------------------------------------------------------------------------
 # Population patterns
@@ -47,20 +77,16 @@ class ConceptSet:
 
 def _population_positions(phrase_tokens: list[str], lexicon: ConceptLexicon):
     """Start token positions of population lexicon terms within the phrase."""
-    norm_words: list[tuple[str, int]] = []  # (normalized word, source index)
-    for i, tok in enumerate(phrase_tokens):
-        for w in preprocess.normalize_token(tok).split():
-            norm_words.append((w, i))
-    population_terms = {
+    words, sources = _normalized_words(phrase_tokens)
+    population_entries = {
         e.surface: e for e in lexicon.entries if e.group == "population"
     }
     hits = []
-    words = [w for w, _ in norm_words]
-    for surface, entry in population_terms.items():
+    for surface, entry in population_entries.items():
         parts = surface.split()
         for j in range(len(words) - len(parts) + 1):
             if words[j:j + len(parts)] == parts:
-                hits.append((norm_words[j][1], entry))
+                hits.append((sources[j], entry))
     return hits
 
 
@@ -129,58 +155,17 @@ def extract_population(
 # Dictionary matching (multi-pattern, longest match first)
 # ---------------------------------------------------------------------------
 
-class _TokenTrie:
-    """Word-level trie over lexicon surface forms."""
-
-    def __init__(self, lexicon: ConceptLexicon):
-        self.root: dict = {}
-        for entry in lexicon.entries:
-            node = self.root
-            for word in entry.surface.split():
-                node = node.setdefault(word, {})
-            node.setdefault(None, []).append(entry)
-
-    def longest_match(self, words: list[str], start: int):
-        """Longest entry list starting at ``start``, with its word length."""
-        node = self.root
-        best = None
-        i = start
-        while i < len(words) and words[i] in node:
-            node = node[words[i]]
-            i += 1
-            if None in node:
-                best = (i - start, node[None])
-        return best
-
-
-_TRIE_CACHE: dict[int, _TokenTrie] = {}
-
-
-def _trie_for(lexicon: ConceptLexicon) -> _TokenTrie:
-    key = id(lexicon)
-    if key not in _TRIE_CACHE:
-        _TRIE_CACHE.clear()
-        _TRIE_CACHE[key] = _TokenTrie(lexicon)
-    return _TRIE_CACHE[key]
-
-
 def extract_concepts(
     sentences: list[str], lexicon: ConceptLexicon
 ) -> list[ConceptMention]:
     """Dictionary mentions over normalized tokens; longest match wins."""
-    trie = _trie_for(lexicon)
     mentions: list[ConceptMention] = []
     for s_idx, sentence in enumerate(sentences):
         tokens = sentence.split()
-        words: list[str] = []
-        word_src: list[int] = []
-        for t_idx, tok in enumerate(tokens):
-            for w in preprocess.normalize_token(tok).split():
-                words.append(w)
-                word_src.append(t_idx)
+        words, word_src = _normalized_words(tokens)
         i = 0
         while i < len(words):
-            match = trie.longest_match(words, i)
+            match = lexicon.longest_match(words, i)
             if match is None:
                 i += 1
                 continue
@@ -216,10 +201,6 @@ def _strip_numerals(norm: str) -> str:
     return " ".join(w for w in norm.split() if w not in _NUMERALS)
 
 
-def _lookup(norm: str, drugs: DrugDictionary) -> str | None:
-    return drugs.canonical_name(norm)
-
-
 def _normalize_single(
     mention: str, drugs: DrugDictionary, synonyms: dict[str, str]
 ) -> str | None:
@@ -228,24 +209,23 @@ def _normalize_single(
     if not norm:
         return None
     # Rule 1: case normalization (the dictionary lookup is case-insensitive).
-    hit = _lookup(norm, drugs)
+    hit = drugs.canonical_name(norm)
     if hit:
         return hit
     # Rule 2: Arabic/Roman numeral variants.
     arabic_mapped = " ".join(_ARABIC_TO_ROMAN.get(w, w) for w in norm.split())
-    hit = _lookup(arabic_mapped, drugs)
+    hit = drugs.canonical_name(arabic_mapped)
     if hit:
         return hit
     stripped = _strip_numerals(norm)
-    for name_norm in (stripped,):
-        for candidate in drugs.names():
-            if _strip_numerals(preprocess.normalize_token(candidate)) == name_norm:
-                return candidate
+    for candidate in drugs.names():
+        if _strip_numerals(preprocess.normalize_token(candidate)) == stripped:
+            return candidate
     # Rule 4: removal of contents inside parenthesis.
     without_parens = re.sub(r"\([^)]*\)", " ", mention)
     if without_parens != mention:
         norm2 = preprocess.normalize_token(without_parens)
-        hit = _lookup(norm2, drugs)
+        hit = drugs.canonical_name(norm2)
         if hit:
             return hit
     # Rule 5: equivalent class names.
@@ -253,12 +233,12 @@ def _normalize_single(
     if canonical is None and without_parens != mention:
         canonical = synonyms.get(preprocess.normalize_token(without_parens))
     if canonical is not None:
-        hit = _lookup(preprocess.normalize_token(canonical), drugs)
+        hit = drugs.canonical_name(preprocess.normalize_token(canonical))
         if hit:
             return hit
     # Rule 6: singular to plural for class names.
     for suffix in ("s", "es"):
-        hit = _lookup(norm + suffix, drugs)
+        hit = drugs.canonical_name(norm + suffix)
         if hit:
             return hit
     return None

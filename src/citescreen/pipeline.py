@@ -15,7 +15,7 @@ from citescreen.corpus import (
 )
 from citescreen.errors import ConfigError
 from citescreen.extract import ConceptSet, build_concept_set
-from citescreen.evaluate import ConfusionCounts, confusion, precision_at_k, prf
+from citescreen.evaluate import ConfusionCounts, macro_average, prf
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
 from citescreen.retrieve import EndpointConfig, build_query, fetch_citations
 from citescreen.screen import (
@@ -79,16 +79,21 @@ def load_config(path: str) -> Resources:
             if "synonyms" in paths else corpus.default_synonym_table()
         ),
         journal_whitelist=(
-            [l.strip() for l in open(paths["journals"], encoding="utf-8")
-             if l.strip()] if "journals" in paths
-            else corpus.default_journal_whitelist()
+            corpus.load_journal_whitelist(paths["journals"])
+            if "journals" in paths else corpus.default_journal_whitelist()
         ),
     )
     if "weights" in raw:
         w = raw["weights"]
-        res.weights = WeightConfig(w["w1"], w["w2"], w["w3"])
+        try:
+            res.weights = WeightConfig(w["w1"], w["w2"], w["w3"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"weights need numeric w1, w2 and w3: {exc}") from exc
     if "endpoint" in raw:
-        res.endpoint = EndpointConfig(**raw["endpoint"])
+        try:
+            res.endpoint = EndpointConfig(**raw["endpoint"])
+        except TypeError as exc:
+            raise ConfigError(f"bad endpoint settings: {exc}") from exc
     if "fixture_dir" in raw:
         res.endpoint.fixture_dir = raw["fixture_dir"]
     if "min_year" in raw:
@@ -100,14 +105,8 @@ def load_config(path: str) -> Resources:
     return res
 
 
-def preprocess_citation(citation: Citation) -> list[str]:
-    """Abbreviation-expanded abstract sentences."""
-    expanded, _ = preprocess.expand_abbreviations(list(citation.abstract))
-    return expanded
-
-
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:
-    sentences = preprocess_citation(citation)
+    sentences, _ = preprocess.expand_abbreviations(list(citation.abstract))
     return CitationConcepts(
         title=build_concept_set(
             [citation.title] if citation.title else [],
@@ -133,15 +132,6 @@ class TopicRun:
     decisions: list[ScreeningDecision]
     ranked: list[RankedResult]
 
-    def counts(self) -> ConfusionCounts:
-        return confusion([r.pmid for r in self.ranked], set(self.topic.gold_pmids))
-
-    def gold_k_counts(self) -> ConfusionCounts:
-        k = len(self.topic.gold_pmids)
-        if k == 0:
-            return ConfusionCounts()
-        return precision_at_k(self.ranked, set(self.topic.gold_pmids), k)
-
 
 def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
     """The full per-topic pipeline: query, fetch, screen, rank."""
@@ -162,12 +152,9 @@ def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
         )
         decisions.append(decision)
         if decision.accepted:
-            merged = ConceptSet()
-            for cs in [concepts.title, *concepts.sentences]:
-                merged.population.extend(cs.population)
-                merged.intervention.extend(cs.intervention)
-                merged.disease.extend(cs.disease)
-            per_citation[citation.pmid] = merged
+            per_citation[citation.pmid] = ConceptSet.merged(
+                [concepts.title, *concepts.sentences]
+            )
 
     ranked = rank_citations(
         sorted(per_citation), query_concepts, per_citation, res.weights
@@ -209,49 +196,34 @@ def ranked_json(ranked: list[RankedResult]) -> str:
     )
 
 
+def _percent(scores: tuple[float, float, float]) -> dict:
+    """Precision, recall and F as percentages rounded to one decimal."""
+    p, r, f = scores
+    return {
+        "precision": round(100 * p, 1),
+        "recall": round(100 * r, 1),
+        "f_score": round(100 * f, 1),
+    }
+
+
 def metric_report(
     per_topic: dict[str, ConfusionCounts],
     gold_k: dict[str, ConfusionCounts] | None = None,
 ) -> dict:
-    from citescreen.evaluate import aggregate_topics, macro_average
-
     topics = {}
     for topic_id, counts in sorted(per_topic.items()):
-        p, r, f = prf(counts)
-        entry = {
-            "tp": counts.tp, "fp": counts.fp, "fn": counts.fn,
-            "precision": round(100 * p, 1),
-            "recall": round(100 * r, 1),
-            "f_score": round(100 * f, 1),
-        }
+        entry = {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn,
+                 **_percent(prf(counts))}
         if gold_k and topic_id in gold_k:
-            gp, gr, gf = prf(gold_k[topic_id])
-            entry["gold_k"] = {
-                "precision": round(100 * gp, 1),
-                "recall": round(100 * gr, 1),
-                "f_score": round(100 * gf, 1),
-            }
+            entry["gold_k"] = _percent(prf(gold_k[topic_id]))
         topics[topic_id] = entry
-    micro = prf(sum(per_topic.values(), ConfusionCounts()))
-    macro = macro_average(list(per_topic.values()))
     report = {
         "topics": topics,
-        "overall_micro": {
-            "precision": round(100 * micro[0], 1),
-            "recall": round(100 * micro[1], 1),
-            "f_score": round(100 * micro[2], 1),
-        },
-        "overall_macro": {
-            "precision": round(100 * macro[0], 1),
-            "recall": round(100 * macro[1], 1),
-            "f_score": round(100 * macro[2], 1),
-        },
+        "overall_micro": _percent(prf(sum(per_topic.values(), ConfusionCounts()))),
+        "overall_macro": _percent(macro_average(list(per_topic.values()))),
     }
     if gold_k:
-        gk = prf(sum(gold_k.values(), ConfusionCounts()))
-        report["overall_gold_k_micro"] = {
-            "precision": round(100 * gk[0], 1),
-            "recall": round(100 * gk[1], 1),
-            "f_score": round(100 * gk[2], 1),
-        }
+        report["overall_gold_k_micro"] = _percent(
+            prf(sum(gold_k.values(), ConfusionCounts()))
+        )
     return report

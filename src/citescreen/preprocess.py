@@ -105,7 +105,8 @@ def _find_long_form(abbr: str, preceding: str) -> str | None:
 
 
 def _replace_standalone(text: str, short: str, long: str) -> str:
-    return re.sub(r"(?<![\w])%s(?![\w])" % re.escape(short), long, text)
+    # A function replacement keeps backslashes in ``long`` literal.
+    return re.sub(r"(?<![\w])%s(?![\w])" % re.escape(short), lambda _: long, text)
 
 
 def expand_abbreviations(

@@ -9,11 +9,11 @@ weighted score.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-from citescreen import preprocess
 from citescreen.errors import ConfigError
-from citescreen.extract import ConceptSet
+from citescreen.extract import ConceptSet, population_terms
 
 CATEGORIES = ("population", "intervention", "disease")
 
@@ -34,7 +34,6 @@ class WeightConfig:
 @dataclass
 class ConceptVector:
     weights: dict[str, float] = field(default_factory=dict)
-    category: str = "population"
 
     def norm(self) -> float:
         return math.sqrt(sum(w * w for w in self.weights.values()))
@@ -49,46 +48,27 @@ class RankedResult:
     vsm_score: float
 
 
-def population_terms(bag: list[str]) -> list[str]:
-    """Stemmed, stopword-filtered tokens of the population phrases."""
-    tokens: list[str] = []
-    for phrase in bag:
-        tokens.extend(phrase.split())
-    return preprocess.stem_and_filter(tokens)
-
-
 def _category_bag(concepts: ConceptSet, category: str) -> list[str]:
     bag = concepts.bag(category)
     return population_terms(bag) if category == "population" else list(bag)
 
 
-def idf(term: str, doc_bags: list[list[str]]) -> float:
-    """log10(N / df) over the screened candidate set."""
-    n = len(doc_bags)
-    df = sum(1 for bag in doc_bags if term in bag)
-    if df == 0:
-        raise ValueError(f"term {term!r} absent from every document")
-    return math.log10(n / df)
-
-
 def tfidf_vector(
-    concept_bag: list[str], category: str, doc_bags: list[list[str]],
-    log_base: float = 10.0,
+    concept_bag: list[str], doc_freq: Counter, n: int, log_base: float = 10.0,
 ) -> ConceptVector:
-    """Raw-count tf times idf; zero-weight entries are dropped."""
-    n = len(doc_bags)
-    counts: dict[str, int] = {}
-    for term in concept_bag:
-        counts[term] = counts.get(term, 0) + 1
+    """Raw-count tf times log(n / df); zero-weight entries are dropped.
+
+    ``doc_freq`` holds, per term, how many of the ``n`` documents contain it.
+    """
     weights: dict[str, float] = {}
-    for term, tf in counts.items():
-        df = sum(1 for bag in doc_bags if term in bag)
+    for term, tf in Counter(concept_bag).items():
+        df = doc_freq[term]
         if df == 0:
             continue  # absent from the corpus: no weight by construction
         w = tf * (math.log(n / df) / math.log(log_base))
         if w > 0:
             weights[term] = w
-    return ConceptVector(weights, category)
+    return ConceptVector(weights)
 
 
 def cosine(a: ConceptVector, b: ConceptVector) -> float:
@@ -105,18 +85,20 @@ class VectorSpace:
     def __init__(self, citation_concepts: dict[int, ConceptSet],
                  log_base: float = 10.0):
         self.log_base = log_base
-        self.doc_bags: dict[str, list[list[str]]] = {c: [] for c in CATEGORIES}
         self.pmids = sorted(citation_concepts)
+        self._doc_freq: dict[str, Counter] = {c: Counter() for c in CATEGORIES}
         self._bags_by_pmid: dict[int, dict[str, list[str]]] = {}
         for pmid in self.pmids:
             concepts = citation_concepts[pmid]
             per = {c: _category_bag(concepts, c) for c in CATEGORIES}
             self._bags_by_pmid[pmid] = per
             for c in CATEGORIES:
-                self.doc_bags[c].append(per[c])
+                self._doc_freq[c].update(set(per[c]))
 
     def vector(self, bag: list[str], category: str) -> ConceptVector:
-        return tfidf_vector(bag, category, self.doc_bags[category], self.log_base)
+        return tfidf_vector(
+            bag, self._doc_freq[category], len(self.pmids), self.log_base
+        )
 
     def citation_vectors(self, pmid: int) -> dict[str, ConceptVector]:
         per = self._bags_by_pmid[pmid]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from citescreen import preprocess
 from citescreen.corpus import Citation, DrugDictionary
-from citescreen.extract import ConceptSet
+from citescreen.extract import ConceptSet, population_terms
 
 #: The 22 clinically significant qualifier names (compared case-insensitively).
 QUALIFIER_WHITELIST = frozenset({
@@ -93,13 +93,6 @@ def _expand_drug_terms(terms, drugs: DrugDictionary | None) -> set[str]:
     return expanded
 
 
-def _population_tokens(bag) -> set[str]:
-    tokens: list[str] = []
-    for phrase in bag:
-        tokens.extend(phrase.split())
-    return set(preprocess.stem_and_filter(tokens))
-
-
 def _covers(query: ConceptSet, unit: ConceptSet,
             drugs: DrugDictionary | None) -> bool:
     """Each non-empty query bag shares >= 1 concept with the unit's bag.
@@ -108,8 +101,8 @@ def _covers(query: ConceptSet, unit: ConceptSet,
     drug-hierarchy-aware; disease is exact normalized match.
     """
     if query.population:
-        if not (_population_tokens(query.population)
-                & _population_tokens(unit.population)):
+        if not (set(population_terms(query.population))
+                & set(population_terms(unit.population))):
             return False
     if query.intervention:
         q = _expand_drug_terms(query.intervention, drugs)
@@ -198,26 +191,19 @@ def screen_citation(
             excerpt = " ".join(citation.abstract[i] for i in conclusion)
             return ScreeningDecision(citation.pmid, True, 3, excerpt)
 
-    n = len(citation_concepts.sentences)
-    for i in range(n):
-        window = [i] if i == n - 1 else [i, i + 1]
-        if _covers(query_concepts, _merge(citation_concepts.sentences, [i]), drugs):
-            return ScreeningDecision(citation.pmid, True, 4, citation.abstract[i])
-        if len(window) == 2 and _covers(
-            query_concepts, _merge(citation_concepts.sentences, window), drugs
-        ):
-            excerpt = " ".join(citation.abstract[j] for j in window)
-            return ScreeningDecision(citation.pmid, True, 4, excerpt)
+    sentences = citation_concepts.sentences
+    for i in range(len(sentences)):
+        for window in ([i], [i, i + 1]):
+            if window[-1] < len(sentences) and _covers(
+                query_concepts, _merge(sentences, window), drugs
+            ):
+                excerpt = " ".join(citation.abstract[j] for j in window)
+                return ScreeningDecision(citation.pmid, True, 4, excerpt)
 
     return ScreeningDecision(citation.pmid, False, None, "")
 
 
 def _merge(sentence_sets: list[ConceptSet], indices: list[int]) -> ConceptSet:
-    merged = ConceptSet()
-    for i in indices:
-        if 0 <= i < len(sentence_sets):
-            cs = sentence_sets[i]
-            merged.population.extend(cs.population)
-            merged.intervention.extend(cs.intervention)
-            merged.disease.extend(cs.disease)
-    return merged
+    return ConceptSet.merged(
+        sentence_sets[i] for i in indices if 0 <= i < len(sentence_sets)
+    )

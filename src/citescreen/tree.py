@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from citescreen.errors import FormatError
 
 LABELS = frozenset({"NP", "VP", "PP", "SBAR", "NN", "S", "TOK"})
-PHRASE_LABELS = frozenset({"NP", "VP", "PP", "SBAR", "S"})
 
 
 @dataclass

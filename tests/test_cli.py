@@ -149,6 +149,20 @@ class TestScreen:
         assert not by_pmid[1107]["accepted"]
 
 
+@pytest.mark.parametrize("command", ["screen", "rank"])
+@pytest.mark.parametrize("field", ["pmid", "title"])
+def test_record_missing_field_is_validation_error(runner, hf_jsonl, tmp_path,
+                                                  command, field):
+    first, second = hf_jsonl.read_text().splitlines()[:2]
+    broken = json.loads(second)
+    del broken[field]
+    path = tmp_path / "broken.jsonl"
+    path.write_text(first + "\n" + json.dumps(broken) + "\n")
+    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    assert result.exit_code == 1
+    assert "error:" in result.output and "line 2" in result.output
+
+
 class TestRank:
     def test_matches_frozen_expectation(self, runner, hf_jsonl, expected_dir):
         result = _invoke(runner, ["rank", "--title", T1_TITLE, str(hf_jsonl)])
@@ -206,3 +220,17 @@ class TestPipelineAndEval:
             "--config", str(config), "pipeline", str(gold_path),
         ])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("settings", [
+        {"endpoint": {"bogus": 1}},
+        {"weights": {"w1": 0.5}},
+    ])
+    def test_bad_config_value_is_validation_error(self, runner, gold_path,
+                                                  tmp_path, settings):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        result = _invoke(runner, [
+            "--config", str(config), "pipeline", str(gold_path),
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citescreen import corpus
 from citescreen.extract import (
+    ConceptSet,
     build_concept_set,
     drug_hierarchy,
     extract_concepts,
@@ -86,6 +89,18 @@ class TestDictionaryMatching:
         for (a, b), (c, d) in zip(spans, spans[1:]):
             assert b <= c or (a, b) == (c, d)
 
+    def test_fresh_lexicon_matches_its_own_entries(self):
+        # Each lexicon is freed on return, so the next one built often
+        # reuses its id(); no state may outlive the lexicon it came from.
+        def groups(group):
+            lexicon = corpus.ConceptLexicon(
+                [corpus.LexiconEntry("zyloxin", "C1", group)]
+            )
+            return [m.group for m in extract_concepts(["zyloxin given."], lexicon)]
+
+        for group in ["disorder", "chemical"] * 1000:
+            assert groups(group) == [group]
+
 
 class TestDrugNormalization:
     @pytest.mark.parametrize("original,modified", [
@@ -160,3 +175,16 @@ class TestConceptSet:
             ["Beta blockers lower heart rate."], lexicon, drugs, synonyms
         )
         assert "beta adrenergic blockers" in cs.intervention
+
+    @given(st.lists(st.builds(
+        ConceptSet,
+        population=st.lists(st.sampled_from("abc")),
+        intervention=st.lists(st.sampled_from("abc")),
+        disease=st.lists(st.sampled_from("abc")),
+    ), max_size=5))
+    def test_merged_concatenates_each_bag(self, sets):
+        merged = ConceptSet.merged(sets)
+        for category in ("population", "intervention", "disease"):
+            assert merged.bag(category) == [
+                term for cs in sets for term in cs.bag(category)
+            ]

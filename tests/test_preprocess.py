@@ -110,6 +110,13 @@ class TestAbbreviationExpansion:
         assert "HFpEF" in out[1]
         assert "heart failure does not" in out[1].lower()
 
+    def test_backslash_in_long_form_is_literal(self):
+        out, entries = expand_abbreviations(
+            ["The C\\d ratio (CD) was high.", "CD fell."]
+        )
+        assert entries[0].long_form == "C\\d ratio"
+        assert out == ["The C\\d ratio was high.", "C\\d ratio fell."]
+
     def test_idempotent_on_randomized_sentences(self):
         rng = random.Random(20240817)
         nouns = ["patients", "therapy", "outcomes", "dosing", "admissions",

@@ -1,18 +1,19 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citescreen.errors import ConfigError
-from citescreen.extract import ConceptSet
+from citescreen.extract import ConceptSet, population_terms
 from citescreen.rank import (
     CATEGORIES,
     ConceptVector,
     WeightConfig,
     cosine,
-    idf,
-    population_terms,
     rank_citations,
     tfidf_vector,
 )
@@ -36,32 +37,35 @@ class TestWeightConfig:
             WeightConfig(*bad)
 
 
+def _vector(bag, doc_bags):
+    """tf-idf vector of ``bag`` over the documents ``doc_bags``."""
+    doc_freq = Counter(t for doc in doc_bags for t in set(doc))
+    return tfidf_vector(bag, doc_freq, len(doc_bags))
+
+
 class TestIdf:
     def test_log10_value(self):
         bags = [["a"], ["a", "b"], ["c"], ["c"]]
-        assert idf("a", bags) == pytest.approx(math.log10(2.0), abs=TOL)
-        assert idf("b", bags) == pytest.approx(math.log10(4.0), abs=TOL)
-        assert idf("c", bags) == pytest.approx(math.log10(2.0), abs=TOL)
+        weights = _vector(["a", "b", "c"], bags).weights
+        assert weights["a"] == pytest.approx(math.log10(2.0), abs=TOL)
+        assert weights["b"] == pytest.approx(math.log10(4.0), abs=TOL)
+        assert weights["c"] == pytest.approx(math.log10(2.0), abs=TOL)
 
     def test_everywhere_is_zero(self):
         bags = [["a"], ["a"], ["a"]]
-        assert idf("a", bags) == 0.0
-
-    def test_absent_term_rejected(self):
-        with pytest.raises(ValueError):
-            idf("missing", [["a"], ["b"]])
+        assert _vector(["a"], bags).weights == {}
 
 
 class TestTfidfVector:
     def test_raw_counts(self):
         bags = [["a", "a", "b"], ["b"]]
-        vec = tfidf_vector(["a", "a", "b"], "disease", bags)
+        vec = _vector(["a", "a", "b"], bags)
         assert vec.weights["a"] == pytest.approx(2 * math.log10(2), abs=TOL)
         # b occurs in both documents, so its idf (and weight) is zero
         assert "b" not in vec.weights
 
     def test_unseen_terms_dropped(self):
-        vec = tfidf_vector(["novel"], "disease", [["a"], ["b"]])
+        vec = _vector(["novel"], [["a"], ["b"]])
         assert vec.weights == {}
 
 
@@ -135,6 +139,28 @@ def _oracle(pmids, query, concepts, weights, log_base):
             scores[p] += w * sim
     order = sorted(pmids, key=lambda p: (-scores[p], p))
     return order, scores, sims
+
+
+_BAGS = st.lists(st.sampled_from(VOCAB), max_size=6)
+_CONCEPT_SETS = st.builds(
+    ConceptSet, population=_BAGS, intervention=_BAGS, disease=_BAGS
+)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 10_000), _CONCEPT_SETS, min_size=1,
+                    max_size=8),
+    _CONCEPT_SETS,
+    st.randoms(use_true_random=False),
+)
+def test_ranking_ignores_input_order(concepts, query, rnd):
+    in_order = rank_citations(sorted(concepts), query, dict(sorted(concepts.items())))
+    pmids = list(concepts)
+    rnd.shuffle(pmids)
+    items = list(concepts.items())
+    rnd.shuffle(items)
+    assert rank_citations(pmids, query, dict(items)) == in_order
 
 
 class TestRankingOracle:
