@@ -231,10 +231,16 @@ def _read_ranked_pmids(path: str) -> list[int]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("rank\t"):
-            raise ValueError(f"{path}: expected a ranked TSV header")
-        for line in fh:
-            if line.strip():
+            raise FormatError(f"{path}: expected a ranked TSV header")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
                 pmids.append(int(line.split("\t")[1]))
+            except (IndexError, ValueError) as exc:
+                raise FormatError(
+                    f"{path} line {lineno}: expected rank<TAB>pmid, got {line.rstrip()!r}"
+                ) from exc
     return pmids
 
 

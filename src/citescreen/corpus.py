@@ -136,6 +136,31 @@ class ConceptLexicon:
             for word in e.surface.split():
                 node = node.setdefault(word, {})
             node.setdefault(None, []).append(e)
+        # One population entry per surface: first-seen order, last row wins.
+        population = {e.surface: e for e in self.entries if e.group == "population"}
+        self._population_trie: dict = {}  # word -> child; None -> (order, entry)
+        for order, (surface, e) in enumerate(population.items()):
+            node = self._population_trie
+            for word in surface.split():
+                node = node.setdefault(word, {})
+            node[None] = (order, e)
+
+    def population_matches(self, words: list[str]):
+        """Every population term in ``words``: (start, end, order, entry).
+
+        ``words[start:end]`` spells the term; ``order`` ranks the entry
+        by its first appearance among the population surfaces.
+        """
+        hits = []
+        for start in range(len(words)):
+            node = self._population_trie
+            i = start
+            while i < len(words) and words[i] in node:
+                node = node[words[i]]
+                i += 1
+                if None in node:
+                    hits.append((start, i, *node[None]))
+        return hits
 
     def lookup(self, surface: str) -> list[LexiconEntry]:
         return self._by_surface.get(preprocess.normalize_token(surface), [])

@@ -75,19 +75,17 @@ def _normalized_words(tokens: list[str]) -> tuple[list[str], list[int]]:
 # Population patterns
 # ---------------------------------------------------------------------------
 
-def _population_positions(phrase_tokens: list[str], lexicon: ConceptLexicon):
-    """Start token positions of population lexicon terms within the phrase."""
-    words, sources = _normalized_words(phrase_tokens)
-    population_entries = {
-        e.surface: e for e in lexicon.entries if e.group == "population"
-    }
-    hits = []
-    for surface, entry in population_entries.items():
-        parts = surface.split()
-        for j in range(len(words) - len(parts) + 1):
-            if words[j:j + len(parts)] == parts:
-                hits.append((sources[j], entry))
-    return hits
+def _first_hit(hits, start: int, end: int, max_start: int):
+    """Entry of the earliest hit inside tokens [start, end) starting <= max_start.
+
+    ``hits`` is sorted by start token, then lexicon order.
+    """
+    for first, last, _, entry in hits:
+        if first > max_start:
+            break
+        if first >= start and last < end:
+            return entry
+    return None
 
 
 def _pattern_matches(node: PhraseTree, pattern: int) -> bool:
@@ -125,21 +123,27 @@ def extract_population(
     Duplicate spans keep the lowest-numbered pattern.
     """
     tokens = sentence.split()
+    words, sources = _normalized_words(tokens)
+    # (first token, last token, lexicon order, entry) of every term, found once
+    # and sorted the way the patterns choose: earliest start, then lexicon order
+    hits = sorted(
+        ((sources[start], sources[end - 1], order, entry)
+         for start, end, order, entry in lexicon.population_matches(words)),
+        key=lambda h: (h[0], h[2]),
+    )
     mentions: dict[tuple[int, int], ConceptMention] = {}
+    nodes = list(tree.iter_nodes())
     for pattern in range(1, 8):
-        for node in tree.iter_nodes():
-            if not _pattern_matches(node, pattern):
+        for node in nodes:
+            if node.span in mentions or not _pattern_matches(node, pattern):
                 continue
-            if node.span in mentions:
+            start, end = node.span
+            entry = _first_hit(
+                hits, start, end, start + 1 if pattern <= 4 else end - 1
+            )
+            if entry is None:
                 continue
-            phrase_tokens = tokens[node.span[0]:node.span[1]]
-            hits = _population_positions(phrase_tokens, lexicon)
-            if pattern <= 4:
-                hits = [h for h in hits if h[0] <= 1]
-            if not hits:
-                continue
-            entry = min(hits, key=lambda h: h[0])[1]
-            surface = " ".join(phrase_tokens)
+            surface = " ".join(tokens[start:end])
             mentions[node.span] = ConceptMention(
                 surface=surface,
                 canonical_id=entry.canonical_id,

@@ -17,7 +17,13 @@ from citescreen.errors import ConfigError
 from citescreen.extract import ConceptSet, build_concept_set
 from citescreen.evaluate import ConfusionCounts, macro_average, prf
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
-from citescreen.retrieve import EndpointConfig, build_query, fetch_citations
+from citescreen.retrieve import (
+    EndpointConfig,
+    FetchResult,
+    FixtureCorpus,
+    build_query,
+    fetch_citations,
+)
 from citescreen.screen import (
     QUALIFIER_WHITELIST,
     CitationConcepts,
@@ -28,7 +34,13 @@ from citescreen.screen import (
 
 @dataclass
 class Resources:
-    """Dictionaries, weights and endpoint settings shared by all stages."""
+    """Dictionaries, weights and endpoint settings shared by all stages.
+
+    One ``Resources`` serves one run.  It parses a fixture corpus at the
+    first fetch and extracts each citation's concepts once, so every
+    topic of the run reuses them; corpus files changed on disk during
+    the run are not read again.
+    """
 
     lexicon: ConceptLexicon
     drugs: DrugDictionary
@@ -39,6 +51,31 @@ class Resources:
     endpoint: EndpointConfig = field(default_factory=EndpointConfig)
     min_year: int = 1974
     qualifier_whitelist: frozenset[str] = QUALIFIER_WHITELIST
+    _corpus: FixtureCorpus | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _concepts: dict[int, tuple[Citation, CitationConcepts]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def fetch(self, query: str) -> FetchResult:
+        """``fetch_citations``; a fixture corpus is parsed at the first fetch."""
+        fixture_dir = self.endpoint.fixture_dir
+        if fixture_dir and (self._corpus is None
+                            or self._corpus.fixture_dir != fixture_dir):
+            self._corpus = FixtureCorpus(fixture_dir)
+        return fetch_citations(query, self.endpoint, self._corpus)
+
+    def concepts(self, citation: Citation) -> CitationConcepts:
+        """``citation_concepts`` of the record, extracted once per run.
+
+        A different record under a PMID already seen is extracted anew.
+        """
+        seen = self._concepts.get(citation.pmid)
+        if seen is None or (seen[0] is not citation and seen[0] != citation):
+            seen = (citation, citation_concepts(citation, self))
+            self._concepts[citation.pmid] = seen
+        return seen[1]
 
     @classmethod
     def bundled(cls, **overrides) -> "Resources":
@@ -60,29 +97,36 @@ def load_config(path: str) -> Resources:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: the top level must be a JSON object")
     paths = raw.get("paths", {})
-    res = Resources(
-        lexicon=(
-            corpus.load_lexicon(paths["lexicon"]) if "lexicon" in paths
-            else corpus.default_lexicon()
-        ),
-        drugs=(
-            corpus.load_drug_dictionary(paths["drug_hierarchy"])
-            if "drug_hierarchy" in paths else corpus.default_drug_dictionary()
-        ),
-        hyponyms=(
-            corpus.load_hyponym_table(paths["hyponyms"])
-            if "hyponyms" in paths else corpus.default_hyponym_table()
-        ),
-        synonyms=(
-            corpus.load_synonym_table(paths["synonyms"])
-            if "synonyms" in paths else corpus.default_synonym_table()
-        ),
-        journal_whitelist=(
-            corpus.load_journal_whitelist(paths["journals"])
-            if "journals" in paths else corpus.default_journal_whitelist()
-        ),
-    )
+    if not isinstance(paths, dict):
+        raise ConfigError(f"config {path}: paths must be a JSON object")
+    try:
+        res = Resources(
+            lexicon=(
+                corpus.load_lexicon(paths["lexicon"]) if "lexicon" in paths
+                else corpus.default_lexicon()
+            ),
+            drugs=(
+                corpus.load_drug_dictionary(paths["drug_hierarchy"])
+                if "drug_hierarchy" in paths else corpus.default_drug_dictionary()
+            ),
+            hyponyms=(
+                corpus.load_hyponym_table(paths["hyponyms"])
+                if "hyponyms" in paths else corpus.default_hyponym_table()
+            ),
+            synonyms=(
+                corpus.load_synonym_table(paths["synonyms"])
+                if "synonyms" in paths else corpus.default_synonym_table()
+            ),
+            journal_whitelist=(
+                corpus.load_journal_whitelist(paths["journals"])
+                if "journals" in paths else corpus.default_journal_whitelist()
+            ),
+        )
+    except OSError as exc:
+        raise ConfigError(f"config {path}: cannot read a resource file: {exc}") from exc
     if "weights" in raw:
         w = raw["weights"]
         try:
@@ -140,12 +184,12 @@ def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
         topic, query_concepts, res.hyponyms, res.journal_whitelist,
         min_year=res.min_year,
     )
-    result = fetch_citations(query_string, res.endpoint)
+    result = res.fetch(query_string)
 
     decisions: list[ScreeningDecision] = []
     per_citation: dict[int, ConceptSet] = {}
     for citation in result.citations:
-        concepts = citation_concepts(citation, res)
+        concepts = res.concepts(citation)
         decision = screen_citation(
             query_concepts, citation, concepts, res.drugs,
             res.qualifier_whitelist,

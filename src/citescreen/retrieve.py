@@ -175,6 +175,10 @@ class _Node:
 class _Term(_Node):
     value: str
     fieldname: str
+    norm: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.norm = preprocess.normalize_token(self.value)
 
 
 @dataclass
@@ -246,38 +250,58 @@ def parse_query(query: str) -> _Node:
     return root
 
 
-def _norm_contains(haystack: str, needle: str) -> bool:
-    hay = preprocess.normalize_token(haystack)
-    return f" {needle} " in f" {hay} "
+@dataclass(frozen=True)
+class QueryFields:
+    """The normalized fields of one citation that query terms compare against."""
+
+    mesh: frozenset[str]
+    title: str              # normalized, with a space at each end
+    journal: str
+    year: int
+    pub_types: frozenset[str]
+
+    @classmethod
+    def of(cls, citation: Citation) -> "QueryFields":
+        return cls(
+            mesh=frozenset(
+                preprocess.normalize_token(m.descriptor) for m in citation.mesh_terms
+            ),
+            title=f" {preprocess.normalize_token(citation.title)} ",
+            journal=preprocess.normalize_token(citation.journal),
+            year=citation.year,
+            pub_types=frozenset(
+                preprocess.normalize_token(t) for t in infer_publication_type(citation)
+            ),
+        )
 
 
-def _eval_term(term: _Term, citation: Citation) -> bool:
-    value = preprocess.normalize_token(term.value)
+def _eval_term(term: _Term, fields: QueryFields) -> bool:
     fieldname = term.fieldname.lower()
     if fieldname == "mesh":
-        if any(
-            preprocess.normalize_token(m.descriptor) == value
-            for m in citation.mesh_terms
-        ):
-            return True
-        return _norm_contains(citation.title, value)
+        return term.norm in fields.mesh or f" {term.norm} " in fields.title
     if fieldname == "journal":
-        return preprocess.normalize_token(citation.journal) == value
+        return fields.journal == term.norm
     if fieldname == "year":
-        return citation.year >= int(term.value)
+        return fields.year >= int(term.value)
     if fieldname == "pubtype":
-        return value in (
-            preprocess.normalize_token(t) for t in infer_publication_type(citation)
-        )
+        return term.norm in fields.pub_types
     raise QueryParseError(f"unknown field {term.fieldname!r}")
 
 
-def evaluate_query(node: _Node, citation: Citation) -> bool:
+def evaluate_query(node: _Node, citation: Citation,
+                   fields: QueryFields | None = None) -> bool:
+    """Whether ``citation`` satisfies the query tree.
+
+    ``fields`` are the citation's ``QueryFields``, computed here when
+    the caller has not kept them.
+    """
+    if fields is None:
+        fields = QueryFields.of(citation)
     if isinstance(node, _Term):
-        return _eval_term(node, citation)
+        return _eval_term(node, fields)
     if node.op == "AND":
-        return all(evaluate_query(o, citation) for o in node.operands)
-    return any(evaluate_query(o, citation) for o in node.operands)
+        return all(evaluate_query(o, citation, fields) for o in node.operands)
+    return any(evaluate_query(o, citation, fields) for o in node.operands)
 
 
 def infer_publication_type(citation: Citation) -> list[str]:
@@ -426,17 +450,34 @@ def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
     return citations
 
 
-def _fetch_fixture(query: str, config: EndpointConfig) -> FetchResult:
-    corpus = load_fixture_corpus(config.fixture_dir)
-    tree = parse_query(query)
-    matched = sorted(
-        (c for c in corpus if evaluate_query(tree, c)), key=lambda c: c.pmid
-    )
-    return FetchResult([c.pmid for c in matched], matched, source="fixture")
+class FixtureCorpus:
+    """A fixture directory's citations, each with its ``QueryFields``.
+
+    Both are computed once, here, so a search only evaluates its query.
+    """
+
+    def __init__(self, fixture_dir: str):
+        self.fixture_dir = fixture_dir
+        self.records = [
+            (c, QueryFields.of(c)) for c in load_fixture_corpus(fixture_dir)
+        ]
+
+    def search(self, query: str) -> FetchResult:
+        tree = parse_query(query)
+        matched = sorted(
+            (c for c, fields in self.records if evaluate_query(tree, c, fields)),
+            key=lambda c: c.pmid,
+        )
+        return FetchResult([c.pmid for c in matched], matched, source="fixture")
 
 
-def fetch_citations(query: str, config: EndpointConfig) -> FetchResult:
-    """Run the query live or against the local fixture corpus."""
+def fetch_citations(query: str, config: EndpointConfig,
+                    corpus: FixtureCorpus | None = None) -> FetchResult:
+    """Run the query live or against the local fixture corpus.
+
+    ``corpus``, when given, is the ``FixtureCorpus`` of
+    ``config.fixture_dir`` kept from an earlier search.
+    """
     if config.fixture_dir:
-        return _fetch_fixture(query, config)
+        return (corpus or FixtureCorpus(config.fixture_dir)).search(query)
     return _fetch_live(query, config)

@@ -93,24 +93,31 @@ def _expand_drug_terms(terms, drugs: DrugDictionary | None) -> set[str]:
     return expanded
 
 
-def _covers(query: ConceptSet, unit: ConceptSet,
-            drugs: DrugDictionary | None) -> bool:
+def _query_keys(query: ConceptSet, drugs: DrugDictionary | None):
+    """The query's side of ``_covers``, one set per bag; None for an empty bag."""
+    return (
+        set(population_terms(query.population)) if query.population else None,
+        _expand_drug_terms(query.intervention, drugs) if query.intervention else None,
+        set(query.disease) if query.disease else None,
+    )
+
+
+def _covers(keys, unit: ConceptSet, drugs: DrugDictionary | None) -> bool:
     """Each non-empty query bag shares >= 1 concept with the unit's bag.
 
-    Population uses stemmed-token overlap; intervention is
-    drug-hierarchy-aware; disease is exact normalized match.
+    ``keys`` come from ``_query_keys``.  Population uses stemmed-token
+    overlap; intervention is drug-hierarchy-aware; disease is exact
+    normalized match.
     """
-    if query.population:
-        if not (set(population_terms(query.population))
-                & set(population_terms(unit.population))):
+    population, intervention, disease = keys
+    if population is not None:
+        if not population & set(population_terms(unit.population)):
             return False
-    if query.intervention:
-        q = _expand_drug_terms(query.intervention, drugs)
-        u = _expand_drug_terms(unit.intervention, drugs)
-        if not q & u:
+    if intervention is not None:
+        if not intervention & _expand_drug_terms(unit.intervention, drugs):
             return False
-    if query.disease:
-        if not set(query.disease) & set(unit.disease):
+    if disease is not None:
+        if not disease & set(unit.disease):
             return False
     return True
 
@@ -181,13 +188,14 @@ def screen_citation(
     if evidence is not None:
         return ScreeningDecision(citation.pmid, True, 1, evidence)
 
-    if _covers(query_concepts, citation_concepts.title, drugs):
+    keys = _query_keys(query_concepts, drugs)
+    if _covers(keys, citation_concepts.title, drugs):
         return ScreeningDecision(citation.pmid, True, 2, citation.title)
 
     conclusion = detect_conclusion(citation)
     if conclusion:
         merged = _merge(citation_concepts.sentences, conclusion)
-        if _covers(query_concepts, merged, drugs):
+        if _covers(keys, merged, drugs):
             excerpt = " ".join(citation.abstract[i] for i in conclusion)
             return ScreeningDecision(citation.pmid, True, 3, excerpt)
 
@@ -195,7 +203,7 @@ def screen_citation(
     for i in range(len(sentences)):
         for window in ([i], [i, i + 1]):
             if window[-1] < len(sentences) and _covers(
-                query_concepts, _merge(sentences, window), drugs
+                keys, _merge(sentences, window), drugs
             ):
                 excerpt = " ".join(citation.abstract[j] for j in window)
                 return ScreeningDecision(citation.pmid, True, 4, excerpt)

@@ -234,3 +234,28 @@ class TestPipelineAndEval:
         ])
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    @pytest.mark.parametrize("settings", [
+        {"paths": {"lexicon": "nope.tsv"}},
+        [1, 2],
+    ], ids=["missing-resource-file", "not-an-object"])
+    def test_unusable_config_is_validation_error(self, runner, tmp_path,
+                                                 settings):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = _invoke(runner, [
+                "--config", str(config), "query", "--title", "heart failure",
+            ])
+        assert result.exit_code == 1
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+
+    def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
+                                                        tmp_path):
+        ranked = tmp_path / "ranked"
+        ranked.mkdir()
+        (ranked / "T1.tsv").write_text("rank\tpmid\nbroken\n")
+        result = _invoke(runner, ["eval", str(gold_path), str(ranked)])
+        assert result.exit_code == 1
+        assert "T1.tsv line 2" in result.output

@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citescreen import corpus
+from citescreen import corpus, preprocess
 from citescreen.extract import (
+    ConceptMention,
     ConceptSet,
+    _pattern_matches,
     build_concept_set,
     drug_hierarchy,
     extract_concepts,
@@ -12,7 +14,7 @@ from citescreen.extract import (
     normalize_drug,
     normalize_drug_components,
 )
-from citescreen.tree import parse_bracketed_tree
+from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
 
 from population_cases import CASES
 
@@ -60,6 +62,123 @@ class TestPopulationPatterns:
         mentions = extract_population(tree, " ".join(tree.tokens()), lexicon)
         spans = [m.span for m in mentions]
         assert len(spans) == len(set(spans))
+
+
+def _oracle_positions(phrase_tokens, lexicon):
+    """Brute-force scan: every population surface against every offset."""
+    words, sources = [], []
+    for i, tok in enumerate(phrase_tokens):
+        for w in preprocess.normalize_token(tok).split():
+            words.append(w)
+            sources.append(i)
+    population_entries = {
+        e.surface: e for e in lexicon.entries if e.group == "population"
+    }
+    hits = []
+    for surface, entry in population_entries.items():
+        parts = surface.split()
+        for j in range(len(words) - len(parts) + 1):
+            if words[j:j + len(parts)] == parts:
+                hits.append((sources[j], entry))
+    return hits
+
+
+def _oracle_population(tree, sentence, lexicon):
+    """Population mentions by rescanning the lexicon per node and pattern."""
+    tokens = sentence.split()
+    mentions = {}
+    for pattern in range(1, 8):
+        for node in tree.iter_nodes():
+            if not _pattern_matches(node, pattern) or node.span in mentions:
+                continue
+            phrase_tokens = tokens[node.span[0]:node.span[1]]
+            hits = _oracle_positions(phrase_tokens, lexicon)
+            if pattern <= 4:
+                hits = [h for h in hits if h[0] <= 1]
+            if not hits:
+                continue
+            entry = min(hits, key=lambda h: h[0])[1]
+            surface = " ".join(phrase_tokens)
+            mentions[node.span] = ConceptMention(
+                surface=surface, canonical_id=entry.canonical_id,
+                group="population", span=node.span,
+                normal_form=preprocess.normalize_token(surface),
+            )
+    return sorted(mentions.values(), key=lambda m: m.span)
+
+
+_E = corpus.LexiconEntry
+_LEXICONS = {
+    "bundled": corpus.default_lexicon(),
+    # "elderly" and "elderly patients" start together, so lexicon order
+    # breaks the tie, and here the longer term comes first; a repeated
+    # surface keeps its first position and its last row, as a dict built
+    # from the rows would.  The chunker ends a noun phrase before
+    # "hospitalized", so that term straddles a phrase boundary.
+    "overlapping": corpus.ConceptLexicon([
+        _E("patients hospitalized", "P0", "population"),
+        _E("patients", "P1", "population"),
+        _E("elderly patients", "P2", "population"),
+        _E("heart failure", "D1", "disorder"),
+        _E("elderly", "P3", "population"),
+        _E("heart failure patients", "P4", "population"),
+        _E("elderly patients", "P5", "population"),
+        _E("older adults", "P6", "population"),
+    ]),
+}
+_CONNECTIVES = ["with", "who", "in", "and", "or", "the", "of", "that", "were",
+                "treated", "received", "due to", "aged", "had", "than", "among"]
+_PUNCT = ["", "", "", ",", ".", ";", "(", ")", "/"]
+_BREAKS = ["(", ")", ",", "-", "/", ";"]  # tokens that normalize to nothing
+
+
+@st.composite
+def _population_sentences(draw, lexicon):
+    surfaces = sorted({e.surface for e in lexicon.entries})
+    pieces = draw(st.lists(
+        st.sampled_from(surfaces) | st.sampled_from(_CONNECTIVES)
+        | st.sampled_from(_BREAKS),
+        min_size=1, max_size=14,
+    ))
+    out = []
+    for piece in pieces:
+        case = draw(st.sampled_from([str, str.upper, str.title]))
+        piece = case(piece)
+        if " " in piece and draw(st.booleans()):
+            piece = piece.replace(" ", "-", draw(st.integers(1, 3)))
+        punct = draw(st.sampled_from(_PUNCT))
+        out.append(f"{punct}{piece}" if punct == "(" else f"{piece}{punct}")
+    return " ".join(out)
+
+
+class TestPopulationOracle:
+    """One pass per sentence picks what the per-node rescan picked."""
+
+    @pytest.mark.parametrize("name", sorted(_LEXICONS))
+    def test_chunked_tree_matches_oracle(self, name):
+        lexicon = _LEXICONS[name]
+
+        @settings(max_examples=200)
+        @given(_population_sentences(lexicon))
+        def check(sentence):
+            tree = parse_phrase_tree(sentence)
+            assert extract_population(tree, sentence, lexicon) == \
+                _oracle_population(tree, sentence, lexicon)
+
+        check()
+
+    @pytest.mark.parametrize("sentence", [
+        "elderly patients with heart failure",
+        "heart-failure-patients and elderly-patients",
+        "the very elderly patients who were older adults",
+        "patients-patients in stroke patients",
+        "elderly patients hospitalized with heart failure",
+    ])
+    def test_overlapping_terms_and_duplicate_surfaces(self, sentence):
+        lexicon = _LEXICONS["overlapping"]
+        tree = parse_phrase_tree(sentence)
+        assert extract_population(tree, sentence, lexicon) == \
+            _oracle_population(tree, sentence, lexicon)
 
 
 class TestDictionaryMatching:

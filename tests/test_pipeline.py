@@ -1,0 +1,86 @@
+"""The per-run citation index on Resources.
+
+One ``Resources`` parses the fixture corpus at its first fetch and
+extracts each citation's concepts once, however many topics fetch it.
+"""
+
+from collections import Counter
+
+import pytest
+
+from citescreen import pipeline, retrieve
+from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
+from citescreen.pipeline import Resources, run_topic
+
+T1 = ClinicalTopic("T1", "Diuretics for heart failure in elderly patients")
+LOOP = ClinicalTopic("L", "Loop diuretics in heart failure")
+
+
+@pytest.fixture
+def fresh_resources(fixture_corpus_dir):
+    def make() -> Resources:
+        res = Resources.bundled()
+        res.endpoint.fixture_dir = str(fixture_corpus_dir)
+        return res
+    return make
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The first argument of every citation_concepts / load_fixture_corpus call."""
+    seen = {"citation_concepts": [], "load_fixture_corpus": []}
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name].append(args[0])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(pipeline, "citation_concepts")
+    record(retrieve, "load_fixture_corpus")
+    return seen
+
+
+def test_shared_citations_are_extracted_once(fresh_resources, calls):
+    res = fresh_resources()
+    first, second = run_topic(T1, res), run_topic(LOOP, res)
+    shared = set(first.fetched_pmids) & set(second.fetched_pmids)
+    assert shared
+    pmids = [c.pmid for c in calls["citation_concepts"]]
+    assert Counter(pmids) == Counter(
+        set(first.fetched_pmids) | set(second.fetched_pmids)
+    )
+
+
+def test_corpus_is_parsed_once_per_resources(fresh_resources, gold_path, calls):
+    topics = load_gold_standard(str(gold_path))
+    res = fresh_resources()
+    assert calls["load_fixture_corpus"] == []  # nothing is read before a fetch
+    for topic in topics:
+        run_topic(topic, res)
+    assert len(calls["load_fixture_corpus"]) == 1
+    run_topic(topics[0], fresh_resources())
+    assert len(calls["load_fixture_corpus"]) == 2
+
+
+def test_other_record_under_same_pmid_is_extracted_again(fresh_resources,
+                                                         calls):
+    res = fresh_resources()
+    heart = Citation(pmid=7, title="Furosemide in elderly patients with heart failure")
+    stroke = Citation(pmid=7, title="Warfarin in children after stroke")
+    heart_concepts = res.concepts(heart)
+    stroke_concepts = res.concepts(stroke)
+    assert heart_concepts != stroke_concepts
+    assert stroke_concepts == pipeline.citation_concepts(stroke, res)
+    # an equal record is the same record, even as another object
+    res.concepts(Citation(pmid=7, title=stroke.title))
+    assert calls["citation_concepts"] == [heart, stroke, stroke]
+
+
+def test_shared_resources_give_the_same_runs(fresh_resources, gold_path):
+    topics = [*load_gold_standard(str(gold_path)), LOOP, T1]
+    shared = fresh_resources()
+    assert [run_topic(t, shared) for t in topics] == \
+        [run_topic(t, fresh_resources()) for t in topics]

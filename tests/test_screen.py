@@ -7,6 +7,7 @@ from citescreen.screen import (
     CitationConcepts,
     ScreeningDecision,
     _covers,
+    _query_keys,
     _merge,
     detect_conclusion,
     match_mesh,
@@ -171,11 +172,11 @@ class TestScreeningFixture:
         if expected > 1:
             assert match_mesh(QUERY, citation, drugs) is None
         if expected > 2:
-            assert not _covers(QUERY, concepts.title, drugs)
+            assert not _covers(_query_keys(QUERY, drugs), concepts.title, drugs)
         if expected > 3:
             conclusion = detect_conclusion(citation)
             merged = _merge(concepts.sentences, conclusion)
-            assert not _covers(QUERY, merged, drugs)
+            assert not _covers(_query_keys(QUERY, drugs), merged, drugs)
 
     def test_emptier_queries_never_lose_acceptance(self, drugs):
         # Coverage-based constraints only ask about non-empty query bags,
@@ -235,7 +236,7 @@ class TestDecisionInvariants:
     def test_population_match_is_stem_based(self, drugs):
         query = ConceptSet(population=["elderly patients"])
         unit = ConceptSet(population=["an elderly cohort of patients"])
-        assert _covers(query, unit, drugs)
+        assert _covers(_query_keys(query, drugs), unit, drugs)
 
     def test_custom_qualifier_whitelist(self, drugs):
         citation = _citation(1, 1,
