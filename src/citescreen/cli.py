@@ -174,7 +174,7 @@ def query(ctx, title, topic_id):
 def fetch(ctx, query_string, out):
     """Run a Boolean query against the endpoint or fixture corpus."""
     res = _resources(ctx)
-    result = retrieve.fetch_citations(query_string, res.endpoint)
+    result = res.fetch(query_string)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(c.to_json() + "\n" for c in result.citations)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from citescreen import corpus, preprocess
 from citescreen.corpus import (
@@ -21,6 +21,7 @@ from citescreen.retrieve import (
     EndpointConfig,
     FetchResult,
     FixtureCorpus,
+    _RateLimiter,
     build_query,
     fetch_citations,
 )
@@ -39,7 +40,8 @@ class Resources:
     One ``Resources`` serves one run.  It parses a fixture corpus at the
     first fetch and extracts each citation's concepts once, so every
     topic of the run reuses them; corpus files changed on disk during
-    the run are not read again.
+    the run are not read again.  One rate limiter spaces every live
+    request of the run.
     """
 
     lexicon: ConceptLexicon
@@ -57,6 +59,9 @@ class Resources:
     _concepts: dict[int, tuple[Citation, CitationConcepts]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _limiter: _RateLimiter = field(
+        default_factory=_RateLimiter, init=False, repr=False, compare=False
+    )
 
     def fetch(self, query: str) -> FetchResult:
         """``fetch_citations``; a fixture corpus is parsed at the first fetch."""
@@ -64,7 +69,7 @@ class Resources:
         if fixture_dir and (self._corpus is None
                             or self._corpus.fixture_dir != fixture_dir):
             self._corpus = FixtureCorpus(fixture_dir)
-        return fetch_citations(query, self.endpoint, self._corpus)
+        return fetch_citations(query, self.endpoint, self._corpus, self._limiter)
 
     def concepts(self, citation: Citation) -> CitationConcepts:
         """``citation_concepts`` of the record, extracted once per run.
@@ -102,6 +107,10 @@ def load_config(path: str) -> Resources:
     paths = raw.get("paths", {})
     if not isinstance(paths, dict):
         raise ConfigError(f"config {path}: paths must be a JSON object")
+    for key, value in paths.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"config {path}: paths.{key} must be a file name, "
+                              f"not {value!r}")
     try:
         res = Resources(
             lexicon=(
@@ -139,13 +148,19 @@ def load_config(path: str) -> Resources:
         except TypeError as exc:
             raise ConfigError(f"bad endpoint settings: {exc}") from exc
     if "fixture_dir" in raw:
-        res.endpoint.fixture_dir = raw["fixture_dir"]
+        res.endpoint = replace(res.endpoint, fixture_dir=raw["fixture_dir"])
     if "min_year" in raw:
-        res.min_year = int(raw["min_year"])
+        if type(raw["min_year"]) is not int:
+            raise ConfigError(f"config {path}: min_year must be an integer, "
+                              f"not {raw['min_year']!r}")
+        res.min_year = raw["min_year"]
     if "qualifier_whitelist" in raw:
-        res.qualifier_whitelist = frozenset(
-            q.lower() for q in raw["qualifier_whitelist"]
-        )
+        qualifiers = raw["qualifier_whitelist"]
+        if not (isinstance(qualifiers, list)
+                and all(isinstance(q, str) for q in qualifiers)):
+            raise ConfigError(f"config {path}: qualifier_whitelist must be a list "
+                              f"of strings, not {qualifiers!r}")
+        res.qualifier_whitelist = frozenset(q.lower() for q in qualifiers)
     return res
 
 

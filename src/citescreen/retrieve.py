@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import glob
 import logging
+import math
 import os
 import re
 import time
@@ -26,6 +27,7 @@ from citescreen.corpus import (
 )
 from citescreen.errors import (
     ConfigError,
+    FormatError,
     QueryBuildError,
     QueryParseError,
     StatusError,
@@ -355,36 +357,67 @@ class EndpointConfig:
     api_key: str | None = None
     timeout_s: float = 30.0
 
+    def __post_init__(self):
+        for name in ("endpoint_base_url", "fixture_dir", "api_key"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(f"endpoint {name} must be a string, not {value!r}")
+        for name, least in (("rate_limit_ms", 0), ("max_retries", 0), ("page_size", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"endpoint {name} must be an integer >= {least}, "
+                                  f"not {value!r}")
+        if type(self.timeout_s) not in (int, float) or not 0 < self.timeout_s < math.inf:
+            raise ConfigError(f"endpoint timeout_s must be a positive number, "
+                              f"not {self.timeout_s!r}")
+
 
 class _RateLimiter:
-    def __init__(self, interval_ms: int):
-        self.interval = interval_ms / 1000.0
+    """Spaces the starts of successive requests at least the interval given
+    to ``wait`` apart, across every query that shares the limiter."""
+
+    def __init__(self):
         self._last = 0.0
 
-    def wait(self):
+    def wait(self, interval_ms: int):
+        interval = interval_ms / 1000.0
         now = time.monotonic()
         delta = now - self._last
-        if delta < self.interval:
-            time.sleep(self.interval - delta)
+        if delta < interval:
+            time.sleep(interval - delta)
         self._last = time.monotonic()
+
+
+def _retry_after_s(resp, backoff_s: float) -> float:
+    """The integer ``Retry-After`` of a 429 response, else ``backoff_s``."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return int(value) if value.isdecimal() else backoff_s
 
 
 def _request_with_retries(url: str, params: dict, config: EndpointConfig,
                           limiter: _RateLimiter) -> str:
+    """GET ``url``; connection failures, 429 and 5xx are retried.
+
+    A 429 also waits for its ``Retry-After`` seconds, or for the rate
+    interval doubled at each retry.
+    """
     import requests
 
     last_exc: Exception | None = None
     for attempt in range(config.max_retries + 1):
-        limiter.wait()
+        limiter.wait(config.rate_limit_ms)
         try:
             resp = requests.get(url, params=params, timeout=config.timeout_s)
         except requests.RequestException as exc:
             last_exc = exc
             log.warning("request failed (attempt %d): %s", attempt + 1, exc)
             continue
-        if resp.status_code >= 500:
+        if resp.status_code == 429 or resp.status_code >= 500:
             last_exc = StatusError(resp.status_code, resp.text)
-            log.warning("server error %d (attempt %d)", resp.status_code, attempt + 1)
+            log.warning("HTTP %d (attempt %d)", resp.status_code, attempt + 1)
+            if resp.status_code == 429 and attempt < config.max_retries:
+                time.sleep(_retry_after_s(
+                    resp, config.rate_limit_ms / 1000.0 * 2 ** attempt))
             continue
         if resp.status_code != 200:
             raise StatusError(resp.status_code, resp.text)
@@ -394,50 +427,60 @@ def _request_with_retries(url: str, params: dict, config: EndpointConfig,
     raise TransportError(f"request failed after retries: {last_exc}")
 
 
-def _fetch_live(query: str, config: EndpointConfig) -> FetchResult:
+def _fetch_live(query: str, config: EndpointConfig,
+                limiter: _RateLimiter) -> FetchResult:
+    """One history-server esearch, then efetch pages of ``page_size``.
+
+    Records keep the order the server returns them in; a PMID keeps its
+    first position and its last record.  A page with no record, such as
+    the error a server sends for an expired ``WebEnv``, is a transport
+    error rather than a silently shorter result.
+    """
     base = (config.endpoint_base_url or "").rstrip("/")
     if not base.startswith(("http://", "https://")):
         raise ConfigError(f"malformed endpoint URL: {config.endpoint_base_url!r}")
-    limiter = _RateLimiter(config.rate_limit_ms)
     common = {"db": "pubmed"}
     if config.api_key:
         common["api_key"] = config.api_key
 
-    ids: list[int] = []
-    retstart = 0
-    while True:
+    text = _request_with_retries(
+        f"{base}/esearch.fcgi",
+        {**common, "term": query, "usehistory": "y", "retmax": 0},
+        config, limiter,
+    )
+    try:
+        root = ET.fromstring(text)
+        count = int(root.findtext("Count", ""))
+        if count < 0:
+            raise ValueError(f"negative Count {count}")
+    except (ET.ParseError, ValueError) as exc:
+        raise TransportError(f"malformed search response: {exc}") from exc
+    if count == 0:
+        return FetchResult([], [], source="live")
+    webenv = (root.findtext("WebEnv") or "").strip()
+    query_key = (root.findtext("QueryKey") or "").strip()
+    if not webenv or not query_key:
+        raise TransportError("search response has no WebEnv or QueryKey")
+
+    by_pmid: dict[int, Citation] = {}
+    for start in range(0, count, config.page_size):
         text = _request_with_retries(
-            f"{base}/esearch.fcgi",
-            {**common, "term": query, "retmax": config.page_size,
-             "retstart": retstart},
+            f"{base}/efetch.fcgi",
+            {**common, "WebEnv": webenv, "query_key": query_key,
+             "retstart": start, "retmax": config.page_size, "retmode": "xml"},
             config, limiter,
         )
         try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise TransportError(f"unparseable search response: {exc}") from exc
-        count = int(root.findtext("Count", "0"))
-        page = [int(e.text) for e in root.findall(".//Id") if e.text]
-        ids.extend(page)
-        retstart += config.page_size
-        if retstart >= count or not page:
-            break
-
-    if not ids:
-        return FetchResult([], [], source="live")
-
-    citations: list[Citation] = []
-    for start in range(0, len(ids), config.page_size):
-        chunk = ids[start:start + config.page_size]
-        text = _request_with_retries(
-            f"{base}/efetch.fcgi",
-            {**common, "id": ",".join(map(str, chunk)), "retmode": "xml"},
-            config, limiter,
-        )
-        citations.extend(parse_citation_xml(text))
-    by_pmid = {c.pmid: c for c in citations}
-    present = [p for p in ids if p in by_pmid]
-    return FetchResult(present, [by_pmid[p] for p in present], source="live")
+            page = parse_citation_xml(text)
+        except FormatError as exc:
+            raise TransportError(f"malformed fetch response: {exc}") from exc
+        if not page:
+            raise TransportError(
+                f"efetch returned no record at retstart {start} of {count} hits"
+            )
+        for citation in page:
+            by_pmid[citation.pmid] = citation
+    return FetchResult(list(by_pmid), list(by_pmid.values()), source="live")
 
 
 def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
@@ -472,12 +515,14 @@ class FixtureCorpus:
 
 
 def fetch_citations(query: str, config: EndpointConfig,
-                    corpus: FixtureCorpus | None = None) -> FetchResult:
+                    corpus: FixtureCorpus | None = None,
+                    limiter: _RateLimiter | None = None) -> FetchResult:
     """Run the query live or against the local fixture corpus.
 
     ``corpus``, when given, is the ``FixtureCorpus`` of
-    ``config.fixture_dir`` kept from an earlier search.
+    ``config.fixture_dir`` kept from an earlier search; ``limiter`` is
+    the run's ``_RateLimiter``, which spaces requests across queries.
     """
     if config.fixture_dir:
         return (corpus or FixtureCorpus(config.fixture_dir)).search(query)
-    return _fetch_live(query, config)
+    return _fetch_live(query, config, limiter or _RateLimiter())

@@ -1,6 +1,9 @@
 import json
+import os
+import time
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 from citescreen.cli import main
@@ -116,6 +119,32 @@ class TestFetch:
             "--config", str(config), "fetch", '"heart failure"[MeSH]',
         ])
         assert result.exit_code == 2
+
+    def test_repeated_429_is_transport_error(self, runner, tmp_path, monkeypatch):
+        attempts = []
+
+        class TooMany:
+            status_code = 429
+            text = "rate limited"
+            headers = {"Retry-After": "1"}
+
+        def fake_get(url, params=None, timeout=None):
+            attempts.append(url)
+            return TooMany()
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": {
+            "endpoint_base_url": "https://api.example/entrez",
+            "max_retries": 2, "rate_limit_ms": 0,
+        }}))
+        result = _invoke(runner, [
+            "--config", str(config), "fetch", '"heart failure"[MeSH]',
+        ])
+        assert result.exit_code == 2
+        assert "HTTP 429" in result.output
+        assert len(attempts) == 3
 
     def test_malformed_query_is_validation_error(self, runner,
                                                  fixture_corpus_dir):
@@ -238,7 +267,14 @@ class TestPipelineAndEval:
     @pytest.mark.parametrize("settings", [
         {"paths": {"lexicon": "nope.tsv"}},
         [1, 2],
-    ], ids=["missing-resource-file", "not-an-object"])
+        {"qualifier_whitelist": [1]},
+        {"min_year": None},
+        {"fixture_dir": 5},
+        {"endpoint": {"page_size": 0}},
+        {"endpoint": {"rate_limit_ms": "fast"}},
+    ], ids=["missing-resource-file", "not-an-object", "non-string-qualifier",
+            "null-min-year", "integer-fixture-dir", "zero-page-size",
+            "string-rate-limit"])
     def test_unusable_config_is_validation_error(self, runner, tmp_path,
                                                  settings):
         config = tmp_path / "config.json"
@@ -250,6 +286,26 @@ class TestPipelineAndEval:
         assert result.exit_code == 1
         assert "error:" in result.output
         assert "Traceback" not in result.output
+
+    def test_integer_path_is_validation_error(self, runner, tmp_path):
+        """An integer ``paths`` entry is no file descriptor to read and close."""
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("patients\tPOP-001\tpopulation\n")
+        config = tmp_path / "config.json"
+        fd = os.open(lexicon, os.O_RDONLY)
+        try:
+            config.write_text(json.dumps({"paths": {"lexicon": fd}}))
+            result = _invoke(runner, [
+                "--config", str(config), "query", "--title", "heart failure",
+            ])
+            os.fstat(fd)  # still open
+        finally:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        assert result.exit_code == 1
+        assert "error:" in result.output
 
     def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
                                                         tmp_path):

@@ -1,12 +1,15 @@
-"""The per-run citation index on Resources.
+"""The per-run state on Resources.
 
 One ``Resources`` parses the fixture corpus at its first fetch and
-extracts each citation's concepts once, however many topics fetch it.
+extracts each citation's concepts once, however many topics fetch it;
+one rate limiter spaces its live requests.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+import requests
 
 from citescreen import pipeline, retrieve
 from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
@@ -84,3 +87,27 @@ def test_shared_resources_give_the_same_runs(fresh_resources, gold_path):
     shared = fresh_resources()
     assert [run_topic(t, shared) for t in topics] == \
         [run_topic(t, fresh_resources()) for t in topics]
+
+
+def test_one_rate_limiter_spaces_requests_across_fetches(monkeypatch):
+    """Back-to-back live fetches of one run keep the rate interval."""
+    clock = [1000.0]
+    sent = []
+
+    def sleep(seconds):
+        clock[0] += seconds
+
+    def fake_get(url, params=None, timeout=None):
+        sent.append(clock[0])
+        return SimpleNamespace(status_code=200, headers={},
+                               text="<eSearchResult><Count>0</Count></eSearchResult>")
+
+    monkeypatch.setattr(retrieve.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(retrieve.time, "sleep", sleep)
+    monkeypatch.setattr(requests, "get", fake_get)
+    res = Resources.bundled(endpoint=retrieve.EndpointConfig(
+        endpoint_base_url="https://api.example/entrez", rate_limit_ms=100))
+    res.fetch('"heart failure"[MeSH]')
+    res.fetch('"hypertension"[MeSH]')
+    assert len(sent) == 2
+    assert sent[1] - sent[0] >= 0.1

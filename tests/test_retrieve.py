@@ -1,4 +1,10 @@
+import importlib.util
+import random
+import time
+from pathlib import Path
+
 import pytest
+import requests
 
 from citescreen import retrieve
 from citescreen.corpus import (
@@ -180,26 +186,51 @@ class TestFixtureFetch:
             fetch_citations('"x"[MeSH]', EndpointConfig(fixture_dir="/no/such"))
 
 
-ESEARCH_PAGE1 = """<eSearchResult><Count>3</Count>
-<IdList><Id>11</Id><Id>12</Id></IdList></eSearchResult>"""
-ESEARCH_PAGE2 = """<eSearchResult><Count>3</Count>
-<IdList><Id>13</Id></IdList></eSearchResult>"""
-
-
-def _efetch_body(pmids):
+def _efetch_body(pmids, start=0):
     records = "".join(
         f"<MedlineCitation><PMID>{p}</PMID>"
-        f"<Article><ArticleTitle>Record {p}</ArticleTitle></Article>"
+        f"<Article><ArticleTitle>Record {p} at {i}</ArticleTitle></Article>"
         f"</MedlineCitation>"
-        for p in pmids
+        for i, p in enumerate(pmids, start)
     )
     return f"<MedlineCitationSet>{records}</MedlineCitationSet>"
 
 
 class _Resp:
-    def __init__(self, status_code, text):
+    def __init__(self, status_code, text, headers=None):
         self.status_code = status_code
         self.text = text
+        self.headers = headers or {}
+
+
+def _history_server(ids, calls, count=None):
+    """A fake ``requests.get``: esearch with a history WebEnv, paged efetch.
+
+    The search reports ``count`` hits (``len(ids)`` by default) and
+    stores ``ids``; efetch serves their records by retstart/retmax.
+    """
+    def fake_get(url, params=None, timeout=None):
+        calls.append((url, dict(params)))
+        if url.endswith("esearch.fcgi"):
+            assert params["usehistory"] == "y" and params["retmax"] == 0
+            return _Resp(200, f"<eSearchResult><Count>{len(ids) if count is None else count}"
+                              f"</Count><QueryKey>1</QueryKey><WebEnv>W1</WebEnv>"
+                              f"</eSearchResult>")
+        assert url.endswith("efetch.fcgi")
+        assert (params["WebEnv"], params["query_key"]) == ("W1", "1")
+        start = params["retstart"]
+        return _Resp(200, _efetch_body(ids[start:start + params["retmax"]], start))
+    return fake_get
+
+
+STUB_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "stub.py"
+
+
+def _load_stub():
+    spec = importlib.util.spec_from_file_location("perfbench_stub", STUB_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestLiveFetch:
@@ -209,23 +240,118 @@ class TestLiveFetch:
 
     def test_paged_search_and_fetch(self, monkeypatch):
         calls = []
-
-        def fake_get(url, params=None, timeout=None):
-            calls.append((url, dict(params)))
-            if url.endswith("esearch.fcgi"):
-                page = ESEARCH_PAGE1 if params["retstart"] == 0 else ESEARCH_PAGE2
-                return _Resp(200, page)
-            assert url.endswith("efetch.fcgi")
-            return _Resp(200, _efetch_body(params["id"].split(",")))
-
-        import requests
-        monkeypatch.setattr(requests, "get", fake_get)
+        monkeypatch.setattr(requests, "get", _history_server([11, 12, 13], calls))
         result = fetch_citations('"x"[MeSH]', self._config())
         assert result.source == "live"
         assert result.pmids == [11, 12, 13]
         assert [c.pmid for c in result.citations] == [11, 12, 13]
-        # two search pages plus two fetch chunks of page_size 2
-        assert len(calls) == 4
+        # one history search plus two fetch pages of page_size 2
+        assert [url.rsplit("/", 1)[1] for url, _ in calls] == [
+            "esearch.fcgi", "efetch.fcgi", "efetch.fcgi"]
+        assert [(p["retstart"], p["retmax"]) for _, p in calls[1:]] == [(0, 2), (2, 2)]
+
+    def test_zero_count_sends_no_fetch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(requests, "get", _history_server([], calls))
+        assert fetch_citations('"x"[MeSH]', self._config()).pmids == []
+        assert len(calls) == 1
+
+    def test_repeated_pmid_keeps_first_position_and_last_record(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(requests, "get", _history_server([11, 12, 11, 13], calls))
+        result = fetch_citations('"x"[MeSH]', self._config())
+        assert result.pmids == [11, 12, 13]
+        assert [c.title for c in result.citations] == [
+            "Record 11 at 2", "Record 12 at 1", "Record 13 at 3"]
+
+    def test_page_without_records_is_transport_error(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(requests, "get", _history_server([11, 12], calls, count=9))
+        with pytest.raises(TransportError, match="retstart 2 of 9"):
+            fetch_citations('"x"[MeSH]', self._config())
+        assert len(calls) == 3
+
+    def test_malformed_fetch_is_transport_error(self, monkeypatch):
+        search = _history_server([11, 12], [])
+
+        def fake_get(url, params=None, timeout=None):
+            if url.endswith("efetch.fcgi"):
+                return _Resp(200, "<html>Bad gateway")
+            return search(url, params, timeout)
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        with pytest.raises(TransportError, match="malformed fetch response"):
+            fetch_citations('"x"[MeSH]', self._config())
+
+    @pytest.mark.parametrize("body", [
+        "<eSearchResult><Count>3</Count><QueryKey>1</QueryKey></eSearchResult>",
+        "<eSearchResult><Count>3</Count><WebEnv>W1</WebEnv></eSearchResult>",
+        "<eSearchResult><Count>three</Count></eSearchResult>",
+        "<eSearchResult><Count>-1</Count></eSearchResult>",
+        "<eSearchResult><ERROR>Invalid query</ERROR></eSearchResult>",
+        "<eSearchResult><Count>3",
+    ], ids=["no-webenv", "no-query-key", "non-integer-count", "negative-count",
+            "no-count", "not-xml"])
+    def test_malformed_search_is_transport_error(self, monkeypatch, body):
+        calls = []
+
+        def fake_get(url, params=None, timeout=None):
+            calls.append(url)
+            return _Resp(200, body)
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        with pytest.raises(TransportError):
+            fetch_citations('"x"[MeSH]', self._config())
+        assert len(calls) == 1
+
+    def test_requests_of_the_benchmark_stub(self, monkeypatch):
+        """1 esearch + ceil(240 / 100) efetch against ``perfbench/stub.py``."""
+        planted = random.Random(7).sample(range(400001, 401001), 240)
+        eutils = _load_stub().Eutils({
+            "topics": {"P01": {"key": "heart failure", "pmids": planted}},
+            "records": {str(p): f"<MedlineCitation><PMID>{p}</PMID><Article>"
+                                f"<ArticleTitle>Record {p}</ArticleTitle></Article>"
+                                f"</MedlineCitation>" for p in planted},
+        })
+
+        def stub_get(url, params=None, timeout=None):
+            status, _, body = eutils.handle(
+                url.rsplit("/", 1)[1], {k: str(v) for k, v in params.items()})
+            return _Resp(status, body)
+
+        monkeypatch.setattr(requests, "get", stub_get)
+        config = EndpointConfig(endpoint_base_url="http://127.0.0.1:1/entrez",
+                                rate_limit_ms=0)
+        result = fetch_citations('("heart failure"[MeSH]) AND 1974:[Year]', config)
+        assert result.pmids == planted
+        assert eutils.requests == {"esearch.fcgi": 1, "efetch.fcgi": 3}
+
+    def test_429_waits_retry_after_then_succeeds(self, monkeypatch):
+        replies = [_Resp(429, "slow down", {"Retry-After": "3"}),
+                   _Resp(200, "<eSearchResult><Count>0</Count></eSearchResult>")]
+        slept = []
+        monkeypatch.setattr(requests, "get", lambda *a, **k: replies.pop(0))
+        monkeypatch.setattr(time, "sleep", slept.append)
+        assert fetch_citations('"x"[MeSH]', self._config()).pmids == []
+        assert slept == [3]
+
+    def test_429_backs_off_by_doubling_the_rate_interval(self, monkeypatch):
+        replies = [_Resp(429, "slow down"), _Resp(429, "slow down", {"Retry-After": "soon"}),
+                   _Resp(200, "<eSearchResult><Count>0</Count></eSearchResult>")]
+        clock = [1000.0]
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(requests, "get", lambda *a, **k: replies.pop(0))
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(time, "sleep", sleep)
+        config = self._config()
+        config.rate_limit_ms = 100
+        assert fetch_citations('"x"[MeSH]', config).pmids == []
+        assert slept == pytest.approx([0.1, 0.2])
 
     def test_server_errors_retried(self, monkeypatch):
         attempts = []
@@ -238,14 +364,12 @@ class TestLiveFetch:
                 return _Resp(200, "<eSearchResult><Count>0</Count></eSearchResult>")
             raise AssertionError("no fetch expected for zero results")
 
-        import requests
         monkeypatch.setattr(requests, "get", flaky_get)
         result = fetch_citations('"x"[MeSH]', self._config())
         assert result.pmids == []
         assert len(attempts) == 2
 
     def test_client_error_raises_status(self, monkeypatch):
-        import requests
         monkeypatch.setattr(requests, "get",
                             lambda *a, **k: _Resp(404, "not found"))
         with pytest.raises(StatusError) as err:
@@ -253,8 +377,6 @@ class TestLiveFetch:
         assert err.value.status_code == 404
 
     def test_connection_failures_exhaust_to_transport_error(self, monkeypatch):
-        import requests
-
         def boom(*a, **k):
             raise requests.ConnectionError("refused")
 
