@@ -18,9 +18,10 @@ from citescreen import corpus, pipeline, retrieve
 from citescreen.corpus import Citation, ClinicalTopic
 from citescreen.errors import CitescreenError, FormatError, StatusError, TransportError
 from citescreen.evaluate import confusion
-from citescreen.extract import ConceptSet, build_concept_set, extract_population
+from citescreen.extract import build_concept_set, extract_population
 from citescreen.pipeline import Resources
 from citescreen.rank import rank_citations
+from citescreen.screen import screen_citation, screening_query
 from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
 
 # Usage errors are validation errors, not transport errors.
@@ -192,15 +193,10 @@ def screen(ctx, title, citations_jsonl):
     """Apply the four screening constraints; one JSON decision per line."""
     res = _resources(ctx)
     query_concepts = pipeline.topic_concepts(ClinicalTopic("topic", title), res)
-    from citescreen.screen import screen_citation
-
+    query = screening_query(query_concepts, res.drugs, res.qualifier_whitelist)
     for citation in _load_citations_jsonl(citations_jsonl):
         concepts = pipeline.citation_concepts(citation, res)
-        decision = screen_citation(
-            query_concepts, citation, concepts, res.drugs,
-            res.qualifier_whitelist,
-        )
-        click.echo(decision.to_json())
+        click.echo(screen_citation(query, citation, concepts).to_json())
 
 
 @main.command()
@@ -212,12 +208,10 @@ def rank(ctx, title, citations_jsonl):
     """Rank screened citations by weighted concept-vector similarity."""
     res = _resources(ctx)
     query_concepts = pipeline.topic_concepts(ClinicalTopic("topic", title), res)
-    per_citation = {}
-    for citation in _load_citations_jsonl(citations_jsonl):
-        concepts = pipeline.citation_concepts(citation, res)
-        per_citation[citation.pmid] = ConceptSet.merged(
-            [concepts.title, *concepts.sentences]
-        )
+    per_citation = {
+        citation.pmid: pipeline.citation_concepts(citation, res).whole
+        for citation in _load_citations_jsonl(citations_jsonl)
+    }
     ranked = rank_citations(
         sorted(per_citation), query_concepts, per_citation, res.weights
     )

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from citescreen import preprocess
-from citescreen.corpus import ConceptLexicon, DrugDictionary, default_synonym_table
+from citescreen.corpus import ConceptLexicon, DrugDictionary
 from citescreen.tree import PhraseTree, parse_phrase_tree
 
 
@@ -251,15 +251,13 @@ def _normalize_single(
 def normalize_drug_components(
     mention: str,
     drugs: DrugDictionary,
-    synonyms: dict[str, str] | None = None,
+    synonyms: dict[str, str],
 ) -> list[str]:
     """Resolved dictionary names for a (possibly multi-drug) mention.
 
     Returns the input unchanged (as a single component) when no rule
     produces a dictionary match.
     """
-    if synonyms is None:
-        synonyms = default_synonym_table()
     single = _normalize_single(mention, drugs, synonyms)
     if single is not None:
         return [single]
@@ -275,7 +273,7 @@ def normalize_drug_components(
 def normalize_drug(
     mention: str,
     drugs: DrugDictionary,
-    synonyms: dict[str, str] | None = None,
+    synonyms: dict[str, str],
 ) -> str:
     """Dictionary-mapped form of a drug mention via the rule cascade.
 
@@ -298,7 +296,7 @@ def build_concept_set(
     text_units: list[str],
     lexicon: ConceptLexicon,
     drugs: DrugDictionary,
-    synonyms: dict[str, str] | None = None,
+    synonyms: dict[str, str],
 ) -> ConceptSet:
     """Population, intervention-or-comparison and disease bags for a text.
 

@@ -15,7 +15,7 @@ from citescreen.corpus import (
 )
 from citescreen.errors import ConfigError
 from citescreen.extract import ConceptSet, build_concept_set
-from citescreen.evaluate import ConfusionCounts, macro_average, prf
+from citescreen.evaluate import ConfusionCounts, aggregate_topics, macro_average, prf
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
 from citescreen.retrieve import (
     EndpointConfig,
@@ -29,7 +29,9 @@ from citescreen.screen import (
     QUALIFIER_WHITELIST,
     CitationConcepts,
     ScreeningDecision,
+    concept_keys,
     screen_citation,
+    screening_query,
 )
 
 
@@ -38,10 +40,10 @@ class Resources:
     """Dictionaries, weights and endpoint settings shared by all stages.
 
     One ``Resources`` serves one run.  It parses a fixture corpus at the
-    first fetch and extracts each citation's concepts once, so every
-    topic of the run reuses them; corpus files changed on disk during
-    the run are not read again.  One rate limiter spaces every live
-    request of the run.
+    first fetch and extracts each citation's concepts and screening keys
+    once, so every topic of the run reuses them; corpus files changed on
+    disk during the run are not read again.  One rate limiter spaces every
+    live request of the run.
     """
 
     lexicon: ConceptLexicon
@@ -166,15 +168,14 @@ def load_config(path: str) -> Resources:
 
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:
     sentences, _ = preprocess.expand_abbreviations(list(citation.abstract))
+    title = build_concept_set([citation.title] if citation.title else [],
+                              res.lexicon, res.drugs, res.synonyms)
+    units = [build_concept_set([s], res.lexicon, res.drugs, res.synonyms)
+             for s in sentences]
     return CitationConcepts(
-        title=build_concept_set(
-            [citation.title] if citation.title else [],
-            res.lexicon, res.drugs, res.synonyms,
-        ),
-        sentences=[
-            build_concept_set([s], res.lexicon, res.drugs, res.synonyms)
-            for s in sentences
-        ],
+        whole=ConceptSet.merged([title, *units]),
+        title=concept_keys(title, res.drugs),
+        sentences=tuple(concept_keys(u, res.drugs) for u in units),
     )
 
 
@@ -201,19 +202,15 @@ def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
     )
     result = res.fetch(query_string)
 
+    query = screening_query(query_concepts, res.drugs, res.qualifier_whitelist)
     decisions: list[ScreeningDecision] = []
     per_citation: dict[int, ConceptSet] = {}
     for citation in result.citations:
         concepts = res.concepts(citation)
-        decision = screen_citation(
-            query_concepts, citation, concepts, res.drugs,
-            res.qualifier_whitelist,
-        )
+        decision = screen_citation(query, citation, concepts)
         decisions.append(decision)
         if decision.accepted:
-            per_citation[citation.pmid] = ConceptSet.merged(
-                [concepts.title, *concepts.sentences]
-            )
+            per_citation[citation.pmid] = concepts.whole
 
     ranked = rank_citations(
         sorted(per_citation), query_concepts, per_citation, res.weights
@@ -278,11 +275,10 @@ def metric_report(
         topics[topic_id] = entry
     report = {
         "topics": topics,
-        "overall_micro": _percent(prf(sum(per_topic.values(), ConfusionCounts()))),
+        "overall_micro": _percent(aggregate_topics(list(per_topic.values()))),
         "overall_macro": _percent(macro_average(list(per_topic.values()))),
     }
     if gold_k:
-        report["overall_gold_k_micro"] = _percent(
-            prf(sum(gold_k.values(), ConfusionCounts()))
-        )
+        gold_k_micro = aggregate_topics(list(gold_k.values()))
+        report["overall_gold_k_micro"] = _percent(gold_k_micro)
     return report

@@ -5,12 +5,15 @@ carries a clinically significant qualifier marked as the main topic;
 (2) the title covers the query's concept categories; (3) the conclusion
 sentences cover them; (4) coverage holds within one sentence or an
 adjacent pair.  The lowest satisfied constraint is recorded.
+
+Screening intersects precomputed keys: a citation's title and sentence
+keys are derived once per run, the query's once per topic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from citescreen import preprocess
 from citescreen.corpus import Citation, DrugDictionary
@@ -74,80 +77,94 @@ class ScreeningDecision:
         }, sort_keys=True)
 
 
-@dataclass
-class CitationConcepts:
-    """Per-citation concept sets: title plus one set per abstract sentence."""
-
-    title: ConceptSet = field(default_factory=ConceptSet)
-    sentences: list[ConceptSet] = field(default_factory=list)
+Keys = tuple[frozenset[str], frozenset[str], frozenset[str]]  # one set per bag
 
 
-def _expand_drug_terms(terms, drugs: DrugDictionary | None) -> set[str]:
-    expanded = set()
-    for t in terms:
-        expanded.add(t)
-        if drugs is not None:
-            expanded.update(
-                preprocess.normalize_token(n) for n in drugs.hierarchy(t)
-            )
-    return expanded
-
-
-def _query_keys(query: ConceptSet, drugs: DrugDictionary | None):
-    """The query's side of ``_covers``, one set per bag; None for an empty bag."""
-    return (
-        set(population_terms(query.population)) if query.population else None,
-        _expand_drug_terms(query.intervention, drugs) if query.intervention else None,
-        set(query.disease) if query.disease else None,
+def _expand_drug_terms(terms, drugs: DrugDictionary) -> frozenset[str]:
+    """``terms`` plus the normalized names of their drug-hierarchy ancestors."""
+    return frozenset(terms).union(
+        preprocess.normalize_token(n) for t in terms for n in drugs.hierarchy(t)
     )
 
 
-def _covers(keys, unit: ConceptSet, drugs: DrugDictionary | None) -> bool:
-    """Each non-empty query bag shares >= 1 concept with the unit's bag.
+def concept_keys(concepts: ConceptSet, drugs: DrugDictionary) -> Keys:
+    """Stemmed population tokens, interventions with their drug-hierarchy
+    ancestors, and exact diseases.
 
-    ``keys`` come from ``_query_keys``.  Population uses stemmed-token
-    overlap; intervention is drug-hierarchy-aware; disease is exact
-    normalized match.
+    Each key comes from one term alone, so the keys of a merged set are
+    the per-bag union of its parts' keys.
     """
-    population, intervention, disease = keys
-    if population is not None:
-        if not population & set(population_terms(unit.population)):
-            return False
-    if intervention is not None:
-        if not intervention & _expand_drug_terms(unit.intervention, drugs):
-            return False
-    if disease is not None:
-        if not disease & set(unit.disease):
-            return False
-    return True
+    return (
+        frozenset(population_terms(concepts.population)),
+        _expand_drug_terms(concepts.intervention, drugs),
+        frozenset(concepts.disease),
+    )
 
 
-def match_mesh(
-    query_concepts: ConceptSet,
-    citation: Citation,
-    drugs: DrugDictionary | None = None,
-    qualifier_whitelist: frozenset[str] = QUALIFIER_WHITELIST,
-) -> str | None:
+@dataclass(frozen=True)
+class CitationConcepts:
+    """One citation's concepts, extracted once per run.
+
+    ``whole`` is the whole-citation concept set that ranking reads;
+    ``title`` and ``sentences`` are the keys of the title and of each
+    abstract sentence that screening reads.
+    """
+
+    whole: ConceptSet
+    title: Keys
+    sentences: tuple[Keys, ...]
+
+
+@dataclass(frozen=True)
+class ScreeningQuery:
+    """The query's side of screening, derived once per topic.
+
+    ``keys`` is None for an empty query bag, which imposes nothing; a bag
+    whose phrases stem to no key never covers.
+    """
+
+    keys: tuple[frozenset[str] | None, ...]
+    mesh_terms: frozenset[str]
+    qualifier_whitelist: frozenset[str]
+    drugs: DrugDictionary
+
+
+def screening_query(query_concepts: ConceptSet, drugs: DrugDictionary,
+                    qualifier_whitelist: frozenset[str]) -> ScreeningQuery:
+    q = query_concepts
+    return ScreeningQuery(
+        keys=tuple(k if bag else None for k, bag in zip(
+            concept_keys(q, drugs), (q.population, q.intervention, q.disease))),
+        mesh_terms=_expand_drug_terms([*q.disease, *q.intervention], drugs),
+        qualifier_whitelist=frozenset(w.lower() for w in qualifier_whitelist),
+        drugs=drugs,
+    )
+
+
+def _covers(query_keys, units: list[Keys]) -> bool:
+    """Each non-empty query bag shares >= 1 key with one of the units."""
+    return all(
+        q is None or any(not q.isdisjoint(unit[c]) for unit in units)
+        for c, q in enumerate(query_keys)
+    )
+
+
+def match_mesh(query: ScreeningQuery, citation: Citation) -> str | None:
     """Constraint 1 evidence, or None.
 
     Succeeds when a MeSH descriptor matching a query disease or
     intervention concept (any drug-hierarchy level counts) carries a
     whitelisted qualifier marked as the main topic.
     """
-    query_terms = _expand_drug_terms(
-        list(query_concepts.disease) + list(query_concepts.intervention), drugs
-    )
-    whitelist = {q.lower() for q in qualifier_whitelist}
     for term in citation.mesh_terms:
         if not term.is_major_topic or term.qualifier is None:
             continue
-        if term.qualifier.strip().lower() not in whitelist:
+        qualifier = term.qualifier.strip().lower()
+        if qualifier not in query.qualifier_whitelist:
             continue
-        descriptor_terms = _expand_drug_terms(
-            [preprocess.normalize_token(term.descriptor)], drugs
-        )
-        if descriptor_terms & query_terms:
-            return f"{preprocess.normalize_token(term.descriptor)}/{term.qualifier.strip().lower()}"
+        descriptor = preprocess.normalize_token(term.descriptor)
+        if _expand_drug_terms([descriptor], query.drugs) & query.mesh_terms:
+            return f"{descriptor}/{qualifier}"
     return None
 
 
@@ -177,41 +194,32 @@ def detect_conclusion(citation: Citation) -> list[int]:
 
 
 def screen_citation(
-    query_concepts: ConceptSet,
+    query: ScreeningQuery,
     citation: Citation,
     citation_concepts: CitationConcepts,
-    drugs: DrugDictionary | None = None,
-    qualifier_whitelist: frozenset[str] = QUALIFIER_WHITELIST,
 ) -> ScreeningDecision:
     """Evaluate the four constraints in order; lowest satisfied wins."""
-    evidence = match_mesh(query_concepts, citation, drugs, qualifier_whitelist)
+    evidence = match_mesh(query, citation)
     if evidence is not None:
         return ScreeningDecision(citation.pmid, True, 1, evidence)
 
-    keys = _query_keys(query_concepts, drugs)
-    if _covers(keys, citation_concepts.title, drugs):
+    if _covers(query.keys, [citation_concepts.title]):
         return ScreeningDecision(citation.pmid, True, 2, citation.title)
 
-    conclusion = detect_conclusion(citation)
-    if conclusion:
-        merged = _merge(citation_concepts.sentences, conclusion)
-        if _covers(keys, merged, drugs):
-            excerpt = " ".join(citation.abstract[i] for i in conclusion)
-            return ScreeningDecision(citation.pmid, True, 3, excerpt)
-
     sentences = citation_concepts.sentences
+    conclusion = detect_conclusion(citation)
+    if conclusion and _covers(
+        query.keys, [sentences[i] for i in conclusion if 0 <= i < len(sentences)]
+    ):
+        excerpt = " ".join(citation.abstract[i] for i in conclusion)
+        return ScreeningDecision(citation.pmid, True, 3, excerpt)
+
     for i in range(len(sentences)):
         for window in ([i], [i, i + 1]):
             if window[-1] < len(sentences) and _covers(
-                keys, _merge(sentences, window), drugs
+                query.keys, [sentences[j] for j in window]
             ):
                 excerpt = " ".join(citation.abstract[j] for j in window)
                 return ScreeningDecision(citation.pmid, True, 4, excerpt)
 
     return ScreeningDecision(citation.pmid, False, None, "")
-
-
-def _merge(sentence_sets: list[ConceptSet], indices: list[int]) -> ConceptSet:
-    return ConceptSet.merged(
-        sentence_sets[i] for i in indices if 0 <= i < len(sentence_sets)
-    )

@@ -27,7 +27,7 @@ from citescreen.corpus import (
 from citescreen.evaluate import confusion, pr_curve, precision_at_k, prf
 from citescreen.extract import drug_hierarchy, extract_population, normalize_drug
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
-from citescreen.screen import screen_citation
+from citescreen.screen import QUALIFIER_WHITELIST, screen_citation, screening_query
 from citescreen.tree import parse_bracketed_tree
 
 from population_cases import CASES
@@ -275,7 +275,8 @@ def test_c6_screening_fixture():
     rows = screening_fixture()
     assert len(rows) == 12
     for pmid, citation, concepts, expected in rows:
-        decision = screen_citation(SCREEN_QUERY, citation, concepts, drugs)
+        query = screening_query(SCREEN_QUERY, drugs, QUALIFIER_WHITELIST)
+        decision = screen_citation(query, citation, concepts)
         assert decision.matched_constraint == expected, pmid
         assert decision.accepted == (expected is not None), pmid
 

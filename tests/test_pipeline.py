@@ -11,8 +11,9 @@ from types import SimpleNamespace
 import pytest
 import requests
 
-from citescreen import pipeline, retrieve
+from citescreen import pipeline, retrieve, screen
 from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
+from citescreen.extract import population_terms
 from citescreen.pipeline import Resources, run_topic
 
 T1 = ClinicalTopic("T1", "Diuretics for heart failure in elderly patients")
@@ -55,6 +56,26 @@ def test_shared_citations_are_extracted_once(fresh_resources, calls):
     assert Counter(pmids) == Counter(
         set(first.fetched_pmids) | set(second.fetched_pmids)
     )
+
+
+def test_screening_keys_are_derived_once_per_run(fresh_resources, calls,
+                                                 monkeypatch):
+    """One ``population_terms`` per topic and per unit of each citation."""
+    stemmed = []
+
+    def counted(bag):
+        stemmed.append(list(bag))
+        return population_terms(bag)
+    monkeypatch.setattr(screen, "population_terms", counted)
+    res = fresh_resources()
+    first, second = run_topic(T1, res), run_topic(LOOP, res)
+    assert set(first.fetched_pmids) & set(second.fetched_pmids)
+    fetched = calls["citation_concepts"]
+    assert len({c.pmid for c in fetched}) == len(fetched)
+    units = sum(1 + len(c.abstract) for c in fetched)  # the title and each sentence
+    assert len(stemmed) == 2 + units
+    run_topic(T1, res)  # a topic over kept citations derives only its query
+    assert len(stemmed) == 3 + units
 
 
 def test_corpus_is_parsed_once_per_resources(fresh_resources, gold_path, calls):

@@ -1,23 +1,37 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from citescreen.corpus import Citation, MeshTerm, default_drug_dictionary
-from citescreen.extract import ConceptSet
+from citescreen import preprocess
+from citescreen.corpus import (
+    Citation,
+    MeshTerm,
+    default_drug_dictionary,
+    default_lexicon,
+)
+from citescreen.extract import ConceptSet, population_terms
 from citescreen.screen import (
     QUALIFIER_WHITELIST,
     CitationConcepts,
     ScreeningDecision,
     _covers,
-    _query_keys,
-    _merge,
+    concept_keys,
     detect_conclusion,
     match_mesh,
     screen_citation,
+    screening_query,
 )
+
+DRUGS = default_drug_dictionary()
 
 
 @pytest.fixture(scope="module")
 def drugs():
-    return default_drug_dictionary()
+    return DRUGS
+
+
+def _query(concepts, whitelist=QUALIFIER_WHITELIST):
+    return screening_query(concepts, DRUGS, whitelist)
 
 
 QUERY = ConceptSet(
@@ -48,7 +62,12 @@ def _citation(pmid, n_sentences, mesh=(), labels=None, title="A title"):
 
 
 def _concepts(title, sentences):
-    return CitationConcepts(title=title, sentences=list(sentences))
+    """What ``pipeline.citation_concepts`` keeps for these concept sets."""
+    return CitationConcepts(
+        whole=ConceptSet.merged([title, *sentences]),
+        title=concept_keys(title, DRUGS),
+        sentences=tuple(concept_keys(s, DRUGS) for s in sentences),
+    )
 
 
 # One hand-assigned case per constraint plus rejections.  Each row is
@@ -159,7 +178,7 @@ class TestScreeningFixture:
     @pytest.mark.parametrize("pmid,citation,concepts,expected",
                              _fixture(), ids=[str(r[0]) for r in _fixture()])
     def test_lowest_constraint(self, drugs, pmid, citation, concepts, expected):
-        decision = screen_citation(QUERY, citation, concepts, drugs)
+        decision = screen_citation(_query(QUERY), citation, concepts)
         assert decision.matched_constraint == expected
         assert decision.accepted == (expected is not None)
 
@@ -170,13 +189,13 @@ class TestScreeningFixture:
     def test_short_circuit(self, drugs, pmid, citation, concepts, expected):
         """Independently re-check that every lower constraint fails."""
         if expected > 1:
-            assert match_mesh(QUERY, citation, drugs) is None
+            assert match_mesh(_query(QUERY), citation) is None
         if expected > 2:
-            assert not _covers(_query_keys(QUERY, drugs), concepts.title, drugs)
+            assert not _covers(_query(QUERY).keys, [concepts.title])
         if expected > 3:
             conclusion = detect_conclusion(citation)
-            merged = _merge(concepts.sentences, conclusion)
-            assert not _covers(_query_keys(QUERY, drugs), merged, drugs)
+            units = [concepts.sentences[i] for i in conclusion]
+            assert not _covers(_query(QUERY).keys, units)
 
     def test_emptier_queries_never_lose_acceptance(self, drugs):
         # Coverage-based constraints only ask about non-empty query bags,
@@ -193,7 +212,7 @@ class TestScreeningFixture:
                     disease=list(QUERY.disease),
                 )
                 relaxed.bag(category).clear()
-                decision = screen_citation(relaxed, citation, concepts, drugs)
+                decision = screen_citation(_query(relaxed), citation, concepts)
                 assert decision.accepted, (pmid, category)
 
 
@@ -236,11 +255,189 @@ class TestDecisionInvariants:
     def test_population_match_is_stem_based(self, drugs):
         query = ConceptSet(population=["elderly patients"])
         unit = ConceptSet(population=["an elderly cohort of patients"])
-        assert _covers(_query_keys(query, drugs), unit, drugs)
+        assert _covers(_query(query).keys, [concept_keys(unit, drugs)])
 
     def test_custom_qualifier_whitelist(self, drugs):
         citation = _citation(1, 1,
                              mesh=[MeshTerm("Heart Failure", "history", True)])
-        assert match_mesh(QUERY, citation, drugs) is None
-        assert match_mesh(QUERY, citation, drugs,
-                          frozenset({"history"})) is not None
+        assert match_mesh(_query(QUERY), citation) is None
+        assert match_mesh(_query(QUERY, frozenset({"history"})),
+                          citation) is not None
+
+
+class TestQueryBags:
+    def test_stopword_only_bag_never_covers(self):
+        # An empty query bag imposes nothing; a non-empty bag whose phrases
+        # stem to no key can never be covered, so it rejects.
+        assert population_terms(["those who"]) == []
+        citation = Citation(pmid=1, title="Those elderly patients with heart failure")
+        concepts = _concepts(ConceptSet(population=["those elderly patients"],
+                                        disease=["heart failure"]), [])
+        stopwords_only = ConceptSet(population=["those who"], disease=["heart failure"])
+        decision = screen_citation(_query(stopwords_only), citation, concepts)
+        assert not decision.accepted
+        decision = screen_citation(_query(ConceptSet(disease=["heart failure"])),
+                                   citation, concepts)
+        assert decision.matched_constraint == 2
+
+
+# --------------------------------------------------------------------------
+# Differential check against the merge-then-derive screening path, which
+# merged the concept sets of a conclusion or window and then stemmed and
+# expanded the merged set on every call.
+# --------------------------------------------------------------------------
+
+def _ref_expand(terms, drugs):
+    expanded = set()
+    for t in terms:
+        expanded.add(t)
+        expanded.update(preprocess.normalize_token(n) for n in drugs.hierarchy(t))
+    return expanded
+
+
+def _ref_covers(query, unit, drugs):
+    if query.population and not (set(population_terms(query.population))
+                                 & set(population_terms(unit.population))):
+        return False
+    if query.intervention and not (_ref_expand(query.intervention, drugs)
+                                   & _ref_expand(unit.intervention, drugs)):
+        return False
+    if query.disease and not set(query.disease) & set(unit.disease):
+        return False
+    return True
+
+
+def _ref_match_mesh(query, citation, drugs, qualifier_whitelist):
+    query_terms = _ref_expand(list(query.disease) + list(query.intervention), drugs)
+    whitelist = {q.lower() for q in qualifier_whitelist}
+    for term in citation.mesh_terms:
+        if not term.is_major_topic or term.qualifier is None:
+            continue
+        if term.qualifier.strip().lower() not in whitelist:
+            continue
+        descriptor = preprocess.normalize_token(term.descriptor)
+        if _ref_expand([descriptor], drugs) & query_terms:
+            return f"{descriptor}/{term.qualifier.strip().lower()}"
+    return None
+
+
+def _ref_merge(sentence_sets, indices):
+    return ConceptSet.merged(
+        sentence_sets[i] for i in indices if 0 <= i < len(sentence_sets)
+    )
+
+
+def _ref_screen(query, citation, title, sentences, drugs, qualifier_whitelist):
+    evidence = _ref_match_mesh(query, citation, drugs, qualifier_whitelist)
+    if evidence is not None:
+        return ScreeningDecision(citation.pmid, True, 1, evidence)
+    if _ref_covers(query, title, drugs):
+        return ScreeningDecision(citation.pmid, True, 2, citation.title)
+    conclusion = detect_conclusion(citation)
+    if conclusion and _ref_covers(query, _ref_merge(sentences, conclusion), drugs):
+        excerpt = " ".join(citation.abstract[i] for i in conclusion)
+        return ScreeningDecision(citation.pmid, True, 3, excerpt)
+    for i in range(len(sentences)):
+        for window in ([i], [i, i + 1]):
+            if window[-1] < len(sentences) and _ref_covers(
+                query, _ref_merge(sentences, window), drugs
+            ):
+                excerpt = " ".join(citation.abstract[j] for j in window)
+                return ScreeningDecision(citation.pmid, True, 4, excerpt)
+    return ScreeningDecision(citation.pmid, False, None, "")
+
+
+_LEXICON = default_lexicon()
+
+
+def _surfaces(*groups):
+    return sorted({e.surface for e in _LEXICON.entries if e.group in groups})
+
+
+def _vocabulary(common, everything):
+    """Mostly a few shared terms, so that bags overlap; sometimes any term."""
+    return st.one_of(st.sampled_from(common), st.sampled_from(everything))
+
+
+_POPULATION_WORDS = _vocabulary(
+    ["elderly", "patients", "older", "adults", "cohort", "those", "who", "with"],
+    _surfaces("population") + ["the", "of", "those", "who", "aged"],
+)
+_POPULATION = st.lists(_POPULATION_WORDS, min_size=1, max_size=4).map(" ".join)
+_DRUG_NAMES = sorted(DRUGS.names())
+_INTERVENTION = _vocabulary(
+    ["diuretics", "furosemide", "loop diuretics", "warfarin", "placebo"],
+    [preprocess.normalize_token(n) for n in _DRUG_NAMES]
+    + _surfaces("procedure", "device") + ["unknownium"],
+)
+_DISEASE = _vocabulary(
+    ["heart failure", "congestive heart failure", "stroke"],
+    _surfaces("disorder"),
+)
+_CONCEPT_SETS = st.builds(
+    ConceptSet,
+    population=st.lists(_POPULATION, max_size=3),
+    intervention=st.lists(_INTERVENTION, max_size=3),
+    disease=st.lists(_DISEASE, max_size=3),
+)
+_QUALIFIERS = st.one_of(
+    st.none(),
+    st.sampled_from(sorted(QUALIFIER_WHITELIST) + ["metabolism", "history"]).flatmap(
+        lambda q: st.sampled_from([q, q.upper(), f" {q.title()} "])
+    ),
+)
+_MESH = st.builds(
+    MeshTerm,
+    descriptor=_vocabulary(["Heart Failure", "Furosemide", "Diuretics"],
+                           ["Stroke", "Hypertension", *_DRUG_NAMES]),
+    qualifier=_QUALIFIERS,
+    is_major_topic=st.booleans(),
+)
+_LABELS = ["BACKGROUND", "METHODS", "RESULTS", "CONCLUSIONS", "Conclusion:",
+           "Interpretation"]
+
+
+@st.composite
+def _screening_cases(draw):
+    n = draw(st.integers(0, 6))
+    abstract = tuple(
+        draw(st.sampled_from([f"Sentence {i}.", f"In conclusion, finding {i}."]))
+        for i in range(n)
+    )
+    structured = n > 0 and draw(st.booleans())
+    labels = (
+        draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_LABELS),
+                             min_size=1))
+        if structured else None
+    )
+    citation = Citation(
+        pmid=draw(st.integers(1, 10**6)), title="A title", abstract=abstract,
+        abstract_is_structured=structured, section_labels=labels,
+        mesh_terms=tuple(draw(st.lists(_MESH, max_size=3))),
+    )
+    whitelist = draw(st.sampled_from(
+        [QUALIFIER_WHITELIST, frozenset({"History", "THERAPY"})]
+    ))
+    title = draw(_CONCEPT_SETS)
+    sentences = [draw(_CONCEPT_SETS) for _ in range(n)]
+    return draw(_CONCEPT_SETS), citation, title, sentences, whitelist
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screening_cases())
+def test_screening_matches_merge_then_derive_reference(case):
+    query, citation, title, sentences, whitelist = case
+    decision = screen_citation(
+        _query(query, whitelist), citation, _concepts(title, sentences)
+    )
+    assert decision == _ref_screen(query, citation, title, sentences, DRUGS,
+                                   whitelist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CONCEPT_SETS, _CONCEPT_SETS)
+def test_keys_of_a_merged_set_are_the_union_of_keys(a, b):
+    merged = concept_keys(ConceptSet.merged([a, b]), DRUGS)
+    assert merged == tuple(
+        x | y for x, y in zip(concept_keys(a, DRUGS), concept_keys(b, DRUGS))
+    )
