@@ -79,9 +79,9 @@ def _load_citations_jsonl(path: str) -> list[Citation]:
               help="JSON config with weights, paths and endpoint settings.")
 @click.option("--fixture-dir", type=click.Path(), default=None,
               help="Directory of citation XML files to query hermetically.")
-@click.option("--top-k", type=int, default=None,
+@click.option("--top-k", type=click.IntRange(min=1), default=None,
               help="Keep only the top K ranked citations.")
-@click.option("--gold-k", type=int, default=None,
+@click.option("--gold-k", type=click.IntRange(min=1), default=None,
               help="Also report precision at this cutoff during eval.")
 @click.option("--output", type=click.Choice(["tsv", "json"]), default="tsv",
               help="Output format.")
@@ -215,8 +215,7 @@ def rank(ctx, title, citations_jsonl):
     ranked = rank_citations(
         sorted(per_citation), query_concepts, per_citation, res.weights
     )
-    if ctx.obj["top_k"]:
-        ranked = ranked[:ctx.obj["top_k"]]
+    ranked = ranked[:ctx.obj["top_k"]]
     _emit(ctx, pipeline.ranked_tsv(ranked), pipeline.ranked_json(ranked))
 
 
@@ -274,7 +273,7 @@ def eval_cmd(ctx, gold_tsv, ranked_dir):
     def ranked_pmids(topic: ClinicalTopic) -> list[int]:
         path = os.path.join(ranked_dir, f"{topic.topic_id}.tsv")
         pmids = _read_ranked_pmids(path) if os.path.exists(path) else []
-        return pmids[:ctx.obj["top_k"] or None]
+        return pmids[:ctx.obj["top_k"]]
 
     _score(ctx, corpus.load_gold_standard(gold_tsv), ranked_pmids)
 
@@ -290,7 +289,7 @@ def pipeline_cmd(ctx, gold_tsv, out_dir):
     res = _resources(ctx)
 
     def ranked_pmids(topic: ClinicalTopic) -> list[int]:
-        ranked = pipeline.run_topic(topic, res).ranked[:ctx.obj["top_k"] or None]
+        ranked = pipeline.run_topic(topic, res).ranked[:ctx.obj["top_k"]]
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"{topic.topic_id}.tsv")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from citescreen import preprocess
@@ -82,6 +82,17 @@ class Citation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Citation":
+        """Inverse of :meth:`to_dict`; a field of the wrong type raises TypeError."""
+        for key in ("title", "journal"):
+            if not isinstance(d.get(key, ""), str):
+                raise TypeError(f"{key} must be a string, not {d[key]!r}")
+        for key in ("abstract", "publication_types"):
+            value = d.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise TypeError(f"{key} must be a list of strings, not {value!r}")
+        for key in ("pmid", "year"):
+            if isinstance(d.get(key), bool):
+                raise TypeError(f"{key} must be an integer, not {d[key]!r}")
         return cls(
             pmid=int(d["pmid"]),
             title=d["title"],
@@ -104,10 +115,6 @@ class Citation:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Citation":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class ClinicalTopic:
@@ -128,10 +135,8 @@ class ConceptLexicon:
 
     def __init__(self, entries: list[LexiconEntry]):
         self.entries = list(entries)
-        self._by_surface: dict[str, list[LexiconEntry]] = {}
         self._trie: dict = {}  # word -> child node; None -> entries ending here
         for e in self.entries:
-            self._by_surface.setdefault(e.surface, []).append(e)
             node = self._trie
             for word in e.surface.split():
                 node = node.setdefault(word, {})
@@ -162,9 +167,6 @@ class ConceptLexicon:
                     hits.append((start, i, *node[None]))
         return hits
 
-    def lookup(self, surface: str) -> list[LexiconEntry]:
-        return self._by_surface.get(preprocess.normalize_token(surface), [])
-
     def longest_match(self, words: list[str], start: int):
         """Longest entry list starting at ``words[start]``, with its word length."""
         node = self._trie
@@ -176,9 +178,6 @@ class ConceptLexicon:
             if None in node:
                 best = (i - start, node[None])
         return best
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class DrugDictionary:
@@ -197,21 +196,11 @@ class DrugDictionary:
         self._levels = levels     # normalized name -> 1..4 (4 = drug)
         self._names = names       # normalized name -> display name
 
-    def __contains__(self, name: str) -> bool:
-        return preprocess.normalize_token(name) in self._levels
-
-    def level(self, name: str) -> int | None:
-        return self._levels.get(preprocess.normalize_token(name))
-
     def canonical_name(self, name: str) -> str | None:
         return self._names.get(preprocess.normalize_token(name))
 
-    def names(self, level: int | None = None) -> list[str]:
-        return [
-            self._names[k]
-            for k, lv in self._levels.items()
-            if level is None or lv == level
-        ]
+    def names(self) -> list[str]:
+        return [self._names[k] for k in self._levels]
 
     def hierarchy(self, name: str) -> list[str]:
         """Name plus its class ancestors, leaf-to-root; [] if unknown."""
@@ -223,9 +212,6 @@ class DrugDictionary:
             key = self._parents[key]
             chain.append(self._names[key])
         return chain
-
-    def is_drug(self, name: str) -> bool:
-        return self.level(name) == self.DRUG_LEVEL
 
 
 class HyponymTable:

@@ -35,9 +35,6 @@ class ConceptSet:
     intervention: list[str] = field(default_factory=list)
     disease: list[str] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.population or self.intervention or self.disease)
-
     def bag(self, category: str) -> list[str]:
         return getattr(self, category)
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+
+from citescreen.stemming import stem
 
 # Tokens that end with a period but never terminate a sentence.
 _PROTECTED = {
@@ -29,11 +31,6 @@ class AbbreviationEntry:
 
     short_form: str
     long_form: str
-    char_count: int = field(default=0)
-
-    def __post_init__(self):
-        if not self.char_count:
-            self.char_count = len(self.short_form)
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -169,18 +166,7 @@ def _default_stopwords() -> frozenset[str]:
     return frozenset(w.strip().lower() for w in words if w.strip())
 
 
-def load_stopwords(path: str | None = None) -> frozenset[str]:
-    if path is None:
-        return _default_stopwords()
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.strip().lower() for w in fh if w.strip())
-
-
-def stem_and_filter(
-    tokens: list[str], stopwords: frozenset[str] | None = None
-) -> list[str]:
+def stem_and_filter(tokens: list[str]) -> list[str]:
     """Drop stopwords and suffix-strip the remaining tokens."""
-    from citescreen.stemming import stem
-
-    stops = stopwords if stopwords is not None else _default_stopwords()
+    stops = _default_stopwords()
     return [stem(t) for t in tokens if t and t.lower() not in stops]

@@ -109,7 +109,6 @@ def build_query(
     hyponyms: HyponymTable,
     journal_whitelist: list[str],
     min_year: int = 1974,
-    allowed_pub_types: list[str] | None = None,
 ) -> tuple[QuerySpec, str]:
     """Build the Boolean query for a topic from its extracted concepts.
 
@@ -134,9 +133,6 @@ def build_query(
         hyponym_terms=hyponym_terms,
         journal_whitelist=list(journal_whitelist),
         min_year=min_year,
-        allowed_pub_types=(
-            list(allowed_pub_types) if allowed_pub_types else list(PUBLICATION_TYPES)
-        ),
     )
     return spec, render_query(spec)
 
@@ -219,7 +215,9 @@ def parse_query(query: str) -> _Node:
                 raise QueryParseError("missing closing parenthesis")
             idx += 1
             return node
-        if tok is None or tok in (")", "AND", "OR"):
+        if tok is None:
+            raise QueryParseError("unexpected end of query")
+        if tok in (")", "AND", "OR"):
             raise QueryParseError(f"unexpected token {tok!r}")
         idx += 1
         ym = _YEAR_RE.fullmatch(tok)

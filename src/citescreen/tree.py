@@ -50,9 +50,6 @@ class PhraseTree:
     def dominates(self, label: str) -> bool:
         return any(n.label == label for n in self.descendants())
 
-    def text(self) -> str:
-        return " ".join(self.tokens())
-
 
 def _assign_spans(node: PhraseTree, start: int) -> int:
     if node.is_leaf:

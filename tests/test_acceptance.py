@@ -259,8 +259,6 @@ def test_c5_ranking_oracle_within_time_budget():
             assert r.vsm_score == pytest.approx(scores[r.pmid], abs=1e-9)
             for sim in (r.pop_sim, r.int_sim, r.dis_sim):
                 assert -1e-9 <= sim <= 1.0 + 1e-9
-        base2 = rank_citations(pmids, query, concepts, weights, log_base=2.0)
-        assert [r.pmid for r in base2] == [r.pmid for r in results]
     assert time.monotonic() - start < 10.0
 
 

@@ -192,6 +192,28 @@ def test_record_missing_field_is_validation_error(runner, hf_jsonl, tmp_path,
     assert "error:" in result.output and "line 2" in result.output
 
 
+@pytest.mark.parametrize("command", ["screen", "rank"])
+@pytest.mark.parametrize("field, value", [
+    ("title", 5),
+    ("pmid", True),
+    ("year", True),
+    ("journal", ["Lancet"]),
+    ("abstract", "One sentence."),
+    ("publication_types", [1]),
+])
+def test_record_wrong_field_type_is_validation_error(runner, hf_jsonl, tmp_path,
+                                                     command, field, value):
+    first, second = hf_jsonl.read_text().splitlines()[:2]
+    broken = json.loads(second)
+    broken[field] = value
+    path = tmp_path / "broken.jsonl"
+    path.write_text(first + "\n" + json.dumps(broken) + "\n")
+    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    assert result.exit_code == 1
+    assert "error:" in result.output and "line 2" in result.output
+    assert field in result.output
+
+
 class TestRank:
     def test_matches_frozen_expectation(self, runner, hf_jsonl, expected_dir):
         result = _invoke(runner, ["rank", "--title", T1_TITLE, str(hf_jsonl)])
@@ -205,6 +227,16 @@ class TestRank:
             "--top-k", "3", "rank", "--title", T1_TITLE, str(hf_jsonl),
         ])
         assert len(result.output.splitlines()) == 4  # header + 3 rows
+
+
+@pytest.mark.parametrize("flag", ["--top-k", "--gold-k"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cutoff_below_one_is_usage_error(runner, hf_jsonl, flag, value):
+    result = _invoke(runner, [
+        flag, value, "rank", "--title", T1_TITLE, str(hf_jsonl),
+    ])
+    assert result.exit_code == 1
+    assert "x>=1" in result.output
 
 
 class TestPipelineAndEval:

@@ -1,14 +1,11 @@
+import json
+
 import pytest
 
 from citescreen import corpus
-from citescreen.corpus import (
-    Citation,
-    ConceptLexicon,
-    LexiconEntry,
-    MeshTerm,
-    parse_citation_xml,
-)
+from citescreen.corpus import Citation, MeshTerm, parse_citation_xml
 from citescreen.errors import FormatError
+from citescreen.preprocess import normalize_token
 
 SIMPLE_XML = """
 <MedlineCitationSet>
@@ -86,11 +83,11 @@ class TestCitationXml:
 
     def test_json_roundtrip(self):
         (c,) = parse_citation_xml(SIMPLE_XML)
-        assert Citation.from_json(c.to_json()) == c
+        assert Citation.from_dict(json.loads(c.to_json())) == c
 
     def test_structured_json_roundtrip(self):
         (c,) = parse_citation_xml(STRUCTURED_XML)
-        assert Citation.from_json(c.to_json()) == c
+        assert Citation.from_dict(json.loads(c.to_json())) == c
 
 
 class TestCitationValidation:
@@ -109,23 +106,26 @@ class TestCitationValidation:
 
 
 class TestLexicon:
-    def test_lookup_normalizes(self):
-        lex = ConceptLexicon([LexiconEntry("heart failure", "C1", "disorder")])
-        assert lex.lookup("Heart-Failure")[0].canonical_id == "C1"
+    def test_lookup_normalizes(self, tmp_path):
+        p = tmp_path / "lex.tsv"
+        p.write_text("Heart-Failure\tC1\tdisorder\n")
+        lex = corpus.load_lexicon(str(p))
+        words = normalize_token("HEART failure,").split()
+        length, (entry,) = lex.longest_match(words, 0)
+        assert (length, entry.canonical_id) == (2, "C1")
 
     def test_duplicate_last_wins(self, tmp_path, caplog):
         p = tmp_path / "lex.tsv"
         p.write_text("aspirin\tC1\tchemical\naspirin\tC2\tchemical\n")
         with caplog.at_level("WARNING"):
             lex = corpus.load_lexicon(str(p))
-        assert len(lex) == 1
-        assert lex.lookup("aspirin")[0].canonical_id == "C2"
+        assert [e.canonical_id for e in lex.entries] == ["C2"]
 
     def test_unknown_group_skipped(self, tmp_path, caplog):
         p = tmp_path / "lex.tsv"
         p.write_text("thing\tC1\tgadget\n")
         with caplog.at_level("WARNING"):
-            assert len(corpus.load_lexicon(str(p))) == 0
+            assert corpus.load_lexicon(str(p)).entries == []
 
     def test_bundled_lexicon_has_all_groups(self):
         lex = corpus.default_lexicon()
@@ -143,12 +143,11 @@ class TestDrugDictionary:
 
     def test_levels(self):
         drugs = corpus.default_drug_dictionary()
-        assert drugs.level("cardiovascular agents") == 1
-        assert drugs.level("diuretics") == 2
-        assert drugs.level("loop diuretics") == 3
-        assert drugs.level("furosemide") == 4
-        assert drugs.is_drug("furosemide")
-        assert not drugs.is_drug("diuretics")
+        # hierarchy() walks leaf-to-root, so its length is the name's level
+        assert len(drugs.hierarchy("cardiovascular agents")) == 1
+        assert len(drugs.hierarchy("diuretics")) == 2
+        assert len(drugs.hierarchy("loop diuretics")) == 3
+        assert len(drugs.hierarchy("furosemide")) == drugs.DRUG_LEVEL == 4
 
     def test_too_deep_indent(self, tmp_path):
         p = tmp_path / "drugs.txt"
@@ -165,7 +164,6 @@ class TestDrugDictionary:
     def test_unknown_name(self):
         drugs = corpus.default_drug_dictionary()
         assert drugs.hierarchy("placebo") == []
-        assert drugs.level("placebo") is None
 
 
 class TestOtherLoaders:

@@ -287,7 +287,7 @@ class TestConceptSet:
         assert any("elderly patients" in p for p in cs.population)
 
     def test_empty_text(self, lexicon, drugs, synonyms):
-        assert build_concept_set([], lexicon, drugs, synonyms).is_empty()
+        assert build_concept_set([], lexicon, drugs, synonyms) == ConceptSet()
 
     def test_synonym_class_expansion(self, lexicon, drugs, synonyms):
         cs = build_concept_set(

@@ -159,11 +159,7 @@ class TestNormalization:
         out = stem_and_filter(["patients", "with", "heart", "failure"])
         assert out == ["patient", "heart", "failur"]
 
-    def test_stem_and_filter_custom_stopwords(self):
-        out = stem_and_filter(["alpha", "beta"], stopwords=frozenset({"beta"}))
-        assert out == ["alpha"]
-
 
 def test_default_stopwords_loaded():
-    words = preprocess.load_stopwords()
+    words = preprocess._default_stopwords()
     assert {"the", "of", "with", "who"} <= words

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,14 +8,7 @@ from hypothesis import strategies as st
 
 from citescreen.errors import ConfigError
 from citescreen.extract import ConceptSet, population_terms
-from citescreen.rank import (
-    CATEGORIES,
-    ConceptVector,
-    WeightConfig,
-    cosine,
-    rank_citations,
-    tfidf_vector,
-)
+from citescreen.rank import CATEGORIES, WeightConfig, rank_citations
 
 TOL = 1e-9
 
@@ -37,48 +29,56 @@ class TestWeightConfig:
             WeightConfig(*bad)
 
 
-def _vector(bag, doc_bags):
-    """tf-idf vector of ``bag`` over the documents ``doc_bags``."""
-    doc_freq = Counter(t for doc in doc_bags for t in set(doc))
-    return tfidf_vector(bag, doc_freq, len(doc_bags))
+def _disease_sims(query_bag, doc_bags):
+    """dis_sim per PMID when only the disease bags are filled."""
+    concepts = {p: ConceptSet(disease=bag) for p, bag in doc_bags.items()}
+    results = rank_citations(list(concepts), ConceptSet(disease=query_bag),
+                             concepts)
+    for r in results:
+        assert (r.pop_sim, r.int_sim) == (0.0, 0.0)
+        assert r.vsm_score == pytest.approx(0.3 * r.dis_sim, abs=TOL)
+    return {r.pmid: r.dis_sim for r in results}
 
+
+# Small rankings worked out by hand: idf = log10(n / df), raw-count tf.
 
 class TestIdf:
     def test_log10_value(self):
-        bags = [["a"], ["a", "b"], ["c"], ["c"]]
-        weights = _vector(["a", "b", "c"], bags).weights
-        assert weights["a"] == pytest.approx(math.log10(2.0), abs=TOL)
-        assert weights["b"] == pytest.approx(math.log10(4.0), abs=TOL)
-        assert weights["c"] == pytest.approx(math.log10(2.0), abs=TOL)
+        # n = 4; "a" is in 3 documents, "b" in 1.  Document 3 is
+        # (log10(4/3), log10(4)) and the query is (0, log10(4)).
+        sims = _disease_sims(["b"], {1: ["a"], 2: ["a"], 3: ["a", "b"], 4: ["c"]})
+        expected = math.log10(4) / math.hypot(math.log10(4 / 3), math.log10(4))
+        assert sims[3] == pytest.approx(expected, abs=TOL)
+        assert sims[1] == sims[2] == sims[4] == 0.0
 
     def test_everywhere_is_zero(self):
-        bags = [["a"], ["a"], ["a"]]
-        assert _vector(["a"], bags).weights == {}
+        assert _disease_sims(["a"], {1: ["a"], 2: ["a", "b"]}) == {1: 0.0, 2: 0.0}
 
 
 class TestTfidfVector:
     def test_raw_counts(self):
-        bags = [["a", "a", "b"], ["b"]]
-        vec = _vector(["a", "a", "b"], bags)
-        assert vec.weights["a"] == pytest.approx(2 * math.log10(2), abs=TOL)
-        # b occurs in both documents, so its idf (and weight) is zero
-        assert "b" not in vec.weights
+        # "a" twice, "b" once, both idf log10(3): cosine of (2, 1) and (1, 1).
+        sims = _disease_sims(["a", "b"], {1: ["a", "a", "b"], 2: ["c"], 3: ["c"]})
+        assert sims[1] == pytest.approx(3 / math.sqrt(10), abs=TOL)
 
     def test_unseen_terms_dropped(self):
-        vec = _vector(["novel"], [["a"], ["b"]])
-        assert vec.weights == {}
+        # "novel" has df = 0: it neither matches nor dilutes the query norm.
+        sims = _disease_sims(["novel", "a"], {1: ["a"], 2: ["b"]})
+        assert sims[1] == pytest.approx(1.0, abs=TOL)
+        assert sims[2] == 0.0
+        assert _disease_sims(["novel"], {1: ["a"], 2: ["b"]}) == {1: 0.0, 2: 0.0}
 
 
 class TestCosine:
     def test_identical(self):
-        a = ConceptVector({"x": 2.0, "y": 1.0})
-        assert cosine(a, a) == pytest.approx(1.0, abs=TOL)
+        sims = _disease_sims(["x", "x", "y"], {1: ["x", "x", "y"], 2: ["z"]})
+        assert sims[1] == pytest.approx(1.0, abs=TOL)
 
     def test_orthogonal_and_empty(self):
-        a = ConceptVector({"x": 1.0})
-        b = ConceptVector({"y": 1.0})
-        assert cosine(a, b) == 0.0
-        assert cosine(a, ConceptVector({})) == 0.0
+        sims = _disease_sims(["x"], {1: ["x"], 2: ["z"], 3: []})
+        assert sims[2] == 0.0
+        assert sims[3] == 0.0
+        assert _disease_sims([], {1: ["x"], 2: ["z"]}) == {1: 0.0, 2: 0.0}
 
 
 class TestPopulationTerms:
@@ -156,7 +156,9 @@ _CONCEPT_SETS = st.builds(
 )
 def test_ranking_ignores_input_order(concepts, query, rnd):
     in_order = rank_citations(sorted(concepts), query, dict(sorted(concepts.items())))
+    # A PMID listed more than once is ranked once, over the same candidates.
     pmids = list(concepts)
+    pmids += rnd.sample(pmids, rnd.randint(1, len(pmids)))
     rnd.shuffle(pmids)
     items = list(concepts.items())
     rnd.shuffle(items)
@@ -182,16 +184,6 @@ class TestRankingOracle:
                     sims[r.pmid]["intervention"], abs=TOL)
                 assert r.dis_sim == pytest.approx(
                     sims[r.pmid]["disease"], abs=TOL)
-
-    def test_log_base_invariance(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            pmids = sorted(rng.sample(range(1, 50), 6))
-            concepts = {p: _random_concepts(rng) for p in pmids}
-            query = _random_concepts(rng)
-            base10 = rank_citations(pmids, query, concepts, log_base=10.0)
-            base2 = rank_citations(pmids, query, concepts, log_base=2.0)
-            assert [r.pmid for r in base10] == [r.pmid for r in base2]
 
     def test_similarity_bounds(self):
         rng = random.Random(99)

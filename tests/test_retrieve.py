@@ -89,16 +89,20 @@ class TestQueryBuilding:
         assert render_query(spec) == text
 
 
+_MALFORMED_QUERIES = {  # query -> the error message it must give
+    "": "empty query",
+    '("a"[MeSH]': "missing closing parenthesis",
+    '"a"[MeSH] AND': "unexpected end of query",
+    "((((": "unexpected end of query",
+    '"a"[MeSH] "b"[MeSH]': "trailing tokens in query",
+    "bogus": "unparseable query",
+}
+
+
 class TestQueryParsing:
-    @pytest.mark.parametrize("bad", [
-        "",
-        '("a"[MeSH]',
-        '"a"[MeSH] AND',
-        '"a"[MeSH] "b"[MeSH]',
-        'bogus',
-    ])
+    @pytest.mark.parametrize("bad", list(_MALFORMED_QUERIES))
     def test_malformed(self, bad):
-        with pytest.raises(QueryParseError):
+        with pytest.raises(QueryParseError, match=_MALFORMED_QUERIES[bad]):
             parse_query(bad)
 
     def test_unknown_field(self):
