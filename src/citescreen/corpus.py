@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from citescreen import preprocess
@@ -32,6 +32,17 @@ class MeshTerm:
     def __post_init__(self):
         if not self.descriptor:
             raise ValueError("MeSH descriptor must be non-empty")
+
+
+def _is_mesh_term(m) -> bool:
+    """A string descriptor, a string or null qualifier and a boolean major flag."""
+    return (
+        isinstance(m, dict)
+        and set(m) <= {"descriptor", "qualifier", "is_major_topic"}
+        and isinstance(m.get("descriptor"), str)
+        and isinstance(m.get("qualifier"), (str, type(None)))
+        and isinstance(m.get("is_major_topic", False), bool)
+    )
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,12 @@ class Citation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Citation":
-        """Inverse of :meth:`to_dict`; a field of the wrong type raises TypeError."""
+        """Inverse of :meth:`to_dict`; an unknown or wrong-typed field raises TypeError."""
+        if not isinstance(d, dict):
+            raise TypeError(f"a citation record must be an object, not {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise TypeError(f"unknown field {unknown[0]!r}")
         for key in ("title", "journal"):
             if not isinstance(d.get(key, ""), str):
                 raise TypeError(f"{key} must be a string, not {d[key]!r}")
@@ -93,19 +109,31 @@ class Citation:
         for key in ("pmid", "year"):
             if isinstance(d.get(key), bool):
                 raise TypeError(f"{key} must be an integer, not {d[key]!r}")
+        if not isinstance(d.get("abstract_is_structured", False), bool):
+            raise TypeError(
+                f"abstract_is_structured must be a boolean, "
+                f"not {d['abstract_is_structured']!r}"
+            )
+        labels = d.get("section_labels")
+        if labels is not None and not (
+            isinstance(labels, dict) and all(isinstance(v, str) for v in labels.values())
+        ):
+            raise TypeError(f"section_labels must be null or an object of strings, "
+                            f"not {labels!r}")
+        mesh = d.get("mesh_terms", [])
+        if not isinstance(mesh, list) or not all(map(_is_mesh_term, mesh)):
+            raise TypeError(f"mesh_terms must be a list of MeSH term objects, not {mesh!r}")
         return cls(
             pmid=int(d["pmid"]),
             title=d["title"],
             abstract=tuple(d.get("abstract", ())),
-            abstract_is_structured=bool(d.get("abstract_is_structured", False)),
+            abstract_is_structured=d.get("abstract_is_structured", False),
             section_labels=(
-                {int(k): v for k, v in d["section_labels"].items()}
-                if d.get("section_labels") is not None
-                else None
+                {int(k): v for k, v in labels.items()} if labels is not None else None
             ),
             mesh_terms=tuple(
                 MeshTerm(m["descriptor"], m.get("qualifier"), m.get("is_major_topic", False))
-                for m in d.get("mesh_terms", ())
+                for m in mesh
             ),
             publication_types=tuple(d.get("publication_types", ())),
             journal=d.get("journal", ""),
@@ -141,30 +169,18 @@ class ConceptLexicon:
             for word in e.surface.split():
                 node = node.setdefault(word, {})
             node.setdefault(None, []).append(e)
-        # One population entry per surface: first-seen order, last row wins.
-        population = {e.surface: e for e in self.entries if e.group == "population"}
-        self._population_trie: dict = {}  # word -> child; None -> (order, entry)
-        for order, (surface, e) in enumerate(population.items()):
-            node = self._population_trie
-            for word in surface.split():
-                node = node.setdefault(word, {})
-            node[None] = (order, e)
 
-    def population_matches(self, words: list[str]):
-        """Every population term in ``words``: (start, end, order, entry).
-
-        ``words[start:end]`` spells the term; ``order`` ranks the entry
-        by its first appearance among the population surfaces.
-        """
+    def population_matches(self, words: list[str]) -> list[tuple[int, int]]:
+        """(start, end) of every population term, ``words[start:end]`` spelling it."""
         hits = []
         for start in range(len(words)):
-            node = self._population_trie
+            node = self._trie
             i = start
             while i < len(words) and words[i] in node:
                 node = node[words[i]]
                 i += 1
-                if None in node:
-                    hits.append((start, i, *node[None]))
+                if any(e.group == "population" for e in node.get(None, ())):
+                    hits.append((start, i))
         return hits
 
     def longest_match(self, words: list[str], start: int):
@@ -242,7 +258,8 @@ def parse_citation_xml(xml_document: str) -> list[Citation]:
     """Parse the MEDLINE citation subset into Citation objects.
 
     Records missing a PMID are rejected with a warning; the remaining
-    records are still returned.  Malformed XML raises FormatError.
+    records are still returned.  Malformed XML or a non-numeric Year
+    raises FormatError; a missing or empty Year reads as 0.
     """
     try:
         root = ET.fromstring(xml_document)
@@ -298,7 +315,9 @@ def parse_citation_xml(xml_document: str) -> list[Citation]:
         )
         journal = _text(rec.find(".//Journal/Title"))
         year_text = _text(rec.find(".//PubDate/Year"))
-        year = int(year_text) if year_text.isdigit() else 0
+        if year_text and not year_text.isdecimal():
+            raise FormatError(f"record {pmid_text}: non-numeric Year {year_text!r}")
+        year = int(year_text or 0)
 
         citations.append(
             Citation(

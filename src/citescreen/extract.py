@@ -1,7 +1,9 @@
 """Concept extraction.
 
-Population is pulled out of constituency trees with seven ordered
-structural patterns; intervention-or-comparison and disease come from
+Population is pulled out of constituency trees: the noun phrases, and
+the verb phrases dominating a noun phrase, whose span holds a population
+term, which is what the paper's seven structural patterns select
+together; intervention-or-comparison and disease come from
 dictionary matching over normalized tokens; drug mentions are mapped
 onto the class hierarchy with a cascade of normalization rules.
 """
@@ -20,11 +22,9 @@ from citescreen.tree import PhraseTree, parse_phrase_tree
 @dataclass(frozen=True)
 class ConceptMention:
     surface: str
-    canonical_id: str
     group: str
     span: tuple[int, int]        # token range within the sentence
     normal_form: str
-    sentence_index: int = 0
 
 
 @dataclass
@@ -72,82 +72,40 @@ def _normalized_words(tokens: list[str]) -> tuple[list[str], list[int]]:
 # Population patterns
 # ---------------------------------------------------------------------------
 
-def _first_hit(hits, start: int, end: int, max_start: int):
-    """Entry of the earliest hit inside tokens [start, end) starting <= max_start.
-
-    ``hits`` is sorted by start token, then lexicon order.
-    """
-    for first, last, _, entry in hits:
-        if first > max_start:
-            break
-        if first >= start and last < end:
-            return entry
-    return None
-
-
-def _pattern_matches(node: PhraseTree, pattern: int) -> bool:
-    if pattern == 1:
-        return node.label == "NP" and node.dominates("NN")
-    if pattern == 2:
-        return node.label == "NP" and node.dominates("VP")
-    if pattern == 3:
-        return node.label == "NP" and node.dominates("SBAR")
-    if pattern == 4:
-        return node.label == "NP" and node.dominates("PP")
-    if pattern == 5:
-        return node.label == "NP"
-    if pattern == 6:
-        return node.label == "VP" and node.dominates("NP")
-    if pattern == 7:
-        if node.label != "VP":
-            return False
-        has_pp_sbar = any(
-            n.label == "PP" and n.dominates("SBAR") for n in node.children
-        )
-        return has_pp_sbar and node.dominates("NP")
-    raise ValueError(pattern)
-
-
 def extract_population(
-    tree: PhraseTree, sentence: str, lexicon: ConceptLexicon,
-    sentence_index: int = 0,
+    tree: PhraseTree, sentence: str, lexicon: ConceptLexicon
 ) -> list[ConceptMention]:
-    """Apply the seven structural patterns in order.
+    """Phrases holding a population term, one mention per span, in span order.
 
-    Patterns 1-4 accept a noun phrase only when a population term starts
-    within its first two tokens; patterns 5-7 accept a phrase containing
-    a population term anywhere.  The full matched phrase is emitted.
-    Duplicate spans keep the lowest-numbered pattern.
+    The paper's seven structural patterns accept exactly the NPs and the
+    VPs dominating an NP whose span contains a population term: patterns
+    1-4 accept only NPs that pattern 5 (any NP) also accepts, under a
+    stricter term position, and pattern 7 only VPs that pattern 6 (a VP
+    dominating an NP) also accepts.  Every pattern emits the same
+    mention for a span: the full phrase and its normal form.
     """
     tokens = sentence.split()
     words, sources = _normalized_words(tokens)
-    # (first token, last token, lexicon order, entry) of every term, found once
-    # and sorted the way the patterns choose: earliest start, then lexicon order
-    hits = sorted(
-        ((sources[start], sources[end - 1], order, entry)
-         for start, end, order, entry in lexicon.population_matches(words)),
-        key=lambda h: (h[0], h[2]),
-    )
+    # (first token, last token) of every population term in the sentence
+    terms = [
+        (sources[start], sources[end - 1])
+        for start, end in lexicon.population_matches(words)
+    ]
     mentions: dict[tuple[int, int], ConceptMention] = {}
-    nodes = list(tree.iter_nodes())
-    for pattern in range(1, 8):
-        for node in nodes:
-            if node.span in mentions or not _pattern_matches(node, pattern):
-                continue
-            start, end = node.span
-            entry = _first_hit(
-                hits, start, end, start + 1 if pattern <= 4 else end - 1
-            )
-            if entry is None:
-                continue
+    for node in tree.iter_nodes():
+        start, end = node.span
+        if (
+            node.label in ("NP", "VP")
+            and node.span not in mentions
+            and any(start <= first and last < end for first, last in terms)
+            and (node.label == "NP" or node.dominates("NP"))
+        ):
             surface = " ".join(tokens[start:end])
             mentions[node.span] = ConceptMention(
                 surface=surface,
-                canonical_id=entry.canonical_id,
                 group="population",
                 span=node.span,
                 normal_form=preprocess.normalize_token(surface),
-                sentence_index=sentence_index,
             )
     return sorted(mentions.values(), key=lambda m: m.span)
 
@@ -161,7 +119,7 @@ def extract_concepts(
 ) -> list[ConceptMention]:
     """Dictionary mentions over normalized tokens; longest match wins."""
     mentions: list[ConceptMention] = []
-    for s_idx, sentence in enumerate(sentences):
+    for sentence in sentences:
         tokens = sentence.split()
         words, word_src = _normalized_words(tokens)
         i = 0
@@ -179,11 +137,9 @@ def extract_concepts(
                 mentions.append(
                     ConceptMention(
                         surface=surface,
-                        canonical_id=entry.canonical_id,
                         group=entry.group,
                         span=(start_tok, end_tok),
                         normal_form=normal,
-                        sentence_index=s_idx,
                     )
                 )
             i += length
@@ -301,9 +257,9 @@ def build_concept_set(
     hierarchy; procedures and devices pool into the intervention bag.
     """
     cs = ConceptSet()
-    for s_idx, sentence in enumerate(text_units):
+    for sentence in text_units:
         tree = parse_phrase_tree(sentence)
-        for m in extract_population(tree, sentence, lexicon, s_idx):
+        for m in extract_population(tree, sentence, lexicon):
             cs.population.append(m.normal_form)
     for m in extract_concepts(text_units, lexicon):
         if m.group == "disorder":

@@ -76,15 +76,10 @@ class QuerySpec:
     hyponym_terms: list[str] = field(default_factory=list)
     journal_whitelist: list[str] = field(default_factory=list)
     min_year: int = 1974
-    allowed_pub_types: list[str] = field(
-        default_factory=lambda: list(PUBLICATION_TYPES)
-    )
 
     def __post_init__(self):
         if self.min_year < 1900:
             raise QueryBuildError("min_year must be >= 1900")
-        if not self.allowed_pub_types:
-            raise QueryBuildError("allowed_pub_types must be non-empty")
 
 
 @dataclass
@@ -150,7 +145,7 @@ def render_query(spec: QuerySpec) -> str:
     if spec.journal_whitelist:
         conjuncts.append(group(spec.journal_whitelist, "Journal"))
     conjuncts.append(f"{spec.min_year}:[Year]")
-    conjuncts.append(group(spec.allowed_pub_types, "PubType"))
+    conjuncts.append(group(PUBLICATION_TYPES, "PubType"))
     return " AND ".join(conjuncts)
 
 

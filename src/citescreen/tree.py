@@ -43,12 +43,8 @@ class PhraseTree:
         for c in self.children:
             yield from c.iter_nodes()
 
-    def descendants(self):
-        for c in self.children:
-            yield from c.iter_nodes()
-
     def dominates(self, label: str) -> bool:
-        return any(n.label == label for n in self.descendants())
+        return any(n.label == label for c in self.children for n in c.iter_nodes())
 
 
 def _assign_spans(node: PhraseTree, start: int) -> int:

@@ -37,7 +37,9 @@ def test_hooked_function_exists(module, attr):
 
 def test_traced_pipeline_run_records_every_note(fixture_corpus_dir, gold_path,
                                                 tmp_path):
-    """Every span note reads its arguments and result without an error."""
+    """Every hook is called, and every span note reads its arguments and
+    result without an error; a hooked function left defined but no longer
+    called would read 0 in the per-layer metrics."""
     script = (
         "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
         "import spans\n"
@@ -59,8 +61,11 @@ def test_traced_pipeline_run_records_every_note(fixture_corpus_dir, gold_path,
     trace = json.loads(trace_path.read_text())
     assert trace["note_errors"] == {}
     assert trace["unmeasured"] == []
-    screened = sum(span[0] == "screen.screen_citation" for span in trace["spans"])
+    spanned = {span[0] for span in trace["spans"]}
     counters = trace["counters"]
+    assert [name for name, _, _ in _SPANS.SPAN_HOOKS if name not in spanned] == []
+    assert [name for name, _, _ in _SPANS.COUNT_HOOKS if counters.get(name, 0) < 1] == []
+    screened = sum(span[0] == "screen.screen_citation" for span in trace["spans"])
     decided = counters.get("screen.rejected", 0) + sum(
         counters.get(f"screen.accepted_c{k}", 0) for k in range(1, 5)
     )

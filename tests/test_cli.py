@@ -47,6 +47,15 @@ class TestIngest:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_non_numeric_year_is_validation_error(self, runner, tmp_path):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<MedlineCitation><PMID>7</PMID><Article><Journal>"
+                       "<JournalIssue><PubDate><Year>abc</Year></PubDate>"
+                       "</JournalIssue></Journal></Article></MedlineCitation>")
+        result = _invoke(runner, ["ingest", str(bad)])
+        assert result.exit_code == 1
+        assert "error:" in result.output and "'abc'" in result.output
+
 
 class TestExtract:
     def test_text_mode(self, runner):
@@ -200,6 +209,15 @@ def test_record_missing_field_is_validation_error(runner, hf_jsonl, tmp_path,
     ("journal", ["Lancet"]),
     ("abstract", "One sentence."),
     ("publication_types", [1]),
+    ("abstract_is_structured", "no"),
+    ("section_labels", {"0": 5}),
+    ("mesh_terms", [{"descriptor": "Heart Failure", "qualifier": 7,
+                     "is_major_topic": True}]),
+    ("mesh_terms", [{"descriptor": "Heart Failure", "qualifier": None,
+                     "is_major_topic": "no"}]),
+    ("mesh_terms", [{"descriptor": 5, "qualifier": None,
+                     "is_major_topic": True}]),
+    ("mesh", 5),
 ])
 def test_record_wrong_field_type_is_validation_error(runner, hf_jsonl, tmp_path,
                                                      command, field, value):
@@ -212,6 +230,18 @@ def test_record_wrong_field_type_is_validation_error(runner, hf_jsonl, tmp_path,
     assert result.exit_code == 1
     assert "error:" in result.output and "line 2" in result.output
     assert field in result.output
+
+
+@pytest.mark.parametrize("command", ["screen", "rank"])
+@pytest.mark.parametrize("record", ["[]", "null", "5"])
+def test_record_not_an_object_is_validation_error(runner, hf_jsonl, tmp_path,
+                                                  command, record):
+    first = hf_jsonl.read_text().splitlines()[0]
+    path = tmp_path / "broken.jsonl"
+    path.write_text(first + "\n" + record + "\n")
+    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    assert result.exit_code == 1
+    assert "error:" in result.output and "line 2" in result.output
 
 
 class TestRank:

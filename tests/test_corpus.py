@@ -81,6 +81,19 @@ class TestCitationXml:
         with pytest.raises(FormatError):
             parse_citation_xml("<MedlineCitation><PMID>1")
 
+    @pytest.mark.parametrize("year, expected", [
+        ("2011", 2011), ("", 0), (None, 0), ("abc", None), ("20x1", None),
+    ])
+    def test_year(self, year, expected):
+        pub_date = "" if year is None else f"<PubDate><Year>{year}</Year></PubDate>"
+        xml = (f"<MedlineCitation><PMID>9</PMID><Article><Journal><JournalIssue>"
+               f"{pub_date}</JournalIssue></Journal></Article></MedlineCitation>")
+        if expected is None:
+            with pytest.raises(FormatError, match=f"9.*{year!r}"):
+                parse_citation_xml(xml)
+        else:
+            assert parse_citation_xml(xml)[0].year == expected
+
     def test_json_roundtrip(self):
         (c,) = parse_citation_xml(SIMPLE_XML)
         assert Citation.from_dict(json.loads(c.to_json())) == c

@@ -6,7 +6,6 @@ from citescreen import corpus, preprocess
 from citescreen.extract import (
     ConceptMention,
     ConceptSet,
-    _pattern_matches,
     build_concept_set,
     drug_hierarchy,
     extract_concepts,
@@ -64,27 +63,57 @@ class TestPopulationPatterns:
         assert len(spans) == len(set(spans))
 
 
+def _dominates(node, label):
+    return any(n.label == label for n in list(node.iter_nodes())[1:])
+
+
+def _pattern_matches(node, pattern):
+    """The paper's seven structural patterns for population phrases."""
+    if pattern == 1:
+        return node.label == "NP" and _dominates(node, "NN")
+    if pattern == 2:
+        return node.label == "NP" and _dominates(node, "VP")
+    if pattern == 3:
+        return node.label == "NP" and _dominates(node, "SBAR")
+    if pattern == 4:
+        return node.label == "NP" and _dominates(node, "PP")
+    if pattern == 5:
+        return node.label == "NP"
+    if pattern == 6:
+        return node.label == "VP" and _dominates(node, "NP")
+    if pattern == 7:
+        if node.label != "VP":
+            return False
+        has_pp_sbar = any(
+            n.label == "PP" and _dominates(n, "SBAR") for n in node.children
+        )
+        return has_pp_sbar and _dominates(node, "NP")
+    raise ValueError(pattern)
+
+
 def _oracle_positions(phrase_tokens, lexicon):
-    """Brute-force scan: every population surface against every offset."""
+    """Brute-force scan: the start token of every population term occurrence."""
     words, sources = [], []
     for i, tok in enumerate(phrase_tokens):
         for w in preprocess.normalize_token(tok).split():
             words.append(w)
             sources.append(i)
-    population_entries = {
-        e.surface: e for e in lexicon.entries if e.group == "population"
-    }
+    surfaces = {e.surface for e in lexicon.entries if e.group == "population"}
     hits = []
-    for surface, entry in population_entries.items():
+    for surface in surfaces:
         parts = surface.split()
         for j in range(len(words) - len(parts) + 1):
             if words[j:j + len(parts)] == parts:
-                hits.append((sources[j], entry))
+                hits.append(sources[j])
     return hits
 
 
 def _oracle_population(tree, sentence, lexicon):
-    """Population mentions by rescanning the lexicon per node and pattern."""
+    """Population mentions by the seven patterns in order, rescanning per node.
+
+    Patterns 1-4 need a population term within the phrase's first two
+    tokens, patterns 5-7 one anywhere; a span keeps its first match.
+    """
     tokens = sentence.split()
     mentions = {}
     for pattern in range(1, 8):
@@ -94,14 +123,12 @@ def _oracle_population(tree, sentence, lexicon):
             phrase_tokens = tokens[node.span[0]:node.span[1]]
             hits = _oracle_positions(phrase_tokens, lexicon)
             if pattern <= 4:
-                hits = [h for h in hits if h[0] <= 1]
+                hits = [h for h in hits if h <= 1]
             if not hits:
                 continue
-            entry = min(hits, key=lambda h: h[0])[1]
             surface = " ".join(phrase_tokens)
             mentions[node.span] = ConceptMention(
-                surface=surface, canonical_id=entry.canonical_id,
-                group="population", span=node.span,
+                surface=surface, group="population", span=node.span,
                 normal_form=preprocess.normalize_token(surface),
             )
     return sorted(mentions.values(), key=lambda m: m.span)
@@ -110,11 +137,10 @@ def _oracle_population(tree, sentence, lexicon):
 _E = corpus.LexiconEntry
 _LEXICONS = {
     "bundled": corpus.default_lexicon(),
-    # "elderly" and "elderly patients" start together, so lexicon order
-    # breaks the tie, and here the longer term comes first; a repeated
-    # surface keeps its first position and its last row, as a dict built
-    # from the rows would.  The chunker ends a noun phrase before
-    # "hospitalized", so that term straddles a phrase boundary.
+    # "elderly" and "elderly patients" start together and "elderly
+    # patients" is listed twice, so terms overlap and repeat.  The chunker
+    # ends a noun phrase before "hospitalized", so that term straddles a
+    # phrase boundary.
     "overlapping": corpus.ConceptLexicon([
         _E("patients hospitalized", "P0", "population"),
         _E("patients", "P1", "population"),
@@ -151,8 +177,40 @@ def _population_sentences(draw, lexicon):
     return " ".join(out)
 
 
+_PHRASE_LABELS = ["S", "NP", "VP", "PP", "SBAR"]
+
+
+@st.composite
+def _bracketed_children(draw, words, depth):
+    """Bracketed text of 0-4 sibling nodes: phrases, TOK/NN leaves, bare words."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ["word", "TOK", "NN"] + (["phrase"] * 3 if depth < 5 else [])
+        ))
+        if kind == "phrase":
+            label = draw(st.sampled_from(_PHRASE_LABELS))
+            out.append(f"({label} {draw(_bracketed_children(words, depth + 1))})")
+            continue
+        case = draw(st.sampled_from([str, str.upper, str.title]))
+        word = case(draw(st.sampled_from(words)))
+        out.append(word if kind == "word" else f"({kind} {word})")
+    return " ".join(out)
+
+
+@st.composite
+def _bracketed_trees(draw, lexicon):
+    words = sorted(
+        {w for e in lexicon.entries for w in e.surface.split()}
+        | {w for c in _CONNECTIVES for w in c.split()}
+        | {b for b in _BREAKS if b not in "()"}
+    )
+    label = draw(st.sampled_from(_PHRASE_LABELS))
+    return f"({label} {draw(_bracketed_children(words, 0))})"
+
+
 class TestPopulationOracle:
-    """One pass per sentence picks what the per-node rescan picked."""
+    """One pass per sentence picks what the seven patterns picked."""
 
     @pytest.mark.parametrize("name", sorted(_LEXICONS))
     def test_chunked_tree_matches_oracle(self, name):
@@ -162,6 +220,22 @@ class TestPopulationOracle:
         @given(_population_sentences(lexicon))
         def check(sentence):
             tree = parse_phrase_tree(sentence)
+            assert extract_population(tree, sentence, lexicon) == \
+                _oracle_population(tree, sentence, lexicon)
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(_LEXICONS))
+    def test_bracketed_tree_matches_oracle(self, name):
+        # Hand-shaped trees reach what the chunker never builds: unary
+        # chains of same-span nodes, VPs without an NP, deep PP/SBAR nesting.
+        lexicon = _LEXICONS[name]
+
+        @settings(max_examples=300)
+        @given(_bracketed_trees(lexicon))
+        def check(tree_text):
+            tree = parse_bracketed_tree(tree_text)
+            sentence = " ".join(tree.tokens())
             assert extract_population(tree, sentence, lexicon) == \
                 _oracle_population(tree, sentence, lexicon)
 

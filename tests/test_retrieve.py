@@ -68,8 +68,6 @@ class TestQueryBuilding:
     def test_spec_validation(self):
         with pytest.raises(QueryBuildError):
             QuerySpec(min_year=1492)
-        with pytest.raises(QueryBuildError):
-            QuerySpec(allowed_pub_types=[])
 
     def test_eleven_publication_types(self):
         assert len(PUBLICATION_TYPES) == 11
