@@ -159,9 +159,8 @@ def query(ctx, title, topic_id):
     res = _resources(ctx)
     topic = ClinicalTopic(topic_id, title)
     concepts = pipeline.topic_concepts(topic, res)
-    _, query_string = retrieve.build_query(
-        topic, concepts, res.hyponyms, res.journal_whitelist,
-        min_year=res.min_year,
+    query_string = retrieve.build_query(
+        topic, concepts, res.hyponyms, res.journal_whitelist, res.min_year,
     )
     click.echo(query_string)
 

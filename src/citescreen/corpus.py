@@ -206,22 +206,20 @@ class DrugDictionary:
 
     DRUG_LEVEL = 4
 
-    def __init__(self, parents: dict[str, str | None], levels: dict[str, int],
-                 names: dict[str, str]):
+    def __init__(self, parents: dict[str, str | None], names: dict[str, str]):
         self._parents = parents   # normalized name -> normalized parent
-        self._levels = levels     # normalized name -> 1..4 (4 = drug)
-        self._names = names       # normalized name -> display name
+        self._names = names       # normalized name -> display name, in file order
 
     def canonical_name(self, name: str) -> str | None:
         return self._names.get(preprocess.normalize_token(name))
 
     def names(self) -> list[str]:
-        return [self._names[k] for k in self._levels]
+        return list(self._names.values())
 
     def hierarchy(self, name: str) -> list[str]:
         """Name plus its class ancestors, leaf-to-root; [] if unknown."""
         key = preprocess.normalize_token(name)
-        if key not in self._levels:
+        if key not in self._names:
             return []
         chain = [self._names[key]]
         while self._parents.get(key) is not None:
@@ -274,7 +272,7 @@ def parse_citation_xml(xml_document: str) -> list[Citation]:
     citations: list[Citation] = []
     for idx, rec in enumerate(records):
         pmid_text = _text(rec.find("PMID")) or _text(rec.find(".//PMID"))
-        if not pmid_text or not pmid_text.isdigit():
+        if not pmid_text or not pmid_text.isdecimal():
             log.warning("record %d rejected: missing or non-numeric PMID", idx)
             continue
 
@@ -420,7 +418,7 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
                     f"drug {names[norm]!r} does not sit under exactly three "
                     f"class levels"
                 )
-    return DrugDictionary(parents, levels, names)
+    return DrugDictionary(parents, names)
 
 
 def load_gold_standard(path: str) -> list[ClinicalTopic]:
@@ -435,7 +433,7 @@ def load_gold_standard(path: str) -> list[ClinicalTopic]:
         pmids: set[int] = set()
         bad = False
         for piece in filter(None, (p.strip() for p in pmid_field.split(","))):
-            if not piece.isdigit():
+            if not piece.isdecimal():
                 log.warning("gold line %d rejected: non-numeric PMID %r",
                             lineno, piece)
                 bad = True

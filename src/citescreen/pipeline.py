@@ -71,7 +71,8 @@ class Resources:
         if fixture_dir and (self._corpus is None
                             or self._corpus.fixture_dir != fixture_dir):
             self._corpus = FixtureCorpus(fixture_dir)
-        return fetch_citations(query, self.endpoint, self._corpus, self._limiter)
+        return fetch_citations(query, self.endpoint,
+                               self._corpus if fixture_dir else None, self._limiter)
 
     def concepts(self, citation: Citation) -> CitationConcepts:
         """``citation_concepts`` of the record, extracted once per run.
@@ -196,9 +197,8 @@ class TopicRun:
 def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
     """The full per-topic pipeline: query, fetch, screen, rank."""
     query_concepts = topic_concepts(topic, res)
-    _, query_string = build_query(
-        topic, query_concepts, res.hyponyms, res.journal_whitelist,
-        min_year=res.min_year,
+    query_string = build_query(
+        topic, query_concepts, res.hyponyms, res.journal_whitelist, res.min_year,
     )
     result = res.fetch(query_string)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 
 from citescreen.stemming import stem
@@ -159,14 +158,13 @@ def normalize_token(token: str) -> str:
     return " ".join(p for p in parts if p)
 
 
-@lru_cache(maxsize=1)
-def _default_stopwords() -> frozenset[str]:
-    data = resources.files("citescreen.data").joinpath("stopwords.txt")
-    words = data.read_text(encoding="utf-8").split()
-    return frozenset(w.strip().lower() for w in words if w.strip())
+#: The bundled stop list, lower-cased.
+STOPWORDS = frozenset(
+    resources.files("citescreen.data").joinpath("stopwords.txt")
+    .read_text(encoding="utf-8").lower().split()
+)
 
 
 def stem_and_filter(tokens: list[str]) -> list[str]:
     """Drop stopwords and suffix-strip the remaining tokens."""
-    stops = _default_stopwords()
-    return [stem(t) for t in tokens if t and t.lower() not in stops]
+    return [stem(t) for t in tokens if t and t.lower() not in STOPWORDS]

@@ -1,10 +1,12 @@
 """Boolean query construction and citation fetching.
 
-Queries are rendered as Boolean strings over MeSH-tagged concept terms,
-journal names, a publication-year floor, and allowed publication types.
-Fetching runs either against an E-Utilities-compatible HTTP endpoint or
-hermetically against a local XML fixture directory, where the same
-Boolean string is evaluated citation by citation.
+A query has one form: the Boolean string ``build_query`` returns, over
+MeSH-tagged concept terms, journal names, a publication-year floor and
+the allowed publication types.  Fetching sends that string to an
+E-Utilities-compatible HTTP endpoint, or evaluates it hermetically over
+a local XML fixture directory: ``parse_query`` turns it into a tree,
+rejecting unknown fields, and ``evaluate_query`` tests each citation's
+kept ``QueryFields`` against the tree.
 """
 
 from __future__ import annotations
@@ -70,23 +72,13 @@ _TYPE_PHRASES = (
 
 
 @dataclass
-class QuerySpec:
-    mesh_disease_terms: list[str] = field(default_factory=list)
-    mesh_intervention_terms: list[str] = field(default_factory=list)
-    hyponym_terms: list[str] = field(default_factory=list)
-    journal_whitelist: list[str] = field(default_factory=list)
-    min_year: int = 1974
-
-    def __post_init__(self):
-        if self.min_year < 1900:
-            raise QueryBuildError("min_year must be >= 1900")
-
-
-@dataclass
 class FetchResult:
-    pmids: list[int]
     citations: list[Citation]
     source: str  # "live" or "fixture"
+
+    @property
+    def pmids(self) -> list[int]:
+        return [c.pmid for c in self.citations]
 
 
 def _dedupe(terms) -> list[str]:
@@ -103,13 +95,14 @@ def build_query(
     concepts: ConceptSet,
     hyponyms: HyponymTable,
     journal_whitelist: list[str],
-    min_year: int = 1974,
-) -> tuple[QuerySpec, str]:
-    """Build the Boolean query for a topic from its extracted concepts.
+    min_year: int,
+) -> str:
+    """The Boolean query string for a topic, from its extracted concepts.
 
-    Disease terms are expanded with hyponyms; an empty intervention bag
-    drops that conjunct.  A query with neither diseases nor
-    interventions would be unbounded and is an error.
+    Disease terms are ORed with their hyponyms; an empty intervention or
+    journal list drops that conjunct.  A query with neither diseases nor
+    interventions would be unbounded and is an error, as is a year floor
+    before 1900.
     """
     diseases = _dedupe(concepts.disease)
     interventions = _dedupe(concepts.intervention)
@@ -117,34 +110,25 @@ def build_query(
         raise QueryBuildError(
             f"topic {topic.topic_id!r}: no disease or intervention concepts"
         )
-    hyponym_terms = []
+    if min_year < 1900:
+        raise QueryBuildError("min_year must be >= 1900")
+    disease_terms = list(diseases)
     for d in diseases:
         for h in hyponyms.hyponyms(d):
-            if h not in diseases and h not in hyponym_terms:
-                hyponym_terms.append(h)
-    spec = QuerySpec(
-        mesh_disease_terms=diseases,
-        mesh_intervention_terms=interventions,
-        hyponym_terms=hyponym_terms,
-        journal_whitelist=list(journal_whitelist),
-        min_year=min_year,
-    )
-    return spec, render_query(spec)
+            if h not in disease_terms:
+                disease_terms.append(h)
 
-
-def render_query(spec: QuerySpec) -> str:
     def group(terms, tag):
         return "(" + " OR ".join(f'"{t}"[{tag}]' for t in terms) + ")"
 
     conjuncts = []
-    disease_terms = spec.mesh_disease_terms + spec.hyponym_terms
     if disease_terms:
         conjuncts.append(group(disease_terms, "MeSH"))
-    if spec.mesh_intervention_terms:
-        conjuncts.append(group(spec.mesh_intervention_terms, "MeSH"))
-    if spec.journal_whitelist:
-        conjuncts.append(group(spec.journal_whitelist, "Journal"))
-    conjuncts.append(f"{spec.min_year}:[Year]")
+    if interventions:
+        conjuncts.append(group(interventions, "MeSH"))
+    if journal_whitelist:
+        conjuncts.append(group(journal_whitelist, "Journal"))
+    conjuncts.append(f"{min_year}:[Year]")
     conjuncts.append(group(PUBLICATION_TYPES, "PubType"))
     return " AND ".join(conjuncts)
 
@@ -158,16 +142,13 @@ _TOKEN_RE = re.compile(
 )
 _TERM_RE = re.compile(r'"([^"]*)"\[(\w+)\]')
 _YEAR_RE = re.compile(r"(\d{4}):\[Year\]")
-
-
-class _Node:
-    pass
+_FIELDS = ("mesh", "journal", "year", "pubtype")
 
 
 @dataclass
-class _Term(_Node):
+class _Term:
     value: str
-    fieldname: str
+    fieldname: str  # lower-cased, one of _FIELDS
     norm: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,13 +156,17 @@ class _Term(_Node):
 
 
 @dataclass
-class _Bool(_Node):
+class _Bool:
     op: str
     operands: list
 
 
-def parse_query(query: str) -> _Node:
-    """Parse a rendered Boolean string back into an expression tree."""
+def parse_query(query: str) -> _Term | _Bool:
+    """Parse a Boolean query string into an expression tree.
+
+    Field names match case-insensitively; one other than MeSH, Journal,
+    Year or PubType, or a Year value that is not a number, is an error.
+    """
     tokens = []
     pos = 0
     while pos < len(query):
@@ -200,7 +185,7 @@ def parse_query(query: str) -> _Node:
     def peek():
         return tokens[idx] if idx < len(tokens) else None
 
-    def parse_atom() -> _Node:
+    def parse_atom() -> _Term | _Bool:
         nonlocal idx
         tok = peek()
         if tok == "(":
@@ -217,13 +202,21 @@ def parse_query(query: str) -> _Node:
         idx += 1
         ym = _YEAR_RE.fullmatch(tok)
         if ym:
-            return _Term(ym.group(1), "Year")
+            return _Term(ym.group(1), "year")
         tm = _TERM_RE.fullmatch(tok)
-        if tm:
-            return _Term(tm.group(1), tm.group(2))
-        raise QueryParseError(f"bad term {tok!r}")
+        if tm is None:
+            raise QueryParseError(f"bad term {tok!r}")
+        value, fieldname = tm.group(1), tm.group(2).lower()
+        if fieldname not in _FIELDS:
+            raise QueryParseError(f"unknown field {tm.group(2)!r}")
+        if fieldname == "year":
+            try:
+                int(value)
+            except ValueError:
+                raise QueryParseError(f"year {value!r} is not a number") from None
+        return _Term(value, fieldname)
 
-    def parse_and() -> _Node:
+    def parse_and() -> _Term | _Bool:
         nonlocal idx
         operands = [parse_atom()]
         while peek() == "AND":
@@ -231,7 +224,7 @@ def parse_query(query: str) -> _Node:
             operands.append(parse_atom())
         return operands[0] if len(operands) == 1 else _Bool("AND", operands)
 
-    def parse_or() -> _Node:
+    def parse_or() -> _Term | _Bool:
         nonlocal idx
         operands = [parse_and()]
         while peek() == "OR":
@@ -271,32 +264,22 @@ class QueryFields:
 
 
 def _eval_term(term: _Term, fields: QueryFields) -> bool:
-    fieldname = term.fieldname.lower()
-    if fieldname == "mesh":
+    if term.fieldname == "mesh":
         return term.norm in fields.mesh or f" {term.norm} " in fields.title
-    if fieldname == "journal":
+    if term.fieldname == "journal":
         return fields.journal == term.norm
-    if fieldname == "year":
+    if term.fieldname == "year":
         return fields.year >= int(term.value)
-    if fieldname == "pubtype":
-        return term.norm in fields.pub_types
-    raise QueryParseError(f"unknown field {term.fieldname!r}")
+    return term.norm in fields.pub_types
 
 
-def evaluate_query(node: _Node, citation: Citation,
-                   fields: QueryFields | None = None) -> bool:
-    """Whether ``citation`` satisfies the query tree.
-
-    ``fields`` are the citation's ``QueryFields``, computed here when
-    the caller has not kept them.
-    """
-    if fields is None:
-        fields = QueryFields.of(citation)
+def evaluate_query(node: _Term | _Bool, fields: QueryFields) -> bool:
+    """Whether a citation with these ``QueryFields`` satisfies the query tree."""
     if isinstance(node, _Term):
         return _eval_term(node, fields)
     if node.op == "AND":
-        return all(evaluate_query(o, citation, fields) for o in node.operands)
-    return any(evaluate_query(o, citation, fields) for o in node.operands)
+        return all(evaluate_query(o, fields) for o in node.operands)
+    return any(evaluate_query(o, fields) for o in node.operands)
 
 
 def infer_publication_type(citation: Citation) -> list[str]:
@@ -449,7 +432,7 @@ def _fetch_live(query: str, config: EndpointConfig,
     except (ET.ParseError, ValueError) as exc:
         raise TransportError(f"malformed search response: {exc}") from exc
     if count == 0:
-        return FetchResult([], [], source="live")
+        return FetchResult([], source="live")
     webenv = (root.findtext("WebEnv") or "").strip()
     query_key = (root.findtext("QueryKey") or "").strip()
     if not webenv or not query_key:
@@ -473,7 +456,7 @@ def _fetch_live(query: str, config: EndpointConfig,
             )
         for citation in page:
             by_pmid[citation.pmid] = citation
-    return FetchResult(list(by_pmid), list(by_pmid.values()), source="live")
+    return FetchResult(list(by_pmid.values()), source="live")
 
 
 def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
@@ -501,21 +484,21 @@ class FixtureCorpus:
     def search(self, query: str) -> FetchResult:
         tree = parse_query(query)
         matched = sorted(
-            (c for c, fields in self.records if evaluate_query(tree, c, fields)),
+            (c for c, fields in self.records if evaluate_query(tree, fields)),
             key=lambda c: c.pmid,
         )
-        return FetchResult([c.pmid for c in matched], matched, source="fixture")
+        return FetchResult(matched, source="fixture")
 
 
 def fetch_citations(query: str, config: EndpointConfig,
-                    corpus: FixtureCorpus | None = None,
-                    limiter: _RateLimiter | None = None) -> FetchResult:
-    """Run the query live or against the local fixture corpus.
+                    corpus: FixtureCorpus | None,
+                    limiter: _RateLimiter) -> FetchResult:
+    """Run the query against ``corpus``, or live when ``corpus`` is None.
 
-    ``corpus``, when given, is the ``FixtureCorpus`` of
-    ``config.fixture_dir`` kept from an earlier search; ``limiter`` is
-    the run's ``_RateLimiter``, which spaces requests across queries.
+    ``corpus`` is the run's ``FixtureCorpus`` of ``config.fixture_dir``;
+    ``limiter`` is the run's ``_RateLimiter``, which spaces live requests
+    across queries.
     """
-    if config.fixture_dir:
-        return (corpus or FixtureCorpus(config.fixture_dir)).search(query)
-    return _fetch_live(query, config, limiter or _RateLimiter())
+    if corpus is not None:
+        return corpus.search(query)
+    return _fetch_live(query, config, limiter)

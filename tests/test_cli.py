@@ -103,6 +103,13 @@ class TestQuery:
         assert '"congestive heart failure"[MeSH]' in result.output
         assert "1974:[Year]" in result.output
 
+    def test_min_year_before_1900_is_validation_error(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_year": 1492}))
+        result = _invoke(runner, ["--config", str(config), "query", "--title", T1_TITLE])
+        assert result.exit_code == 1
+        assert "min_year must be >= 1900" in result.output
+
 
 class TestFetch:
     def test_fixture_pmids(self, runner, fixture_corpus_dir):
@@ -161,6 +168,15 @@ class TestFetch:
             "--fixture-dir", str(fixture_corpus_dir), "fetch", "((broken",
         ])
         assert result.exit_code == 1
+
+    def test_unknown_field_is_validation_error_whatever_the_corpus_holds(
+            self, runner, fixture_corpus_dir):
+        result = _invoke(runner, [
+            "--fixture-dir", str(fixture_corpus_dir), "fetch",
+            '"no such disease"[MeSH] AND "x"[Foo]',
+        ])
+        assert result.exit_code == 1
+        assert "unknown field 'Foo'" in result.output
 
 
 @pytest.fixture

@@ -77,6 +77,15 @@ class TestCitationXml:
             assert parse_citation_xml(xml) == []
         assert "rejected" in caplog.text
 
+    def test_non_decimal_digit_pmid_skipped_with_warning(self, caplog):
+        # "²".isdigit() holds, but int("²") raises
+        xml = "<MedlineCitationSet><MedlineCitation><PMID>\u00b2</PMID>" \
+              "</MedlineCitation><MedlineCitation><PMID>7</PMID>" \
+              "</MedlineCitation></MedlineCitationSet>"
+        with caplog.at_level("WARNING"):
+            assert [c.pmid for c in parse_citation_xml(xml)] == [7]
+        assert "record 0 rejected: missing or non-numeric PMID" in caplog.text
+
     def test_malformed_xml(self):
         with pytest.raises(FormatError):
             parse_citation_xml("<MedlineCitation><PMID>1")
@@ -196,10 +205,12 @@ class TestOtherLoaders:
 
     def test_gold_rejects_bad_pmid(self, tmp_path, caplog):
         p = tmp_path / "gold.tsv"
-        p.write_text("T1\ttitle\t12,abc\nT2\tother\t7\n")
+        p.write_text("T1\ttitle\t12,abc\nT2\tother\t7\nT3\tthird\t1101,\u00b2\n",
+                     encoding="utf-8")
         with caplog.at_level("WARNING"):
             topics = corpus.load_gold_standard(str(p))
         assert [t.topic_id for t in topics] == ["T2"]
+        assert "gold line 3 rejected: non-numeric PMID '\u00b2'" in caplog.text
 
     def test_synonyms(self):
         syn = corpus.default_synonym_table()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citescreen import preprocess
 from citescreen.preprocess import (
@@ -54,6 +56,35 @@ class TestMaxWindow:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             max_window("")
+
+
+_DECLARATIONS = [
+    ("atrial fibrillation", "AF"),
+    ("heart failure", "HF"),
+    ("left ventricular ejection fraction", "LVEF"),
+    ("chronic kidney disease", "CKD"),
+    ("The C\\d ratio", "CD"),
+]
+_NON_ABBREVIATIONS = ["(Xy)", "(ab)", "(HFpEF)", "(n = 12)", "(p<0.05)", "(Ab)"]
+_FILLER = ["patients", "were enrolled", "and", "with", "the", "outcomes improved",
+           "in", "after", "fell"]
+
+
+@st.composite
+def _abbreviation_sentences(draw):
+    """Sentences of declarations, bare long and short forms, parenthesised
+    non-abbreviations and filler."""
+    pieces = st.one_of(
+        st.sampled_from([f"{long} ({short})" for long, short in _DECLARATIONS]),
+        st.sampled_from([long for long, _ in _DECLARATIONS]),
+        st.sampled_from([short for _, short in _DECLARATIONS]),
+        st.sampled_from(_NON_ABBREVIATIONS),
+        st.sampled_from(_FILLER),
+    )
+    sentences = draw(st.lists(st.lists(pieces, min_size=1, max_size=8),
+                              min_size=1, max_size=4))
+    return [" ".join(words) + draw(st.sampled_from([".", ";", ""]))
+            for words in sentences]
 
 
 class TestAbbreviationExpansion:
@@ -145,6 +176,14 @@ class TestAbbreviationExpansion:
             assert twice == once
             assert again == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(_abbreviation_sentences())
+    def test_second_pass_changes_and_declares_nothing(self, sentences):
+        once, _ = expand_abbreviations(sentences)
+        twice, again = expand_abbreviations(once)
+        assert twice == once
+        assert again == []
+
 
 class TestNormalization:
     def test_lowercase_and_punctuation(self):
@@ -161,5 +200,4 @@ class TestNormalization:
 
 
 def test_default_stopwords_loaded():
-    words = preprocess._default_stopwords()
-    assert {"the", "of", "with", "who"} <= words
+    assert {"the", "of", "with", "who"} <= preprocess.STOPWORDS
