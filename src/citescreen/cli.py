@@ -43,14 +43,7 @@ def _handle_errors(fn):
 
 
 def _resources(ctx) -> Resources:
-    opts = ctx.obj
-    res = (
-        pipeline.load_config(opts["config"]) if opts["config"]
-        else Resources.bundled()
-    )
-    if opts["fixture_dir"]:
-        res.endpoint.fixture_dir = opts["fixture_dir"]
-    return res
+    return pipeline.load_resources(ctx.obj["config"], ctx.obj["fixture_dir"])
 
 
 def _emit(ctx, tsv_text: str, json_text: str):

@@ -204,8 +204,6 @@ class DrugDictionary:
     given name up to the level-1 root.
     """
 
-    DRUG_LEVEL = 4
-
     def __init__(self, parents: dict[str, str | None], names: dict[str, str]):
         self._parents = parents   # normalized name -> normalized parent
         self._names = names       # normalized name -> display name, in file order
@@ -345,7 +343,6 @@ def _read_rows(path: str, n_cols: int):
 def load_lexicon(path: str) -> ConceptLexicon:
     """Load a surface \\t canonical-id \\t group TSV lexicon."""
     seen: dict[tuple[str, str], LexiconEntry] = {}
-    order: list[tuple[str, str]] = []
     for lineno, cols in _read_rows(path, 3):
         if len(cols) != 3:
             log.warning("lexicon line %d rejected: expected 3 columns", lineno)
@@ -363,10 +360,8 @@ def load_lexicon(path: str) -> ConceptLexicon:
         if key in seen:
             log.warning("lexicon line %d: duplicate (%s, %s), last row wins",
                         lineno, norm, group)
-        else:
-            order.append(key)
         seen[key] = LexiconEntry(norm, canonical_id, group)
-    return ConceptLexicon([seen[k] for k in order])
+    return ConceptLexicon(list(seen.values()))
 
 
 def load_drug_dictionary(path: str) -> DrugDictionary:
@@ -377,7 +372,6 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
     offending line.
     """
     parents: dict[str, str | None] = {}
-    levels: dict[str, int] = {}
     names: dict[str, str] = {}
     stack: list[str] = []  # normalized names of open ancestors
 
@@ -397,27 +391,12 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
             norm = preprocess.normalize_token(name)
             if not norm:
                 raise FormatError(f"line {lineno}: empty node name")
-            level = indent + 1
-            if norm in levels:
+            if norm in names:
                 raise FormatError(f"line {lineno}: duplicate name {name!r}")
-            levels[norm] = level
             names[norm] = name
             parents[norm] = stack[indent - 1] if indent > 0 else None
             del stack[indent:]
             stack.append(norm)
-
-    for norm, level in levels.items():
-        if level == DrugDictionary.DRUG_LEVEL:
-            chain = []
-            key = norm
-            while parents[key] is not None:
-                key = parents[key]
-                chain.append(key)
-            if len(chain) != 3:
-                raise FormatError(
-                    f"drug {names[norm]!r} does not sit under exactly three "
-                    f"class levels"
-                )
     return DrugDictionary(parents, names)
 
 
@@ -475,25 +454,6 @@ def load_journal_whitelist(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _bundled(name: str) -> str:
+def bundled_path(name: str) -> str:
+    """The path of the bundled data file ``name``."""
     return str(resources.files("citescreen.data").joinpath(name))
-
-
-def default_lexicon() -> ConceptLexicon:
-    return load_lexicon(_bundled("lexicon.tsv"))
-
-
-def default_drug_dictionary() -> DrugDictionary:
-    return load_drug_dictionary(_bundled("drug_hierarchy.txt"))
-
-
-def default_hyponym_table() -> HyponymTable:
-    return load_hyponym_table(_bundled("hyponyms.tsv"))
-
-
-def default_synonym_table() -> dict[str, str]:
-    return load_synonym_table(_bundled("synonyms.tsv"))
-
-
-def default_journal_whitelist() -> list[str]:
-    return load_journal_whitelist(_bundled("journals.txt"))

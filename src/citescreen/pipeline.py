@@ -35,6 +35,17 @@ from citescreen.screen import (
 )
 
 
+#: Each resource file: its ``Resources`` field, its config ``paths`` key,
+#: its loader and its bundled file name.
+RESOURCE_FILES = (
+    ("lexicon", "lexicon", corpus.load_lexicon, "lexicon.tsv"),
+    ("drugs", "drug_hierarchy", corpus.load_drug_dictionary, "drug_hierarchy.txt"),
+    ("hyponyms", "hyponyms", corpus.load_hyponym_table, "hyponyms.tsv"),
+    ("synonyms", "synonyms", corpus.load_synonym_table, "synonyms.tsv"),
+    ("journal_whitelist", "journals", corpus.load_journal_whitelist, "journals.txt"),
+)
+
+
 @dataclass
 class Resources:
     """Dictionaries, weights and endpoint settings shared by all stages.
@@ -67,12 +78,9 @@ class Resources:
 
     def fetch(self, query: str) -> FetchResult:
         """``fetch_citations``; a fixture corpus is parsed at the first fetch."""
-        fixture_dir = self.endpoint.fixture_dir
-        if fixture_dir and (self._corpus is None
-                            or self._corpus.fixture_dir != fixture_dir):
-            self._corpus = FixtureCorpus(fixture_dir)
-        return fetch_citations(query, self.endpoint,
-                               self._corpus if fixture_dir else None, self._limiter)
+        if self.endpoint.fixture_dir and self._corpus is None:
+            self._corpus = FixtureCorpus(self.endpoint.fixture_dir)
+        return fetch_citations(query, self.endpoint, self._corpus, self._limiter)
 
     def concepts(self, citation: Citation) -> CitationConcepts:
         """``citation_concepts`` of the record, extracted once per run.
@@ -87,84 +95,85 @@ class Resources:
 
     @classmethod
     def bundled(cls, **overrides) -> "Resources":
-        return cls(
-            lexicon=corpus.default_lexicon(),
-            drugs=corpus.default_drug_dictionary(),
-            hyponyms=corpus.default_hyponym_table(),
-            synonyms=corpus.default_synonym_table(),
-            journal_whitelist=corpus.default_journal_whitelist(),
-            **overrides,
-        )
+        """The bundled resource files, except where ``overrides`` names a field."""
+        return cls(**{name: load(corpus.bundled_path(filename))
+                      for name, _, load, filename in RESOURCE_FILES
+                      if name not in overrides}, **overrides)
 
 
-def load_config(path: str) -> Resources:
-    """Build Resources from a JSON config file; absent keys use bundles."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+_CONFIG_KEYS = ("paths", "weights", "endpoint", "fixture_dir", "min_year",
+                "qualifier_whitelist")
 
+
+def _check_keys(where: str, table: dict, known, prefix: str = "") -> None:
+    for key in table:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {prefix + key!r}")
+
+
+def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
+    """The run's ``Resources``: bundled, with the JSON ``config`` file's settings.
+
+    ``fixture_dir`` (``--fixture-dir``) wins over the config's top-level
+    ``fixture_dir``, which wins over ``endpoint.fixture_dir``.  A value of
+    the wrong type and an unknown key at the top level or in ``paths`` or
+    ``weights`` are a ``ConfigError``.
+    """
+    raw = {}
+    if config:
+        try:
+            with open(config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {config}: {exc}") from exc
+    where = f"config {config}"
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: the top level must be a JSON object")
+        raise ConfigError(f"{where}: the top level must be a JSON object")
+    _check_keys(where, raw, _CONFIG_KEYS)
     paths = raw.get("paths", {})
     if not isinstance(paths, dict):
-        raise ConfigError(f"config {path}: paths must be a JSON object")
-    for key, value in paths.items():
-        if not isinstance(value, str):
-            raise ConfigError(f"config {path}: paths.{key} must be a file name, "
-                              f"not {value!r}")
-    try:
-        res = Resources(
-            lexicon=(
-                corpus.load_lexicon(paths["lexicon"]) if "lexicon" in paths
-                else corpus.default_lexicon()
-            ),
-            drugs=(
-                corpus.load_drug_dictionary(paths["drug_hierarchy"])
-                if "drug_hierarchy" in paths else corpus.default_drug_dictionary()
-            ),
-            hyponyms=(
-                corpus.load_hyponym_table(paths["hyponyms"])
-                if "hyponyms" in paths else corpus.default_hyponym_table()
-            ),
-            synonyms=(
-                corpus.load_synonym_table(paths["synonyms"])
-                if "synonyms" in paths else corpus.default_synonym_table()
-            ),
-            journal_whitelist=(
-                corpus.load_journal_whitelist(paths["journals"])
-                if "journals" in paths else corpus.default_journal_whitelist()
-            ),
-        )
-    except OSError as exc:
-        raise ConfigError(f"config {path}: cannot read a resource file: {exc}") from exc
+        raise ConfigError(f"{where}: paths must be a JSON object")
+    _check_keys(where, paths, [key for _, key, _, _ in RESOURCE_FILES], "paths.")
+    settings = {}
+    for name, key, load, _ in RESOURCE_FILES:
+        if key not in paths:
+            continue
+        if not isinstance(paths[key], str):
+            raise ConfigError(f"{where}: paths.{key} must be a file name, "
+                              f"not {paths[key]!r}")
+        try:
+            settings[name] = load(paths[key])
+        except OSError as exc:
+            raise ConfigError(f"{where}: cannot read a resource file: {exc}") from exc
     if "weights" in raw:
         w = raw["weights"]
+        if isinstance(w, dict):
+            _check_keys(where, w, ("w1", "w2", "w3"), "weights.")
         try:
-            res.weights = WeightConfig(w["w1"], w["w2"], w["w3"])
+            settings["weights"] = WeightConfig(w["w1"], w["w2"], w["w3"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"weights need numeric w1, w2 and w3: {exc}") from exc
-    if "endpoint" in raw:
-        try:
-            res.endpoint = EndpointConfig(**raw["endpoint"])
-        except TypeError as exc:
-            raise ConfigError(f"bad endpoint settings: {exc}") from exc
+    try:
+        endpoint = EndpointConfig(**raw.get("endpoint", {}))
+    except TypeError as exc:
+        raise ConfigError(f"bad endpoint settings: {exc}") from exc
     if "fixture_dir" in raw:
-        res.endpoint = replace(res.endpoint, fixture_dir=raw["fixture_dir"])
+        endpoint = replace(endpoint, fixture_dir=raw["fixture_dir"])
+    if fixture_dir:
+        endpoint = replace(endpoint, fixture_dir=fixture_dir)
     if "min_year" in raw:
         if type(raw["min_year"]) is not int:
-            raise ConfigError(f"config {path}: min_year must be an integer, "
+            raise ConfigError(f"{where}: min_year must be an integer, "
                               f"not {raw['min_year']!r}")
-        res.min_year = raw["min_year"]
+        settings["min_year"] = raw["min_year"]
     if "qualifier_whitelist" in raw:
         qualifiers = raw["qualifier_whitelist"]
         if not (isinstance(qualifiers, list)
                 and all(isinstance(q, str) for q in qualifiers)):
-            raise ConfigError(f"config {path}: qualifier_whitelist must be a list "
+            raise ConfigError(f"{where}: qualifier_whitelist must be a list "
                               f"of strings, not {qualifiers!r}")
-        res.qualifier_whitelist = frozenset(q.lower() for q in qualifiers)
-    return res
+        settings["qualifier_whitelist"] = frozenset(q.lower() for q in qualifiers)
+    return Resources.bundled(endpoint=endpoint, **settings)
 
 
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:

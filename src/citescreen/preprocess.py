@@ -20,7 +20,8 @@ _PROTECTED = {
     "fig.", "figs.", "no.", "al.", "etc.", "approx.", "ca.", "cf.",
 }
 
-_BOUNDARY = re.compile(r"([.?!])(\s+)(?=[A-Z0-9])")
+# A whole token ending in ``.?!``, then whitespace and a capital or digit.
+_BOUNDARY = re.compile(r"(?<!\S)(\S*[.?!])(\s+)(?=[A-Z0-9])")
 _PAREN_CANDIDATE = re.compile(r"\(\s*([^()\s]{2,10})\s*\)")
 
 
@@ -44,9 +45,7 @@ def segment_sentences(text: str) -> list[str]:
         return []
     cut_points = []
     for m in _BOUNDARY.finditer(text):
-        before = text[: m.end(1)]
-        last_token = re.search(r"\S+$", before)
-        token = last_token.group(0).lower() if last_token else ""
+        token = m.group(1).lower()
         if token in _PROTECTED:
             continue
         # single initial like "J." mid-name

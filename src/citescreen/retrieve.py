@@ -53,6 +53,8 @@ PUBLICATION_TYPES = (
     "practice guideline",
     "editorial",
 )
+#: Each publication type by its normalized form.
+_PUBLICATION_TYPE_OF = {preprocess.normalize_token(t): t for t in PUBLICATION_TYPES}
 
 #: Phrases scanned for in title/abstract when no index carries the type.
 _TYPE_PHRASES = (
@@ -138,10 +140,10 @@ def build_query(
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r'\s*(\(|\)|AND\b|OR\b|"[^"]*"\[\w+\]|\d{4}:\[Year\])'
+    r'\s*(\(|\)|AND\b|OR\b|"[^"]*"\[\w+\]|\d+:\[Year\])'
 )
 _TERM_RE = re.compile(r'"([^"]*)"\[(\w+)\]')
-_YEAR_RE = re.compile(r"(\d{4}):\[Year\]")
+_YEAR_RE = re.compile(r"(\d+):\[Year\]")
 _FIELDS = ("mesh", "journal", "year", "pubtype")
 
 
@@ -290,14 +292,12 @@ def infer_publication_type(citation: Citation) -> list[str]:
     marks the citation excludable (likely non-clinical or not
     peer-reviewed).
     """
-    whitelist = {preprocess.normalize_token(t): t for t in PUBLICATION_TYPES}
-
     def from_labels(labels):
         found = []
         for label in labels:
-            norm = preprocess.normalize_token(label)
-            if norm in whitelist and whitelist[norm] not in found:
-                found.append(whitelist[norm])
+            pub_type = _PUBLICATION_TYPE_OF.get(preprocess.normalize_token(label))
+            if pub_type and pub_type not in found:
+                found.append(pub_type)
         return found
 
     hits = from_labels(citation.publication_types)
@@ -476,7 +476,6 @@ class FixtureCorpus:
     """
 
     def __init__(self, fixture_dir: str):
-        self.fixture_dir = fixture_dir
         self.records = [
             (c, QueryFields.of(c)) for c in load_fixture_corpus(fixture_dir)
         ]

@@ -117,19 +117,7 @@ def parse_bracketed_tree(text: str) -> PhraseTree:
     if pos != len(toks):
         raise FormatError("trailing content after tree")
     _assign_spans(root, 0)
-    _check_invariants(root)
     return root
-
-
-def _check_invariants(node: PhraseTree):
-    if node.is_leaf:
-        return
-    pos = node.span[0]
-    for c in node.children:
-        if c.span[0] != pos or c.span[1] > node.span[1]:
-            raise FormatError("child spans must be ordered, disjoint and contained")
-        pos = c.span[1]
-        _check_invariants(c)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from citescreen.pipeline import Resources
+from citescreen.pipeline import Resources, load_resources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -82,6 +82,4 @@ def expected_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def resources(fixture_corpus_dir) -> Resources:
-    res = Resources.bundled()
-    res.endpoint.fixture_dir = str(fixture_corpus_dir)
-    return res
+    return load_resources(None, str(fixture_corpus_dir))

@@ -18,14 +18,10 @@ from click.testing import CliRunner
 
 from citescreen import preprocess
 from citescreen.cli import main
-from citescreen.corpus import (
-    default_drug_dictionary,
-    default_lexicon,
-    default_synonym_table,
-    load_gold_standard,
-)
+from citescreen.corpus import load_gold_standard
 from citescreen.evaluate import confusion, pr_curve, precision_at_k, prf
 from citescreen.extract import drug_hierarchy, extract_population, normalize_drug
+from citescreen.pipeline import Resources
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
 from citescreen.screen import QUALIFIER_WHITELIST, screen_citation, screening_query
 from citescreen.tree import parse_bracketed_tree
@@ -194,7 +190,7 @@ class TestC2Abbreviations:
 @pytest.mark.acceptance(3, "seven structural population patterns on gold "
                            "phrase trees")
 def test_c3_population_patterns_within_time_budget():
-    lexicon = default_lexicon()
+    lexicon = Resources.bundled().lexicon
     start = time.monotonic()
     for pattern, tree_text, expected in CASES:
         tree = parse_bracketed_tree(tree_text)
@@ -213,8 +209,8 @@ def test_c3_population_patterns_within_time_budget():
 @pytest.mark.acceptance(4, "drug mention normalization rules and class "
                            "hierarchy chains")
 def test_c4_drug_normalization():
-    drugs = default_drug_dictionary()
-    synonyms = default_synonym_table()
+    bundled = Resources.bundled()
+    drugs, synonyms = bundled.drugs, bundled.synonyms
     rows = [
         ("aldosterone antagonists", "Aldosterone antagonists"),
         ("Angiotensin receptor blockers", "Angiotensin II receptor blockers"),
@@ -269,7 +265,7 @@ def test_c5_ranking_oracle_within_time_budget():
 @pytest.mark.acceptance(6, "screening assigns the hand-labelled lowest "
                            "constraint on a 12-citation fixture")
 def test_c6_screening_fixture():
-    drugs = default_drug_dictionary()
+    drugs = Resources.bundled().drugs
     rows = screening_fixture()
     assert len(rows) == 12
     for pmid, citation, concepts, expected in rows:

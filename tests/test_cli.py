@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -15,6 +17,13 @@ def runner():
 
 
 T1_TITLE = "Diuretics for heart failure in elderly patients"
+
+#: A config with one misspelled key, by the name the error must give it.
+UNKNOWN_KEYS = {
+    "min_yaer": {"min_yaer": 1492},
+    "paths.lexicn": {"paths": {"lexicn": "x"}},
+    "weights.w4": {"weights": {"w1": 0.3, "w2": 0.4, "w3": 0.3, "w4": 0}},
+}
 
 
 def _invoke(runner, args, **kw):
@@ -350,9 +359,10 @@ class TestPipelineAndEval:
         {"fixture_dir": 5},
         {"endpoint": {"page_size": 0}},
         {"endpoint": {"rate_limit_ms": "fast"}},
+        *UNKNOWN_KEYS.values(),
     ], ids=["missing-resource-file", "not-an-object", "non-string-qualifier",
             "null-min-year", "integer-fixture-dir", "zero-page-size",
-            "string-rate-limit"])
+            "string-rate-limit", *UNKNOWN_KEYS])
     def test_unusable_config_is_validation_error(self, runner, tmp_path,
                                                  settings):
         config = tmp_path / "config.json"
@@ -364,6 +374,55 @@ class TestPipelineAndEval:
         assert result.exit_code == 1
         assert "error:" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("key", UNKNOWN_KEYS)
+    def test_unknown_config_key_is_named(self, runner, tmp_path, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(UNKNOWN_KEYS[key]))
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
+        assert result.exit_code == 1
+        assert f"unknown key '{key}'" in result.output
+
+    def test_fixture_dir_precedence(self, runner, fixture_corpus_dir, tmp_path):
+        """--fixture-dir wins over the config's fixture_dir, which wins
+        over endpoint.fixture_dir."""
+        query, corpus = '"heart failure"[MeSH]', str(fixture_corpus_dir)
+        elsewhere = {"fixture_dir": str(tmp_path / "elsewhere")}
+        plain = _invoke(runner, ["--fixture-dir", corpus, "fetch", query])
+        assert len(plain.output.splitlines()) > 1
+        for settings, option in (
+            ({"fixture_dir": str(tmp_path / "nowhere"), "endpoint": elsewhere},
+             ["--fixture-dir", corpus]),
+            ({"fixture_dir": corpus, "endpoint": elsewhere}, []),
+        ):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(settings))
+            result = _invoke(runner, ["--config", str(config), *option,
+                                      "fetch", query])
+            assert result.exit_code == 0, result.output
+            assert result.output == plain.output
+
+    def test_min_year_past_9999_runs(self, runner, fixture_corpus_dir,
+                                     gold_path, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_year": 10000}))
+        result = _invoke(runner, [
+            "--config", str(config), "--fixture-dir", str(fixture_corpus_dir),
+            "pipeline", str(gold_path),
+        ])
+        assert result.exit_code == 0, result.output
+
+    def test_readme_example_config_is_accepted(self, runner, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = re.search(r"Example config:\n\n```json\n(.*?)```", readme, re.S)
+        config = tmp_path / "config.json"
+        config.write_text(example.group(1))
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", T1_TITLE,
+        ])
+        assert result.exit_code == 0, result.output
 
     def test_integer_path_is_validation_error(self, runner, tmp_path):
         """An integer ``paths`` entry is no file descriptor to read and close."""

@@ -1,11 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citescreen import corpus
 from citescreen.corpus import Citation, MeshTerm, parse_citation_xml
 from citescreen.errors import FormatError
+from citescreen.pipeline import Resources
 from citescreen.preprocess import normalize_token
+
+BUNDLED = Resources.bundled()
 
 SIMPLE_XML = """
 <MedlineCitationSet>
@@ -150,7 +155,7 @@ class TestLexicon:
             assert corpus.load_lexicon(str(p)).entries == []
 
     def test_bundled_lexicon_has_all_groups(self):
-        lex = corpus.default_lexicon()
+        lex = BUNDLED.lexicon
         groups = {e.group for e in lex.entries}
         assert groups == {"population", "disorder", "chemical",
                           "procedure", "device"}
@@ -158,18 +163,18 @@ class TestLexicon:
 
 class TestDrugDictionary:
     def test_bundled_chain(self):
-        drugs = corpus.default_drug_dictionary()
+        drugs = BUNDLED.drugs
         assert drugs.hierarchy("furosemide") == [
             "Furosemide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
         ]
 
     def test_levels(self):
-        drugs = corpus.default_drug_dictionary()
+        drugs = BUNDLED.drugs
         # hierarchy() walks leaf-to-root, so its length is the name's level
         assert len(drugs.hierarchy("cardiovascular agents")) == 1
         assert len(drugs.hierarchy("diuretics")) == 2
         assert len(drugs.hierarchy("loop diuretics")) == 3
-        assert len(drugs.hierarchy("furosemide")) == drugs.DRUG_LEVEL == 4
+        assert len(drugs.hierarchy("furosemide")) == 4
 
     def test_too_deep_indent(self, tmp_path):
         p = tmp_path / "drugs.txt"
@@ -184,13 +189,37 @@ class TestDrugDictionary:
             corpus.load_drug_dictionary(str(p))
 
     def test_unknown_name(self):
-        drugs = corpus.default_drug_dictionary()
+        drugs = BUNDLED.drugs
         assert drugs.hierarchy("placebo") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15),
+                                    st.integers(0, 200)), max_size=14))
+    def test_every_name_loads_at_its_level_or_the_file_is_rejected(
+            self, tmp_path_factory, lines):
+        """A name at indent i is at level i + 1, so a drug (indent 3) sits
+        under exactly three classes.  Each line goes at most one level
+        deeper than the last, except that a fault of 0 adds one more (a
+        skipped level or indent 4); names repeat now and then."""
+        indents, indent = [], -1
+        for depth, fault, _ in lines:
+            indent = min(depth, indent + 1) + (fault == 0)
+            indents.append(indent)
+        names = [f"node{k}" for _, _, k in lines]
+        p = tmp_path_factory.getbasetemp() / "drugs.txt"
+        p.write_text("".join("\t" * i + f"{name}\n"
+                             for i, name in zip(indents, names)))
+        try:
+            drugs = corpus.load_drug_dictionary(str(p))
+        except FormatError:
+            return
+        for i, name in zip(indents, names):
+            assert len(drugs.hierarchy(name)) == i + 1
 
 
 class TestOtherLoaders:
     def test_hyponyms(self):
-        table = corpus.default_hyponym_table()
+        table = BUNDLED.hyponyms
         assert "congestive heart failure" in table.hyponyms("heart failure")
 
     def test_self_hyponym_rejected(self):
@@ -213,10 +242,10 @@ class TestOtherLoaders:
         assert "gold line 3 rejected: non-numeric PMID '\u00b2'" in caplog.text
 
     def test_synonyms(self):
-        syn = corpus.default_synonym_table()
+        syn = BUNDLED.synonyms
         assert syn["beta blockers"] == "Beta adrenergic blockers"
 
     def test_journal_whitelist(self):
-        journals = corpus.default_journal_whitelist()
+        journals = BUNDLED.journal_whitelist
         assert "Circulation" in journals
         assert len(journals) == 16

@@ -13,24 +13,27 @@ from citescreen.extract import (
     normalize_drug,
     normalize_drug_components,
 )
+from citescreen.pipeline import Resources
 from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
 
 from population_cases import CASES
 
+BUNDLED = Resources.bundled()
+
 
 @pytest.fixture(scope="module")
 def lexicon():
-    return corpus.default_lexicon()
+    return BUNDLED.lexicon
 
 
 @pytest.fixture(scope="module")
 def drugs():
-    return corpus.default_drug_dictionary()
+    return BUNDLED.drugs
 
 
 @pytest.fixture(scope="module")
 def synonyms():
-    return corpus.default_synonym_table()
+    return BUNDLED.synonyms
 
 
 class TestPopulationPatterns:
@@ -136,7 +139,7 @@ def _oracle_population(tree, sentence, lexicon):
 
 _E = corpus.LexiconEntry
 _LEXICONS = {
-    "bundled": corpus.default_lexicon(),
+    "bundled": BUNDLED.lexicon,
     # "elderly" and "elderly patients" start together and "elderly
     # patients" is listed twice, so terms overlap and repeat.  The chunker
     # ends a noun phrase before "hospitalized", so that term straddles a

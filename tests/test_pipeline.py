@@ -14,7 +14,7 @@ import requests
 from citescreen import pipeline, retrieve, screen
 from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
 from citescreen.extract import population_terms
-from citescreen.pipeline import Resources, run_topic
+from citescreen.pipeline import Resources, load_resources, run_topic
 
 T1 = ClinicalTopic("T1", "Diuretics for heart failure in elderly patients")
 LOOP = ClinicalTopic("L", "Loop diuretics in heart failure")
@@ -23,9 +23,7 @@ LOOP = ClinicalTopic("L", "Loop diuretics in heart failure")
 @pytest.fixture
 def fresh_resources(fixture_corpus_dir):
     def make() -> Resources:
-        res = Resources.bundled()
-        res.endpoint.fixture_dir = str(fixture_corpus_dir)
-        return res
+        return load_resources(None, str(fixture_corpus_dir))
     return make
 
 

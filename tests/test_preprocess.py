@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,38 @@ from citescreen.preprocess import (
     segment_sentences,
     stem_and_filter,
 )
+
+
+def _segment_by_prefix_scan(text: str) -> list[str]:
+    """The earlier ``segment_sentences``: it found each boundary's last
+    token by searching the whole text before it, so it took time
+    quadratic in the number of sentences."""
+    if not text or not text.strip():
+        return []
+    cut_points = []
+    for m in re.finditer(r"([.?!])(\s+)(?=[A-Z0-9])", text):
+        last_token = re.search(r"\S+$", text[: m.end(1)])
+        token = last_token.group(0).lower() if last_token else ""
+        if token in preprocess._PROTECTED or re.fullmatch(r"[a-z]\.", token):
+            continue
+        cut_points.append((m.end(1), m.end(2)))
+    sentences = []
+    start = 0
+    for end, nxt in cut_points:
+        sentences.append(text[start:end].strip())
+        start = nxt
+    sentences.append(text[start:].strip())
+    return [s for s in sentences if s]
+
+
+#: Protected tokens in three cases, initials, decimals, sentence ends,
+#: bare punctuation and sentence starts, for the differential property.
+_SEGMENT_TOKENS = [
+    *(t for p in sorted(preprocess._PROTECTED) for t in (p, p.upper(), p.title())),
+    "J.", "j.", "A.", "2.5", "0.05.", "done.", "Yes!", "why?", "end.)",
+    ".", "?!", "...", "Patients", "Furosemide", "120", "mg", "e.g.Furosemide",
+]
+_SEGMENT_SPACES = ["", " ", "  ", "\n", "\t", " \n "]
 
 
 class TestSegmentation:
@@ -43,6 +76,13 @@ class TestSegmentation:
     def test_empty_text(self):
         assert segment_sentences("") == []
         assert segment_sentences("   ") == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_SEGMENT_TOKENS),
+                              st.sampled_from(_SEGMENT_SPACES)), max_size=30))
+    def test_same_cuts_as_the_prefix_scan(self, pieces):
+        text = "".join(token + space for token, space in pieces)
+        assert segment_sentences(text) == _segment_by_prefix_scan(text)
 
 
 class TestMaxWindow:

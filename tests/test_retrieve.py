@@ -13,9 +13,6 @@ from citescreen.corpus import (
     Citation,
     ClinicalTopic,
     MeshTerm,
-    default_hyponym_table,
-    default_journal_whitelist,
-    default_lexicon,
 )
 from citescreen.errors import (
     ConfigError,
@@ -55,9 +52,10 @@ def _fetch(query, config):
     return Resources.bundled(endpoint=config).fetch(query)
 
 
-_LEXICON = default_lexicon()
-_HYPONYMS = default_hyponym_table()
-_JOURNALS = default_journal_whitelist()
+_BUNDLED = Resources.bundled()
+_LEXICON = _BUNDLED.lexicon
+_HYPONYMS = _BUNDLED.hyponyms
+_JOURNALS = _BUNDLED.journal_whitelist
 
 
 def _surfaces(groups):
@@ -90,8 +88,8 @@ def _conjunct(node):
 class TestQueryBuilding:
     def test_hyponym_expansion(self):
         text = build_query(
-            _topic(), _concepts(), default_hyponym_table(),
-            default_journal_whitelist(), 1974,
+            _topic(), _concepts(), _HYPONYMS,
+            _JOURNALS, 1974,
         )
         diseases = text.split(" AND ")[0]
         assert re.findall(r'"([^"]*)"\[MeSH\]', diseases) == [
@@ -103,17 +101,17 @@ class TestQueryBuilding:
         with pytest.raises(QueryBuildError):
             build_query(
                 _topic(), ConceptSet(population=["patients"]),
-                default_hyponym_table(), [], 1974,
+                _HYPONYMS, [], 1974,
             )
 
     def test_spec_validation(self):
         with pytest.raises(QueryBuildError, match="min_year must be >= 1900"):
-            build_query(_topic(), _concepts(), default_hyponym_table(), [], 1492)
+            build_query(_topic(), _concepts(), _HYPONYMS, [], 1492)
 
     def test_eleven_publication_types(self):
         assert len(PUBLICATION_TYPES) == 11
         text = build_query(
-            _topic(), _concepts(), default_hyponym_table(), [], 1974,
+            _topic(), _concepts(), _HYPONYMS, [], 1974,
         )
         for pub_type in PUBLICATION_TYPES:
             assert f'"{pub_type}"[PubType]' in text
@@ -123,7 +121,7 @@ class TestQueryBuilding:
         diseases=_bags(_surfaces({"disorder"})),
         interventions=_bags(_surfaces({"chemical", "device", "procedure"})),
         journals=st.lists(st.sampled_from(_JOURNALS), max_size=4),
-        min_year=st.integers(1900, 9999),
+        min_year=st.integers(1900, 9999) | st.integers(10_000, 10**12),
     )
     def test_parse_of_build_holds_each_conjunct_in_order(
             self, diseases, interventions, journals, min_year):
@@ -244,8 +242,8 @@ class TestPublicationTypeInference:
 class TestFixtureFetch:
     def test_matching_pmids(self, fixture_corpus_dir):
         text = build_query(
-            _topic(), _concepts(), default_hyponym_table(),
-            default_journal_whitelist(), 1974,
+            _topic(), _concepts(), _HYPONYMS,
+            _JOURNALS, 1974,
         )
         config = EndpointConfig(fixture_dir=fixture_corpus_dir)
         result = _fetch(text, config)

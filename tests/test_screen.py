@@ -6,10 +6,9 @@ from citescreen import preprocess
 from citescreen.corpus import (
     Citation,
     MeshTerm,
-    default_drug_dictionary,
-    default_lexicon,
 )
 from citescreen.extract import ConceptSet, population_terms
+from citescreen.pipeline import Resources
 from citescreen.screen import (
     QUALIFIER_WHITELIST,
     CitationConcepts,
@@ -22,7 +21,8 @@ from citescreen.screen import (
     screening_query,
 )
 
-DRUGS = default_drug_dictionary()
+BUNDLED = Resources.bundled()
+DRUGS = BUNDLED.drugs
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +347,7 @@ def _ref_screen(query, citation, title, sentences, drugs, qualifier_whitelist):
     return ScreeningDecision(citation.pmid, False, None, "")
 
 
-_LEXICON = default_lexicon()
+_LEXICON = BUNDLED.lexicon
 
 
 def _surfaces(*groups):

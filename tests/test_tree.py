@@ -72,6 +72,12 @@ def _check_tree(node: PhraseTree, n_tokens: int):
     assert pos == end
 
 
+def _bracketed(node: PhraseTree) -> str:
+    """``node`` in bracketed notation."""
+    inside = node.token if node.is_leaf else " ".join(map(_bracketed, node.children))
+    return f"({node.label} {inside})"
+
+
 class TestChunker:
     def test_root_is_sentence(self):
         tree = parse_phrase_tree("Patients with heart failure improved.")
@@ -102,6 +108,10 @@ class TestChunker:
             tree = parse_phrase_tree(sentence)
             assert tree.tokens() == sentence.split()
             _check_tree(tree, len(words))
+            # the same shape written out and read back as a bracketed tree
+            bracketed = parse_bracketed_tree(_bracketed(tree))
+            _check_tree(bracketed, len(words))
+            assert bracketed == tree
 
     def test_empty_sentence(self):
         tree = parse_phrase_tree("")
