@@ -167,13 +167,14 @@ def query(ctx, title, topic_id):
 def fetch(ctx, query_string, out):
     """Run a Boolean query against the endpoint or fixture corpus."""
     res = _resources(ctx)
-    result = res.fetch(query_string)
+    citations = res.fetch(query_string)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(c.to_json() + "\n" for c in result.citations)
-    tsv = "pmid\n" + "".join(f"{p}\n" for p in result.pmids)
-    _emit(ctx, tsv, json.dumps({"source": result.source,
-                                "pmids": result.pmids}, indent=2))
+            fh.writelines(c.to_json() + "\n" for c in citations)
+    pmids = [c.pmid for c in citations]
+    tsv = "pmid\n" + "".join(f"{p}\n" for p in pmids)
+    _emit(ctx, tsv, json.dumps({"source": "fixture" if res.fixture_dir else "live",
+                                "pmids": pmids}, indent=2))
 
 
 @main.command()

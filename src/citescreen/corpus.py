@@ -200,29 +200,29 @@ class DrugDictionary:
     """Three-level hierarchy of drug classes with drugs under leaf classes.
 
     Level 1 is the broadest class, level 3 the most specific class, and
-    drugs hang off level-3 classes.  ``hierarchy(name)`` walks from the
-    given name up to the level-1 root.
+    drugs hang off level-3 classes.  Its methods take normalized names
+    (keys); ``hierarchy`` returns keys, ``canonical_name`` a key's display
+    name.
     """
 
     def __init__(self, parents: dict[str, str | None], names: dict[str, str]):
         self._parents = parents   # normalized name -> normalized parent
         self._names = names       # normalized name -> display name, in file order
 
-    def canonical_name(self, name: str) -> str | None:
-        return self._names.get(preprocess.normalize_token(name))
+    def canonical_name(self, key: str) -> str | None:
+        return self._names.get(key)
 
     def names(self) -> list[str]:
         return list(self._names.values())
 
-    def hierarchy(self, name: str) -> list[str]:
-        """Name plus its class ancestors, leaf-to-root; [] if unknown."""
-        key = preprocess.normalize_token(name)
+    def hierarchy(self, key: str) -> list[str]:
+        """``key`` plus its class ancestors' keys, leaf-to-root; [] if unknown."""
         if key not in self._names:
             return []
-        chain = [self._names[key]]
-        while self._parents.get(key) is not None:
+        chain = [key]
+        while self._parents[key] is not None:
             key = self._parents[key]
-            chain.append(self._names[key])
+            chain.append(key)
         return chain
 
 

@@ -165,7 +165,7 @@ def _normalize_single(
     norm = preprocess.normalize_token(mention)
     if not norm:
         return None
-    # Rule 1: case normalization (the dictionary lookup is case-insensitive).
+    # Rule 1: case normalization (dictionary keys are normalized names).
     hit = drugs.canonical_name(norm)
     if hit:
         return hit
@@ -236,9 +236,11 @@ def normalize_drug(
     return ", ".join(normalize_drug_components(mention, drugs, synonyms))
 
 
-def drug_hierarchy(normal_form: str, drugs: DrugDictionary) -> list[str]:
-    """Name plus class ancestors leaf-to-root; [] when unrecognized."""
-    return drugs.hierarchy(normal_form)
+def drug_hierarchy(name: str, drugs: DrugDictionary) -> list[str]:
+    """Display names of ``name`` and its class ancestors, leaf-to-root;
+    [] when unrecognized."""
+    return [drugs.canonical_name(key)
+            for key in drugs.hierarchy(preprocess.normalize_token(name))]
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +268,8 @@ def build_concept_set(
             cs.disease.append(m.normal_form)
         elif m.group == "chemical":
             for name in normalize_drug_components(m.normal_form, drugs, synonyms):
-                chain = drug_hierarchy(name, drugs)
-                if chain:
-                    cs.intervention.extend(
-                        preprocess.normalize_token(n) for n in chain
-                    )
-                else:
-                    cs.intervention.append(preprocess.normalize_token(name))
+                key = preprocess.normalize_token(name)
+                cs.intervention.extend(drugs.hierarchy(key) or [key])
         elif m.group in ("procedure", "device"):
             cs.intervention.append(m.normal_form)
     return cs

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 from citescreen import corpus, preprocess
 from citescreen.corpus import (
@@ -19,7 +19,6 @@ from citescreen.evaluate import ConfusionCounts, aggregate_topics, macro_average
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
 from citescreen.retrieve import (
     EndpointConfig,
-    FetchResult,
     FixtureCorpus,
     _RateLimiter,
     build_query,
@@ -48,10 +47,11 @@ RESOURCE_FILES = (
 
 @dataclass
 class Resources:
-    """Dictionaries, weights and endpoint settings shared by all stages.
+    """Dictionaries, weights and fetch settings shared by all stages.
 
-    One ``Resources`` serves one run.  It parses a fixture corpus at the
-    first fetch and extracts each citation's concepts and screening keys
+    One ``Resources`` serves one run.  It fetches from the corpus of
+    ``fixture_dir``, parsed at the first fetch, or else from the live
+    ``endpoint``.  It extracts each citation's concepts and screening keys
     once, so every topic of the run reuses them; corpus files changed on
     disk during the run are not read again.  One rate limiter spaces every
     live request of the run.
@@ -64,6 +64,7 @@ class Resources:
     journal_whitelist: list[str]
     weights: WeightConfig = WeightConfig()
     endpoint: EndpointConfig = field(default_factory=EndpointConfig)
+    fixture_dir: str | None = None
     min_year: int = 1974
     qualifier_whitelist: frozenset[str] = QUALIFIER_WHITELIST
     _corpus: FixtureCorpus | None = field(
@@ -76,10 +77,10 @@ class Resources:
         default_factory=_RateLimiter, init=False, repr=False, compare=False
     )
 
-    def fetch(self, query: str) -> FetchResult:
+    def fetch(self, query: str) -> list[Citation]:
         """``fetch_citations``; a fixture corpus is parsed at the first fetch."""
-        if self.endpoint.fixture_dir and self._corpus is None:
-            self._corpus = FixtureCorpus(self.endpoint.fixture_dir)
+        if self.fixture_dir and self._corpus is None:
+            self._corpus = FixtureCorpus(self.fixture_dir)
         return fetch_citations(query, self.endpoint, self._corpus, self._limiter)
 
     def concepts(self, citation: Citation) -> CitationConcepts:
@@ -114,10 +115,10 @@ def _check_keys(where: str, table: dict, known, prefix: str = "") -> None:
 def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
     """The run's ``Resources``: bundled, with the JSON ``config`` file's settings.
 
-    ``fixture_dir`` (``--fixture-dir``) wins over the config's top-level
-    ``fixture_dir``, which wins over ``endpoint.fixture_dir``.  A value of
-    the wrong type and an unknown key at the top level or in ``paths`` or
-    ``weights`` are a ``ConfigError``.
+    ``fixture_dir`` (``--fixture-dir``) wins over the config's
+    ``fixture_dir``.  A value of the wrong type and an unknown key at the
+    top level or in ``paths``, ``weights`` or ``endpoint`` are a
+    ``ConfigError``.
     """
     raw = {}
     if config:
@@ -153,14 +154,14 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
             settings["weights"] = WeightConfig(w["w1"], w["w2"], w["w3"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"weights need numeric w1, w2 and w3: {exc}") from exc
-    try:
-        endpoint = EndpointConfig(**raw.get("endpoint", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad endpoint settings: {exc}") from exc
-    if "fixture_dir" in raw:
-        endpoint = replace(endpoint, fixture_dir=raw["fixture_dir"])
-    if fixture_dir:
-        endpoint = replace(endpoint, fixture_dir=fixture_dir)
+    endpoint = raw.get("endpoint", {})
+    if not isinstance(endpoint, dict):
+        raise ConfigError(f"{where}: endpoint must be a JSON object")
+    _check_keys(where, endpoint, [f.name for f in fields(EndpointConfig)], "endpoint.")
+    settings["endpoint"] = EndpointConfig(**endpoint)
+    if not isinstance(raw.get("fixture_dir"), (str, type(None))):
+        raise ConfigError(f"{where}: fixture_dir must be a directory name, "
+                          f"not {raw['fixture_dir']!r}")
     if "min_year" in raw:
         if type(raw["min_year"]) is not int:
             raise ConfigError(f"{where}: min_year must be an integer, "
@@ -172,8 +173,9 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
                 and all(isinstance(q, str) for q in qualifiers)):
             raise ConfigError(f"{where}: qualifier_whitelist must be a list "
                               f"of strings, not {qualifiers!r}")
-        settings["qualifier_whitelist"] = frozenset(q.lower() for q in qualifiers)
-    return Resources.bundled(endpoint=endpoint, **settings)
+        settings["qualifier_whitelist"] = frozenset(qualifiers)
+    return Resources.bundled(fixture_dir=fixture_dir or raw.get("fixture_dir"),
+                             **settings)
 
 
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:
@@ -209,12 +211,12 @@ def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
     query_string = build_query(
         topic, query_concepts, res.hyponyms, res.journal_whitelist, res.min_year,
     )
-    result = res.fetch(query_string)
+    fetched = res.fetch(query_string)
 
     query = screening_query(query_concepts, res.drugs, res.qualifier_whitelist)
     decisions: list[ScreeningDecision] = []
     per_citation: dict[int, ConceptSet] = {}
-    for citation in result.citations:
+    for citation in fetched:
         concepts = res.concepts(citation)
         decision = screen_citation(query, citation, concepts)
         decisions.append(decision)
@@ -228,7 +230,7 @@ def run_topic(topic: ClinicalTopic, res: Resources) -> TopicRun:
         topic=topic,
         query_concepts=query_concepts,
         query_string=query_string,
-        fetched_pmids=result.pmids,
+        fetched_pmids=[c.pmid for c in fetched],
         decisions=decisions,
         ranked=ranked,
     )

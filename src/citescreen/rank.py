@@ -25,8 +25,11 @@ class WeightConfig:
     w3: float = 0.3  # disease
 
     def __post_init__(self):
-        if min(self.w1, self.w2, self.w3) < 0:
-            raise ConfigError("weights must be non-negative")
+        for name in ("w1", "w2", "w3"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ConfigError(f"weight {name} must be a number from 0 to 1, "
+                                  f"not {value!r}")
         if abs(self.w1 + self.w2 + self.w3 - 1.0) > 1e-9:
             raise ConfigError("weights must sum to 1")
 

@@ -73,16 +73,6 @@ _TYPE_PHRASES = (
 )
 
 
-@dataclass
-class FetchResult:
-    citations: list[Citation]
-    source: str  # "live" or "fixture"
-
-    @property
-    def pmids(self) -> list[int]:
-        return [c.pmid for c in self.citations]
-
-
 def _dedupe(terms) -> list[str]:
     seen = []
     for t in terms:
@@ -326,7 +316,6 @@ def infer_publication_type(citation: Citation) -> list[str]:
 @dataclass
 class EndpointConfig:
     endpoint_base_url: str | None = None
-    fixture_dir: str | None = None
     rate_limit_ms: int = 350
     max_retries: int = 3
     page_size: int = 100
@@ -334,7 +323,7 @@ class EndpointConfig:
     timeout_s: float = 30.0
 
     def __post_init__(self):
-        for name in ("endpoint_base_url", "fixture_dir", "api_key"):
+        for name in ("endpoint_base_url", "api_key"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, (str, os.PathLike)):
                 raise ConfigError(f"endpoint {name} must be a string, not {value!r}")
@@ -404,7 +393,7 @@ def _request_with_retries(url: str, params: dict, config: EndpointConfig,
 
 
 def _fetch_live(query: str, config: EndpointConfig,
-                limiter: _RateLimiter) -> FetchResult:
+                limiter: _RateLimiter) -> list[Citation]:
     """One history-server esearch, then efetch pages of ``page_size``.
 
     Records keep the order the server returns them in; a PMID keeps its
@@ -432,7 +421,7 @@ def _fetch_live(query: str, config: EndpointConfig,
     except (ET.ParseError, ValueError) as exc:
         raise TransportError(f"malformed search response: {exc}") from exc
     if count == 0:
-        return FetchResult([], source="live")
+        return []
     webenv = (root.findtext("WebEnv") or "").strip()
     query_key = (root.findtext("QueryKey") or "").strip()
     if not webenv or not query_key:
@@ -456,7 +445,7 @@ def _fetch_live(query: str, config: EndpointConfig,
             )
         for citation in page:
             by_pmid[citation.pmid] = citation
-    return FetchResult(list(by_pmid.values()), source="live")
+    return list(by_pmid.values())
 
 
 def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
@@ -480,21 +469,20 @@ class FixtureCorpus:
             (c, QueryFields.of(c)) for c in load_fixture_corpus(fixture_dir)
         ]
 
-    def search(self, query: str) -> FetchResult:
+    def search(self, query: str) -> list[Citation]:
         tree = parse_query(query)
-        matched = sorted(
+        return sorted(
             (c for c, fields in self.records if evaluate_query(tree, fields)),
             key=lambda c: c.pmid,
         )
-        return FetchResult(matched, source="fixture")
 
 
 def fetch_citations(query: str, config: EndpointConfig,
                     corpus: FixtureCorpus | None,
-                    limiter: _RateLimiter) -> FetchResult:
+                    limiter: _RateLimiter) -> list[Citation]:
     """Run the query against ``corpus``, or live when ``corpus`` is None.
 
-    ``corpus`` is the run's ``FixtureCorpus`` of ``config.fixture_dir``;
+    ``corpus`` is the run's ``FixtureCorpus`` of its fixture directory;
     ``limiter`` is the run's ``_RateLimiter``, which spaces live requests
     across queries.
     """

@@ -81,10 +81,8 @@ Keys = tuple[frozenset[str], frozenset[str], frozenset[str]]  # one set per bag
 
 
 def _expand_drug_terms(terms, drugs: DrugDictionary) -> frozenset[str]:
-    """``terms`` plus the normalized names of their drug-hierarchy ancestors."""
-    return frozenset(terms).union(
-        preprocess.normalize_token(n) for t in terms for n in drugs.hierarchy(t)
-    )
+    """Normalized ``terms`` plus their drug-hierarchy ancestors."""
+    return frozenset(terms).union(*map(drugs.hierarchy, terms))
 
 
 def concept_keys(concepts: ConceptSet, drugs: DrugDictionary) -> Keys:
@@ -132,10 +130,11 @@ class ScreeningQuery:
 def screening_query(query_concepts: ConceptSet, drugs: DrugDictionary,
                     qualifier_whitelist: frozenset[str]) -> ScreeningQuery:
     q = query_concepts
+    keys = concept_keys(q, drugs)
     return ScreeningQuery(
         keys=tuple(k if bag else None for k, bag in zip(
-            concept_keys(q, drugs), (q.population, q.intervention, q.disease))),
-        mesh_terms=_expand_drug_terms([*q.disease, *q.intervention], drugs),
+            keys, (q.population, q.intervention, q.disease))),
+        mesh_terms=keys[1] | _expand_drug_terms(q.disease, drugs),
         qualifier_whitelist=frozenset(w.lower() for w in qualifier_whitelist),
         drugs=drugs,
     )

@@ -54,16 +54,6 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-def _replace(word: str, suffix: str, repl: str, min_measure: int) -> str | None:
-    """Replace ``suffix`` with ``repl`` if the stem measure allows it."""
-    if not word.endswith(suffix):
-        return None
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_measure:
-        return stem + repl
-    return word
-
-
 _STEP2 = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
@@ -119,17 +109,14 @@ def stem(word: str) -> str:
     if word.endswith("y") and _has_vowel(word[:-1]):
         word = word[:-1] + "i"
 
-    # Step 2
-    for suffix, repl in _STEP2:
-        if word.endswith(suffix):
-            word = _replace(word, suffix, repl, 0) or word
-            break
-
-    # Step 3
-    for suffix, repl in _STEP3:
-        if word.endswith(suffix):
-            word = _replace(word, suffix, repl, 0) or word
-            break
+    # Steps 2 and 3
+    for step in (_STEP2, _STEP3):
+        for suffix, repl in step:
+            if word.endswith(suffix):
+                stem_part = word[: len(word) - len(suffix)]
+                if _measure(stem_part) > 0:
+                    word = stem_part + repl
+                break
 
     # Step 4
     for suffix in _STEP4:

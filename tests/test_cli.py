@@ -3,12 +3,17 @@ import os
 import re
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from citescreen import corpus
 from citescreen.cli import main
+from citescreen.pipeline import RESOURCE_FILES
 
 
 @pytest.fixture
@@ -23,6 +28,7 @@ UNKNOWN_KEYS = {
     "min_yaer": {"min_yaer": 1492},
     "paths.lexicn": {"paths": {"lexicn": "x"}},
     "weights.w4": {"weights": {"w1": 0.3, "w2": 0.4, "w3": 0.3, "w4": 0}},
+    "endpoint.fixture_dir": {"endpoint": {"fixture_dir": "tests/fixtures/corpus"}},
 }
 
 
@@ -130,6 +136,22 @@ class TestFetch:
         lines = result.output.splitlines()
         assert lines[0] == "pmid"
         assert lines[1:] == [str(p) for p in range(1101, 1108)]
+
+    def test_json_names_the_source(self, runner, fixture_corpus_dir, tmp_path,
+                                   monkeypatch):
+        query = '"heart failure"[MeSH]'
+        fixture = _invoke(runner, ["--output", "json", "--fixture-dir",
+                                   str(fixture_corpus_dir), "fetch", query])
+        assert json.loads(fixture.output)["source"] == "fixture"
+        monkeypatch.setattr(requests, "get", lambda *a, **k: SimpleNamespace(
+            status_code=200, headers={},
+            text="<eSearchResult><Count>0</Count></eSearchResult>"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": {
+            "endpoint_base_url": "https://api.example/entrez", "rate_limit_ms": 0}}))
+        live = _invoke(runner, ["--output", "json", "--config", str(config),
+                                "fetch", query])
+        assert json.loads(live.output) == {"source": "live", "pmids": []}
 
     def test_unreachable_endpoint_is_transport_error(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -359,10 +381,14 @@ class TestPipelineAndEval:
         {"fixture_dir": 5},
         {"endpoint": {"page_size": 0}},
         {"endpoint": {"rate_limit_ms": "fast"}},
+        {"weights": {"w1": True, "w2": 0, "w3": 0}},
+        {"weights": {"w1": 10 ** 400, "w2": 0, "w3": 0}},
+        {"weights": {"w1": float("nan"), "w2": 0, "w3": 0}},
         *UNKNOWN_KEYS.values(),
     ], ids=["missing-resource-file", "not-an-object", "non-string-qualifier",
             "null-min-year", "integer-fixture-dir", "zero-page-size",
-            "string-rate-limit", *UNKNOWN_KEYS])
+            "string-rate-limit", "boolean-weight", "huge-weight", "nan-weight",
+            *UNKNOWN_KEYS])
     def test_unusable_config_is_validation_error(self, runner, tmp_path,
                                                  settings):
         config = tmp_path / "config.json"
@@ -386,16 +412,13 @@ class TestPipelineAndEval:
         assert f"unknown key '{key}'" in result.output
 
     def test_fixture_dir_precedence(self, runner, fixture_corpus_dir, tmp_path):
-        """--fixture-dir wins over the config's fixture_dir, which wins
-        over endpoint.fixture_dir."""
+        """--fixture-dir wins over the config's fixture_dir."""
         query, corpus = '"heart failure"[MeSH]', str(fixture_corpus_dir)
-        elsewhere = {"fixture_dir": str(tmp_path / "elsewhere")}
         plain = _invoke(runner, ["--fixture-dir", corpus, "fetch", query])
         assert len(plain.output.splitlines()) > 1
         for settings, option in (
-            ({"fixture_dir": str(tmp_path / "nowhere"), "endpoint": elsewhere},
-             ["--fixture-dir", corpus]),
-            ({"fixture_dir": corpus, "endpoint": elsewhere}, []),
+            ({"fixture_dir": str(tmp_path / "nowhere")}, ["--fixture-dir", corpus]),
+            ({"fixture_dir": corpus}, []),
         ):
             config = tmp_path / "config.json"
             config.write_text(json.dumps(settings))
@@ -452,3 +475,87 @@ class TestPipelineAndEval:
         result = _invoke(runner, ["eval", str(gold_path), str(ranked)])
         assert result.exit_code == 1
         assert "T1.tsv line 2" in result.output
+
+
+# --------------------------------------------------------------------------
+# The config surface, fuzzed: whatever JSON object a config holds, a run
+# ends with exit 0, or with exit 1 and an error line, never a traceback.
+# --------------------------------------------------------------------------
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2 ** 63, 10 ** 400, -10 ** 400])
+    | st.floats() | st.text(max_size=8)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _keys(known):
+    """Mostly one of the ``known`` keys, now and then an unknown one."""
+    return st.sampled_from([*known, *known, *known, None]).flatmap(
+        lambda key: st.text(max_size=6) if key is None else st.just(key))
+
+
+def _section(known):
+    """A JSON object over ``known`` keys and unknown ones, or any JSON value."""
+    return st.dictionaries(_keys(known), _JSON, max_size=4) | _JSON
+
+
+_PATH_KEYS = [key for _, key, _, _ in RESOURCE_FILES]
+_PATH_FILES = ("empty", "binary", "directory", "valid")
+#: (top level, weights and endpoint sections, paths as key -> kind of file)
+_CONFIGS = st.tuples(
+    st.dictionaries(
+        _keys(["paths", "weights", "endpoint", "fixture_dir", "min_year",
+               "qualifier_whitelist"]),
+        _JSON, max_size=4),
+    st.fixed_dictionaries({}, optional={
+        "weights": _section(["w1", "w2", "w3"]),
+        "endpoint": _section(["endpoint_base_url", "rate_limit_ms", "max_retries",
+                              "page_size", "api_key", "timeout_s"]),
+    }),
+    st.none() | st.dictionaries(_keys(_PATH_KEYS), st.sampled_from(_PATH_FILES),
+                                max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def path_files(tmp_path_factory):
+    """Per ``paths`` key, the file name of each kind of resource file."""
+    root = tmp_path_factory.mktemp("paths")
+    (root / "empty").write_bytes(b"")
+    (root / "binary").write_bytes(bytes(range(256)) * 4)
+    (root / "directory").mkdir()
+    names = {}
+    for _, key, _, filename in RESOURCE_FILES:
+        valid = root / f"valid-{filename}"
+        valid.write_bytes(Path(corpus.bundled_path(filename)).read_bytes())
+        names[key] = {kind: str(root / kind) for kind in _PATH_FILES[:3]}
+        names[key]["valid"] = str(valid)
+    return root, names
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parts=_CONFIGS)
+def test_any_config_exits_cleanly(path_files, parts):
+    root, names = path_files
+    top, sections, paths = parts
+    config = {**top, **sections}
+    if paths is not None:
+        config["paths"] = {key: names.get(key, names["lexicon"])[kind]
+                           for key, kind in paths.items()}
+    path = root / "config.json"
+    path.write_text(json.dumps(config))
+    result = _invoke(CliRunner(), [
+        "--config", str(path), "query", "--title", "heart failure",
+    ])
+    assert result.exit_code in (0, 1), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        assert "error:" in result.output

@@ -163,8 +163,13 @@ class TestLexicon:
 
 class TestDrugDictionary:
     def test_bundled_chain(self):
+        """The chain holds normalized names; ``canonical_name`` displays them."""
         drugs = BUNDLED.drugs
-        assert drugs.hierarchy("furosemide") == [
+        chain = drugs.hierarchy("furosemide")
+        assert chain == [
+            "furosemide", "loop diuretics", "diuretics", "cardiovascular agents",
+        ]
+        assert [drugs.canonical_name(key) for key in chain] == [
             "Furosemide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
         ]
 

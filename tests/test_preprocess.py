@@ -234,6 +234,13 @@ class TestNormalization:
     def test_whitespace_collapse(self):
         assert normalize_token("  two   words ") == "two words"
 
+    @settings(max_examples=1000)
+    @given(st.text())
+    def test_idempotent(self, text):
+        """Names are normalized once, where they enter the program."""
+        once = normalize_token(text)
+        assert normalize_token(once) == once
+
     def test_stem_and_filter_drops_stopwords(self):
         out = stem_and_filter(["patients", "with", "heart", "failure"])
         assert out == ["patient", "heart", "failur"]

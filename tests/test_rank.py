@@ -23,6 +23,8 @@ class TestWeightConfig:
         (0.5, 0.5, 0.5),
         (0.3, 0.4, 0.2),
         (-0.1, 0.6, 0.5),
+        (True, 0, 0),
+        (float("nan"), 0.5, 0.5),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ConfigError):

@@ -47,9 +47,13 @@ def _concepts():
     )
 
 
-def _fetch(query, config):
+def _fetch(query, config, fixture_dir=None):
     """Fetch as a run does: through a fresh ``Resources`` for ``config``."""
-    return Resources.bundled(endpoint=config).fetch(query)
+    return Resources.bundled(endpoint=config, fixture_dir=fixture_dir).fetch(query)
+
+
+def _pmids(citations):
+    return [c.pmid for c in citations]
 
 
 _BUNDLED = Resources.bundled()
@@ -245,15 +249,12 @@ class TestFixtureFetch:
             _topic(), _concepts(), _HYPONYMS,
             _JOURNALS, 1974,
         )
-        config = EndpointConfig(fixture_dir=fixture_corpus_dir)
-        result = _fetch(text, config)
-        assert result.source == "fixture"
-        assert result.pmids == [1101, 1102, 1103, 1104, 1105, 1106, 1107]
-        assert result.pmids == [c.pmid for c in result.citations]
+        result = _fetch(text, EndpointConfig(), fixture_corpus_dir)
+        assert _pmids(result) == [1101, 1102, 1103, 1104, 1105, 1106, 1107]
 
     def test_missing_dir(self):
         with pytest.raises(ConfigError):
-            _fetch('"x"[MeSH]', EndpointConfig(fixture_dir="/no/such"))
+            _fetch('"x"[MeSH]', EndpointConfig(), "/no/such")
 
 
 def _efetch_body(pmids, start=0):
@@ -312,9 +313,7 @@ class TestLiveFetch:
         calls = []
         monkeypatch.setattr(requests, "get", _history_server([11, 12, 13], calls))
         result = _fetch('"x"[MeSH]', self._config())
-        assert result.source == "live"
-        assert result.pmids == [11, 12, 13]
-        assert [c.pmid for c in result.citations] == [11, 12, 13]
+        assert _pmids(result) == [11, 12, 13]
         # one history search plus two fetch pages of page_size 2
         assert [url.rsplit("/", 1)[1] for url, _ in calls] == [
             "esearch.fcgi", "efetch.fcgi", "efetch.fcgi"]
@@ -323,15 +322,15 @@ class TestLiveFetch:
     def test_zero_count_sends_no_fetch(self, monkeypatch):
         calls = []
         monkeypatch.setattr(requests, "get", _history_server([], calls))
-        assert _fetch('"x"[MeSH]', self._config()).pmids == []
+        assert _fetch('"x"[MeSH]', self._config()) == []
         assert len(calls) == 1
 
     def test_repeated_pmid_keeps_first_position_and_last_record(self, monkeypatch):
         calls = []
         monkeypatch.setattr(requests, "get", _history_server([11, 12, 11, 13], calls))
         result = _fetch('"x"[MeSH]', self._config())
-        assert result.pmids == [11, 12, 13]
-        assert [c.title for c in result.citations] == [
+        assert _pmids(result) == [11, 12, 13]
+        assert [c.title for c in result] == [
             "Record 11 at 2", "Record 12 at 1", "Record 13 at 3"]
 
     def test_page_without_records_is_transport_error(self, monkeypatch):
@@ -393,7 +392,7 @@ class TestLiveFetch:
         config = EndpointConfig(endpoint_base_url="http://127.0.0.1:1/entrez",
                                 rate_limit_ms=0)
         result = _fetch('("heart failure"[MeSH]) AND 1974:[Year]', config)
-        assert result.pmids == planted
+        assert _pmids(result) == planted
         assert eutils.requests == {"esearch.fcgi": 1, "efetch.fcgi": 3}
 
     def test_429_waits_retry_after_then_succeeds(self, monkeypatch):
@@ -402,7 +401,7 @@ class TestLiveFetch:
         slept = []
         monkeypatch.setattr(requests, "get", lambda *a, **k: replies.pop(0))
         monkeypatch.setattr(time, "sleep", slept.append)
-        assert _fetch('"x"[MeSH]', self._config()).pmids == []
+        assert _fetch('"x"[MeSH]', self._config()) == []
         assert slept == [3]
 
     def test_429_backs_off_by_doubling_the_rate_interval(self, monkeypatch):
@@ -420,7 +419,7 @@ class TestLiveFetch:
         monkeypatch.setattr(time, "sleep", sleep)
         config = self._config()
         config.rate_limit_ms = 100
-        assert _fetch('"x"[MeSH]', config).pmids == []
+        assert _fetch('"x"[MeSH]', config) == []
         assert slept == pytest.approx([0.1, 0.2])
 
     def test_server_errors_retried(self, monkeypatch):
@@ -436,7 +435,7 @@ class TestLiveFetch:
 
         monkeypatch.setattr(requests, "get", flaky_get)
         result = _fetch('"x"[MeSH]', self._config())
-        assert result.pmids == []
+        assert result == []
         assert len(attempts) == 2
 
     def test_client_error_raises_status(self, monkeypatch):

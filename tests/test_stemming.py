@@ -1,6 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from citescreen.stemming import stem
+from citescreen.stemming import (
+    _STEP2,
+    _STEP3,
+    _STEP4,
+    _ends_cvc,
+    _ends_double_consonant,
+    _has_vowel,
+    _measure,
+    stem,
+)
 
 # Canonical suffix-stripping reference vectors, frozen.
 VECTORS = {
@@ -106,3 +117,90 @@ def test_stable_on_clinical_stems():
     for w in ("patients", "failure", "elderly", "diuretics", "blockers"):
         once = stem(w)
         assert stem(once) == once
+
+
+# --------------------------------------------------------------------------
+# Differential check against the earlier ``stem``, which ran steps 2 and 3
+# as two loops over a ``_replace`` helper.
+# --------------------------------------------------------------------------
+
+def _reference_replace(word, suffix, repl, min_measure):
+    if not word.endswith(suffix):
+        return None
+    stem_part = word[: len(word) - len(suffix)]
+    if _measure(stem_part) > min_measure:
+        return stem_part + repl
+    return word
+
+
+def _reference_stem(word):
+    word = word.lower()
+    if len(word) <= 2:
+        return word
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith("ies"):
+        word = word[:-2]
+    elif not word.endswith("ss") and word.endswith("s"):
+        word = word[:-1]
+    if word.endswith("eed"):
+        if _measure(word[:-3]) > 0:
+            word = word[:-1]
+    else:
+        cleaned = None
+        if word.endswith("ed") and _has_vowel(word[:-2]):
+            cleaned = word[:-2]
+        elif word.endswith("ing") and _has_vowel(word[:-3]):
+            cleaned = word[:-3]
+        if cleaned is not None:
+            word = cleaned
+            if word.endswith(("at", "bl", "iz")):
+                word += "e"
+            elif _ends_double_consonant(word) and word[-1] not in "lsz":
+                word = word[:-1]
+            elif _measure(word) == 1 and _ends_cvc(word):
+                word += "e"
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        word = word[:-1] + "i"
+    for suffix, repl in _STEP2:
+        if word.endswith(suffix):
+            word = _reference_replace(word, suffix, repl, 0) or word
+            break
+    for suffix, repl in _STEP3:
+        if word.endswith(suffix):
+            word = _reference_replace(word, suffix, repl, 0) or word
+            break
+    for suffix in _STEP4:
+        if word.endswith(suffix):
+            stem_part = word[: len(word) - len(suffix)]
+            if _measure(stem_part) > 1:
+                if suffix == "ion" and stem_part and stem_part[-1] not in "st":
+                    break
+                word = stem_part
+            break
+    if word.endswith("e"):
+        stem_part = word[:-1]
+        m = _measure(stem_part)
+        if m > 1 or (m == 1 and not _ends_cvc(stem_part)):
+            word = stem_part
+    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+        word = word[:-1]
+    return word
+
+
+_SUFFIXES = sorted({
+    "s", "es", "sses", "ies", "eed", "ed", "ing", "y",
+    *(suffix for step in (_STEP2, _STEP3) for pair in step for suffix in pair),
+    *_STEP4,
+} - {""})
+_WORDS = st.builds(
+    lambda head, tail: head + "".join(tail),
+    st.text("abcdefghijklmnopqrstuvwxyz", max_size=7),
+    st.lists(st.sampled_from(_SUFFIXES), max_size=3),
+)
+
+
+@settings(max_examples=2000)
+@given(_WORDS)
+def test_matches_reference_on_suffixed_words(word):
+    assert stem(word) == _reference_stem(word)
