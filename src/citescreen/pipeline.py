@@ -144,8 +144,10 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
                               f"not {paths[key]!r}")
         try:
             settings[name] = load(paths[key])
-        except OSError as exc:
-            raise ConfigError(f"{where}: cannot read a resource file: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"{where}: cannot read paths.{key} file {paths[key]}: {exc}"
+            ) from exc
     if "weights" in raw:
         w = raw["weights"]
         if isinstance(w, dict):

@@ -135,6 +135,10 @@ _TOKEN_RE = re.compile(
 _TERM_RE = re.compile(r'"([^"]*)"\[(\w+)\]')
 _YEAR_RE = re.compile(r"(\d+):\[Year\]")
 _FIELDS = ("mesh", "journal", "year", "pubtype")
+#: Deepest parenthesis nesting ``parse_query`` accepts.  ``build_query``
+#: emits one level; the bound keeps the recursive descent here and in
+#: ``evaluate_query`` far below Python's recursion limit.
+MAX_QUERY_DEPTH = 100
 
 
 @dataclass
@@ -157,7 +161,8 @@ def parse_query(query: str) -> _Term | _Bool:
     """Parse a Boolean query string into an expression tree.
 
     Field names match case-insensitively; one other than MeSH, Journal,
-    Year or PubType, or a Year value that is not a number, is an error.
+    Year or PubType, a Year value that is not a number, or parentheses
+    nested deeper than ``MAX_QUERY_DEPTH`` are an error.
     """
     tokens = []
     pos = 0
@@ -172,20 +177,26 @@ def parse_query(query: str) -> _Term | _Bool:
     if not tokens:
         raise QueryParseError("empty query")
 
-    idx = 0
+    idx = depth = 0
 
     def peek():
         return tokens[idx] if idx < len(tokens) else None
 
     def parse_atom() -> _Term | _Bool:
-        nonlocal idx
+        nonlocal idx, depth
         tok = peek()
         if tok == "(":
+            depth += 1
+            if depth > MAX_QUERY_DEPTH:
+                raise QueryParseError(
+                    f"parentheses nested deeper than {MAX_QUERY_DEPTH} levels"
+                )
             idx += 1
             node = parse_or()
             if peek() != ")":
                 raise QueryParseError("missing closing parenthesis")
             idx += 1
+            depth -= 1
             return node
         if tok is None:
             raise QueryParseError("unexpected end of query")
@@ -453,8 +464,11 @@ def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
         raise ConfigError(f"fixture directory not found: {fixture_dir}")
     citations: list[Citation] = []
     for path in sorted(glob.glob(os.path.join(fixture_dir, "*.xml"))):
-        with open(path, encoding="utf-8") as fh:
-            citations.extend(parse_citation_xml(fh.read()))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                citations.extend(parse_citation_xml(fh.read()))
+        except (FormatError, UnicodeDecodeError) as exc:
+            raise FormatError(f"fixture file {path}: {exc}") from exc
     return citations
 
 

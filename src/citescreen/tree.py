@@ -1,10 +1,12 @@
 """Constituency phrase trees: bracketed notation and a heuristic chunker.
 
-The chunker is a deterministic cascade producing the five phrase labels
-(NP, VP, PP, SBAR plus the S root); it replaces a full statistical
-parser.  Population patterns depend only on NP/VP/PP/SBAR structure, so
-hand-built bracketed trees can be injected wherever parse quality
-matters (tests, the CLI debug path).
+The chunker is a deterministic, table-driven pass producing the five
+phrase labels (NP, VP, PP, SBAR plus the S root); it replaces a full
+statistical parser.  Population patterns depend only on NP/VP/PP/SBAR
+structure, so hand-built bracketed trees can be injected wherever parse
+quality matters (tests, the CLI debug path).  Both parsers and the tree
+walks loop over explicit stacks, so input depth is bounded by memory,
+not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -27,48 +29,28 @@ class PhraseTree:
     def is_leaf(self) -> bool:
         return self.token is not None
 
-    def leaves(self) -> list["PhraseTree"]:
-        if self.is_leaf:
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
-
     def tokens(self) -> list[str]:
-        return [leaf.token for leaf in self.leaves()]
+        return [node.token for node in self.iter_nodes() if node.is_leaf]
 
     def iter_nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.iter_nodes()
+        """Every node of the tree in pre-order, this one first."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += node.children[::-1]
 
     def dominates(self, label: str) -> bool:
         return any(n.label == label for c in self.children for n in c.iter_nodes())
 
 
-def _assign_spans(node: PhraseTree, start: int) -> int:
-    if node.is_leaf:
-        node.span = (start, start + 1)
-        return start + 1
-    pos = start
-    for c in node.children:
-        pos = _assign_spans(c, pos)
-    node.span = (start, pos)
-    return pos
-
-
-def _leaf(label: str, token: str) -> PhraseTree:
-    return PhraseTree(label, token=token)
+def _leaf(label: str, token: str, index: int) -> PhraseTree:
+    return PhraseTree(label, span=(index, index + 1), token=token)
 
 
 # ---------------------------------------------------------------------------
 # Bracketed notation
 # ---------------------------------------------------------------------------
-
-def _tokenize_sexpr(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
 
 def parse_bracketed_tree(text: str) -> PhraseTree:
     """Parse ``(NP (TOK patients))`` style notation.
@@ -76,47 +58,51 @@ def parse_bracketed_tree(text: str) -> PhraseTree:
     Bare words inside a phrase become TOK leaves, so gold trees can be
     written compactly as ``(NP elderly heart failure patients)``.
     """
-    toks = _tokenize_sexpr(text)
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
     if not toks:
         raise FormatError("empty tree")
-    pos = 0
-
-    def parse_node() -> PhraseTree:
-        nonlocal pos
-        if toks[pos] != "(":
-            raise FormatError(f"expected '(' at token {pos}")
-        pos += 1
-        if pos >= len(toks) or toks[pos] in "()":
-            raise FormatError("missing node label")
-        label = toks[pos]
-        if label not in LABELS:
-            raise FormatError(f"unknown label {label!r}")
-        pos += 1
-        children: list[PhraseTree] = []
-        words: list[str] = []
-        while pos < len(toks) and toks[pos] != ")":
-            if toks[pos] == "(":
-                children.append(parse_node())
-            elif label in ("TOK", "NN"):
-                words.append(toks[pos])
-                pos += 1
+    if toks[0] != "(":
+        raise FormatError("expected '(' at token 0")
+    # open nodes: label, first leaf index, children (words, in a TOK or NN)
+    stack: list[tuple[str, int, list]] = []
+    n_leaves = 0
+    root = None
+    wants_label = False
+    for tok in toks:
+        if root is not None:
+            raise FormatError("trailing content after tree")
+        if wants_label:
+            if tok in ("(", ")"):
+                raise FormatError("missing node label")
+            if tok not in LABELS:
+                raise FormatError(f"unknown label {tok!r}")
+            stack.append((tok, n_leaves, []))
+            wants_label = False
+        elif tok == "(":
+            wants_label = True
+        elif tok == ")":
+            label, start, children = stack.pop()
+            if label in ("TOK", "NN"):
+                if len(children) != 1 or not isinstance(children[0], str):
+                    raise FormatError(f"leaf {label} must hold exactly one token")
+                node = _leaf(label, children[0], n_leaves)
+                n_leaves += 1
             else:
-                # bare words become TOK leaves, in source order
-                children.append(_leaf("TOK", toks[pos]))
-                pos += 1
-        if pos >= len(toks):
-            raise FormatError("unbalanced parentheses")
-        pos += 1  # consume ')'
-        if label in ("TOK", "NN"):
-            if children or len(words) != 1:
-                raise FormatError(f"leaf {label} must hold exactly one token")
-            return _leaf(label, words[0])
-        return PhraseTree(label, children)
-
-    root = parse_node()
-    if pos != len(toks):
-        raise FormatError("trailing content after tree")
-    _assign_spans(root, 0)
+                node = PhraseTree(label, children, (start, n_leaves))
+            if stack:
+                stack[-1][2].append(node)
+            else:
+                root = node
+        elif stack[-1][0] in ("TOK", "NN"):
+            stack[-1][2].append(tok)
+        else:
+            # bare words become TOK leaves, in source order
+            stack[-1][2].append(_leaf("TOK", tok, n_leaves))
+            n_leaves += 1
+    if wants_label:
+        raise FormatError("missing node label")
+    if root is None:
+        raise FormatError("unbalanced parentheses")
     return root
 
 
@@ -170,99 +156,57 @@ def _tag(token: str) -> str:
     return "NOM"
 
 
-class _Chunker:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.tags = [_tag(t) for t in tokens]
-        self.pos = 0
+_NP_STARTS = dict.fromkeys(("DET", "NOM", "CONJ"), "NP")
 
-    def peek(self) -> str | None:
-        return self.tags[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, label: str) -> PhraseTree:
-        leaf = _leaf(label, self.tokens[self.pos])
-        self.pos += 1
-        return leaf
-
-    def parse_np_base(self) -> PhraseTree:
-        children = []
-        while self.peek() in ("DET", "NOM", "CONJ"):
-            if self.peek() == "CONJ":
-                # conjunction glues coordinated nominals; stop if nothing follows
-                nxt = self.tags[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-                if nxt not in ("DET", "NOM"):
-                    break
-                children.append(self.take("TOK"))
-            elif self.peek() == "NOM":
-                children.append(self.take("NN"))
-            else:
-                children.append(self.take("TOK"))
-        if not children:  # guarantee progress on stray conjunctions
-            children.append(self.take("TOK"))
-        return PhraseTree("NP", children)
-
-    def parse_np(self) -> PhraseTree:
-        base = self.parse_np_base()
-        attachments = []
-        while self.peek() in ("PREP", "REL"):
-            attachments.append(
-                self.parse_pp() if self.peek() == "PREP" else self.parse_sbar()
-            )
-        if attachments:
-            return PhraseTree("NP", [base, *attachments])
-        return base
-
-    def parse_pp(self) -> PhraseTree:
-        children = [self.take("TOK")]
-        while self.peek() == "PREP":  # e.g. "due to"
-            children.append(self.take("TOK"))
-        if self.peek() in ("DET", "NOM", "CONJ"):
-            children.append(self.parse_np())
-        if self.peek() == "REL":
-            children.append(self.parse_sbar())
-        return PhraseTree("PP", children)
-
-    def parse_sbar(self) -> PhraseTree:
-        children = [self.take("TOK")]
-        if self.peek() == "V":
-            children.append(self.parse_vp())
-        elif self.peek() in ("DET", "NOM", "CONJ"):
-            children.append(self.parse_np())
-        return PhraseTree("SBAR", children)
-
-    def parse_vp(self) -> PhraseTree:
-        children = []
-        while self.peek() == "V":
-            children.append(self.take("TOK"))
-        while self.peek() in ("DET", "NOM", "CONJ", "PREP"):
-            if self.peek() == "PREP":
-                children.append(self.parse_pp())
-            else:
-                children.append(self.parse_np())
-        return PhraseTree("VP", children)
-
-    def parse(self) -> PhraseTree:
-        chunks = []
-        while self.peek() is not None:
-            tag = self.peek()
-            if tag == "PREP":
-                chunks.append(self.parse_pp())
-            elif tag == "REL":
-                chunks.append(self.parse_sbar())
-            elif tag == "V":
-                chunks.append(self.parse_vp())
-            elif tag in ("DET", "NOM", "CONJ"):
-                chunks.append(self.parse_np())
-            else:
-                chunks.append(self.take("TOK"))
-        return PhraseTree("S", chunks)
+#: For each open phrase, the phrase (or S's bare TOK leaf) that the next
+#: token's tag starts inside it; a tag not listed closes the phrase.
+_STARTS = {
+    "S": {"PREP": "PP", "REL": "SBAR", "V": "VP", **_NP_STARTS, "BREAK": "TOK"},
+    "NP": {"PREP": "PP", "REL": "SBAR"},
+    "VP": {"PREP": "PP", **_NP_STARTS},
+    "PP": {"REL": "SBAR", **_NP_STARTS},
+    "SBAR": {"V": "VP", **_NP_STARTS},
+}
+#: Phrases that close after their first sub-phrase.
+_ONE_PHRASE = ("PP", "SBAR")
+#: Tags of the words a phrase takes before its sub-phrases; the first
+#: word is always taken.
+_HEAD_TAGS = {"NP": ("DET", "NOM", "CONJ"), "PP": ("PREP",), "VP": ("V",), "SBAR": ()}
 
 
 def parse_phrase_tree(sentence: str) -> PhraseTree:
     """Chunk a sentence into an NP/VP/PP/SBAR tree under an S root."""
     tokens = sentence.split()
-    if not tokens:
-        return PhraseTree("S", [], span=(0, 0))
-    root = _Chunker(tokens).parse()
-    _assign_spans(root, 0)
-    return root
+    tags = [_tag(t) for t in tokens]
+    n = len(tokens)
+    stack: list[tuple[str, int, list]] = [("S", 0, [])]  # label, start, children
+    pos = 0
+    while True:
+        label, start, children = stack[-1]
+        opens = _STARTS[label].get(tags[pos]) if pos < n else None
+        if opens is None or (label in _ONE_PHRASE and not children[-1].is_leaf):
+            stack.pop()
+            node = PhraseTree(label, children, (start, pos))
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+            continue
+        if opens == "TOK":
+            children.append(_leaf("TOK", tokens[pos], pos))
+            pos += 1
+            continue
+        end = pos
+        while end < n and tags[end] in _HEAD_TAGS[opens]:
+            # a conjunction glues coordinated nominals; stop if nothing follows
+            nxt = tags[end + 1] if end + 1 < n else None
+            if tags[end] == "CONJ" and nxt not in ("DET", "NOM"):
+                break
+            end += 1
+        end = max(end, pos + 1)  # progress on a stray conjunction
+        head = [_leaf("NN" if tags[i] == "NOM" else "TOK", tokens[i], i)
+                for i in range(pos, end)]
+        if opens == "NP" and end < n and tags[end] in _STARTS["NP"]:
+            # an NP with attachments holds its base NP as the first child
+            head = [PhraseTree("NP", head, (pos, end))]
+        stack.append((opens, pos, head))
+        pos = end

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from citescreen import corpus
 from citescreen.cli import main
 from citescreen.pipeline import RESOURCE_FILES
+from citescreen.retrieve import MAX_QUERY_DEPTH
 
 
 @pytest.fixture
@@ -108,6 +110,12 @@ class TestExtract:
     def test_bad_tree_is_validation_error(self, runner):
         result = _invoke(runner, ["extract", "--tree", "(S (NP"])
         assert result.exit_code == 1
+
+    def test_deeply_nested_tree(self, runner):
+        tree = "(NP " * 3000 + "elderly (NN patients)" + ")" * 3000
+        result = _invoke(runner, ["extract", "--tree", tree])
+        assert result.exit_code == 0, result.output
+        assert result.output == "category\tconcept\npopulation\telderly patients\n"
 
 
 class TestQuery:
@@ -208,6 +216,35 @@ class TestFetch:
         ])
         assert result.exit_code == 1
         assert "unknown field 'Foo'" in result.output
+
+    @pytest.mark.parametrize("depth", [MAX_QUERY_DEPTH, MAX_QUERY_DEPTH + 1, 3000])
+    def test_query_nesting_limit(self, runner, fixture_corpus_dir, depth):
+        # two expression nodes per level, the deepest shape a level can take
+        term = '"atrial fibrillation"[MeSH]'
+        query = term
+        for _ in range(depth):
+            query = f'({query} AND {term} OR "no such disease"[MeSH])'
+        args = ["--fixture-dir", str(fixture_corpus_dir), "fetch"]
+        result = _invoke(runner, [*args, query])
+        assert "Traceback" not in result.output
+        if depth <= MAX_QUERY_DEPTH:
+            assert result.exit_code == 0, result.output
+            assert result.output == _invoke(runner, [*args, term]).output
+        else:
+            assert result.exit_code == 1
+            assert "error:" in result.output
+            assert f"deeper than {MAX_QUERY_DEPTH} levels" in result.output
+
+    def test_malformed_fixture_file_is_named(self, runner, fixture_corpus_dir,
+                                             tmp_path):
+        (tmp_path / "stroke.xml").write_bytes(
+            (fixture_corpus_dir / "stroke.xml").read_bytes())
+        (tmp_path / "b.xml").write_text("<MedlineCitationSet><MedlineCitation>")
+        result = _invoke(runner, [
+            "--fixture-dir", str(tmp_path), "fetch", '"stroke"[MeSH]',
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output and "b.xml" in result.output
 
 
 @pytest.fixture
@@ -466,6 +503,51 @@ class TestPipelineAndEval:
                 pass
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    def test_binary_resource_file_is_named(self, runner, tmp_path):
+        binary = tmp_path / "bin.tsv"
+        binary.write_bytes(b"\x80\x81\xfe\xff")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"drug_hierarchy": str(binary)}}))
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output
+        assert "paths.drug_hierarchy" in result.output and "bin.tsv" in result.output
+
+    def test_long_sentence_record_leaves_report_unchanged(
+            self, runner, fixture_corpus_dir, gold_path, expected_dir, tmp_path):
+        """A record whose abstract holds a 1,500-word sentence is fetched, chunked
+        and screened out without changing any topic's result."""
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(fixture_corpus_dir, corpus_dir)
+        sentence = "Proarrhythmia occurred in most " + " ".join(
+            ["of the patients"] * 500) + "."
+        record = (fixture_corpus_dir / "atrial_fibrillation.xml").read_text()
+        record = record[record.index("<MedlineCitation>\n  <PMID>2206"):]
+        record = record[:record.index("</MedlineCitation>")]
+        record = record.replace("<PMID>2206", "<PMID>2299").replace(
+            "Careful electrocardiographic monitoring is advised.", sentence)
+        (corpus_dir / "long_sentence.xml").write_text(
+            f"<MedlineCitationSet>{record}</MedlineCitation></MedlineCitationSet>")
+        args = ["--fixture-dir", str(corpus_dir)]
+        t2_title = gold_path.read_text().splitlines()[1].split("\t")[1]
+        t2_query = _invoke(runner, ["query", "--title", t2_title]).output.strip()
+        fetched = _invoke(runner, [*args, "fetch", t2_query]).output.split()
+        assert "2299" in fetched
+
+        out_dir = tmp_path / "ranked"
+        result = _invoke(runner, [
+            *args, "--output", "json", "--gold-k", "5",
+            "pipeline", str(gold_path), "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == json.loads(
+            (expected_dir / "report.json").read_text())
+        for topic_id in ("T1", "T2", "T3"):
+            assert (out_dir / f"{topic_id}.tsv").read_text() == (
+                expected_dir / f"{topic_id}.tsv").read_text()
 
     def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
                                                         tmp_path):
