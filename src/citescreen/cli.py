@@ -18,7 +18,7 @@ from citescreen import corpus, pipeline, retrieve
 from citescreen.corpus import Citation, ClinicalTopic
 from citescreen.errors import CitescreenError, FormatError, StatusError, TransportError
 from citescreen.evaluate import confusion
-from citescreen.extract import build_concept_set, extract_population
+from citescreen.extract import build_concept_set, extract_population, read
 from citescreen.pipeline import Resources
 from citescreen.rank import rank_citations
 from citescreen.screen import screen_citation, screening_query
@@ -52,18 +52,26 @@ def _emit(ctx, tsv_text: str, json_text: str):
         click.echo()
 
 
+def _read_input(path: str) -> str:
+    """The text of the input file ``path``; one that is not UTF-8 is a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _load_citations_jsonl(path: str) -> list[Citation]:
     citations = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                citations.append(Citation.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"{path} line {lineno}: bad citation record: {exc!r}"
-                ) from exc
+    for lineno, line in enumerate(_read_input(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            citations.append(Citation.from_dict(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"{path} line {lineno}: bad citation record: {exc!r}"
+            ) from exc
     return citations
 
 
@@ -101,8 +109,7 @@ def ingest(ctx, xml_files, out):
     """Parse citation XML files into one JSON record per line."""
     citations: list[Citation] = []
     for path in xml_files:
-        with open(path, encoding="utf-8") as fh:
-            citations.extend(corpus.parse_citation_xml(fh.read()))
+        citations.extend(corpus.parse_citation_xml(_read_input(path)))
     lines = "".join(c.to_json() + "\n" for c in citations)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -125,11 +132,10 @@ def extract(ctx, text, tree_text):
     res = _resources(ctx)
     if tree_text is not None:
         tree = parse_bracketed_tree(tree_text)
-        sentence = " ".join(tree.tokens())
-        mentions = extract_population(tree, sentence, res.lexicon)
+        mentions = extract_population(tree, read(" ".join(tree.tokens()), res.lexicon))
         rows = [("population", m.surface) for m in mentions]
     else:
-        concepts = build_concept_set([text], res.lexicon, res.drugs, res.synonyms)
+        concepts = build_concept_set(text, res.lexicon, res.drugs, res.synonyms)
         rows = [
             (category, value)
             for category in ("population", "intervention", "disease")
@@ -214,19 +220,18 @@ def rank(ctx, title, citations_jsonl):
 
 def _read_ranked_pmids(path: str) -> list[int]:
     pmids = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("rank\t"):
-            raise FormatError(f"{path}: expected a ranked TSV header")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                pmids.append(int(line.split("\t")[1]))
-            except (IndexError, ValueError) as exc:
-                raise FormatError(
-                    f"{path} line {lineno}: expected rank<TAB>pmid, got {line.rstrip()!r}"
-                ) from exc
+    header, *lines = _read_input(path).split("\n")
+    if not header.startswith("rank\t"):
+        raise FormatError(f"{path}: expected a ranked TSV header")
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            pmids.append(int(line.split("\t")[1]))
+        except (IndexError, ValueError) as exc:
+            raise FormatError(
+                f"{path} line {lineno}: expected rank<TAB>pmid, got {line.rstrip()!r}"
+            ) from exc
     return pmids
 
 

@@ -107,7 +107,7 @@ class Citation:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise TypeError(f"{key} must be a list of strings, not {value!r}")
         for key in ("pmid", "year"):
-            if isinstance(d.get(key), bool):
+            if key in d and type(d[key]) is not int:
                 raise TypeError(f"{key} must be an integer, not {d[key]!r}")
         if not isinstance(d.get("abstract_is_structured", False), bool):
             raise TypeError(
@@ -124,7 +124,7 @@ class Citation:
         if not isinstance(mesh, list) or not all(map(_is_mesh_term, mesh)):
             raise TypeError(f"mesh_terms must be a list of MeSH term objects, not {mesh!r}")
         return cls(
-            pmid=int(d["pmid"]),
+            pmid=d["pmid"],
             title=d["title"],
             abstract=tuple(d.get("abstract", ())),
             abstract_is_structured=d.get("abstract_is_structured", False),
@@ -137,7 +137,7 @@ class Citation:
             ),
             publication_types=tuple(d.get("publication_types", ())),
             journal=d.get("journal", ""),
-            year=int(d.get("year", 0)),
+            year=d.get("year", 0),
         )
 
     def to_json(self) -> str:
@@ -168,32 +168,26 @@ class ConceptLexicon:
             node = self._trie
             for word in e.surface.split():
                 node = node.setdefault(word, {})
-            node.setdefault(None, []).append(e)
+            node[None] = (*node.get(None, ()), e)
 
-    def population_matches(self, words: list[str]) -> list[tuple[int, int]]:
-        """(start, end) of every population term, ``words[start:end]`` spelling it."""
+    def matches(self, words) -> tuple:
+        """For each start, every ``(end, entries)`` that ``words[start:end]`` spells.
+
+        The pairs of one start come shortest first, so the last is the
+        longest match there.
+        """
         hits = []
         for start in range(len(words)):
             node = self._trie
+            found = []
             i = start
             while i < len(words) and words[i] in node:
                 node = node[words[i]]
                 i += 1
-                if any(e.group == "population" for e in node.get(None, ())):
-                    hits.append((start, i))
-        return hits
-
-    def longest_match(self, words: list[str], start: int):
-        """Longest entry list starting at ``words[start]``, with its word length."""
-        node = self._trie
-        best = None
-        i = start
-        while i < len(words) and words[i] in node:
-            node = node[words[i]]
-            i += 1
-            if None in node:
-                best = (i - start, node[None])
-        return best
+                if None in node:
+                    found.append((i, node[None]))
+            hits.append(tuple(found))
+        return tuple(hits)
 
 
 class DrugDictionary:
@@ -401,13 +395,25 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
 
 
 def load_gold_standard(path: str) -> list[ClinicalTopic]:
-    """Load topic_id \\t title \\t comma-separated-PMIDs rows."""
-    topics: list[ClinicalTopic] = []
-    for lineno, cols in _read_rows(path, 3):
+    """Load topic_id \\t title \\t comma-separated-PMIDs rows.
+
+    A row that repeats an earlier row's topic id is rejected, so the
+    first row of a topic id wins.  A file that is not UTF-8 is a
+    FormatError naming it.
+    """
+    try:
+        rows = list(_read_rows(path, 3))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"gold file {path}: {exc}") from exc
+    topics: dict[str, ClinicalTopic] = {}
+    for lineno, cols in rows:
         if len(cols) < 2:
             log.warning("gold line %d rejected: expected >= 2 columns", lineno)
             continue
         topic_id, title = cols[0].strip(), cols[1].strip()
+        if topic_id in topics:
+            log.warning("gold line %d rejected: repeated topic id %r", lineno, topic_id)
+            continue
         pmid_field = cols[2].strip() if len(cols) > 2 else ""
         pmids: set[int] = set()
         bad = False
@@ -420,8 +426,8 @@ def load_gold_standard(path: str) -> list[ClinicalTopic]:
             pmids.add(int(piece))
         if bad:
             continue
-        topics.append(ClinicalTopic(topic_id, title, frozenset(pmids)))
-    return topics
+        topics[topic_id] = ClinicalTopic(topic_id, title, frozenset(pmids))
+    return list(topics.values())
 
 
 def load_hyponym_table(path: str) -> HyponymTable:

@@ -57,24 +57,33 @@ def population_terms(bag: list[str]) -> list[str]:
     return preprocess.stem_and_filter(tokens)
 
 
-def _normalized_words(tokens: list[str]) -> tuple[list[str], list[int]]:
-    """Normalized words of ``tokens``, each with its source token index."""
+@dataclass(frozen=True)
+class Reading:
+    """One text unit, read once: what both extractors work from."""
+
+    tokens: tuple[str, ...]
+    words: tuple[str, ...]          # normalized words of the tokens
+    sources: tuple[int, ...]        # token index of each word
+    hits: tuple                     # ConceptLexicon.matches(words)
+
+
+def read(text: str, lexicon: ConceptLexicon) -> Reading:
+    """Tokens of ``text``, their normalized words and the lexicon hits."""
+    tokens = tuple(text.split())
     words: list[str] = []
     sources: list[int] = []
     for i, tok in enumerate(tokens):
         for w in preprocess.normalize_token(tok).split():
             words.append(w)
             sources.append(i)
-    return words, sources
+    return Reading(tokens, tuple(words), tuple(sources), lexicon.matches(words))
 
 
 # ---------------------------------------------------------------------------
 # Population patterns
 # ---------------------------------------------------------------------------
 
-def extract_population(
-    tree: PhraseTree, sentence: str, lexicon: ConceptLexicon
-) -> list[ConceptMention]:
+def extract_population(tree: PhraseTree, reading: Reading) -> list[ConceptMention]:
     """Phrases holding a population term, one mention per span, in span order.
 
     The paper's seven structural patterns accept exactly the NPs and the
@@ -84,12 +93,13 @@ def extract_population(
     dominating an NP) also accepts.  Every pattern emits the same
     mention for a span: the full phrase and its normal form.
     """
-    tokens = sentence.split()
-    words, sources = _normalized_words(tokens)
+    sources = reading.sources
     # (first token, last token) of every population term in the sentence
     terms = [
         (sources[start], sources[end - 1])
-        for start, end in lexicon.population_matches(words)
+        for start, found in enumerate(reading.hits)
+        for end, entries in found
+        if any(e.group == "population" for e in entries)
     ]
     mentions: dict[tuple[int, int], ConceptMention] = {}
     for node in tree.iter_nodes():
@@ -100,7 +110,7 @@ def extract_population(
             and any(start <= first and last < end for first, last in terms)
             and (node.label == "NP" or node.dominates("NP"))
         ):
-            surface = " ".join(tokens[start:end])
+            surface = " ".join(reading.tokens[start:end])
             mentions[node.span] = ConceptMention(
                 surface=surface,
                 group="population",
@@ -114,35 +124,27 @@ def extract_population(
 # Dictionary matching (multi-pattern, longest match first)
 # ---------------------------------------------------------------------------
 
-def extract_concepts(
-    sentences: list[str], lexicon: ConceptLexicon
-) -> list[ConceptMention]:
-    """Dictionary mentions over normalized tokens; longest match wins."""
+def extract_concepts(reading: Reading) -> list[ConceptMention]:
+    """Dictionary mentions over normalized words; longest match wins."""
     mentions: list[ConceptMention] = []
-    for sentence in sentences:
-        tokens = sentence.split()
-        words, word_src = _normalized_words(tokens)
-        i = 0
-        while i < len(words):
-            match = lexicon.longest_match(words, i)
-            if match is None:
-                i += 1
-                continue
-            length, entries = match
-            start_tok = word_src[i]
-            end_tok = word_src[i + length - 1] + 1
-            surface = " ".join(tokens[start_tok:end_tok])
-            normal = " ".join(words[i:i + length])
-            for entry in entries:
-                mentions.append(
-                    ConceptMention(
-                        surface=surface,
-                        group=entry.group,
-                        span=(start_tok, end_tok),
-                        normal_form=normal,
-                    )
+    covered = 0   # words before this index belong to an earlier match
+    for start, found in enumerate(reading.hits):
+        if start < covered or not found:
+            continue
+        covered, entries = found[-1]
+        start_tok = reading.sources[start]
+        end_tok = reading.sources[covered - 1] + 1
+        surface = " ".join(reading.tokens[start_tok:end_tok])
+        normal = " ".join(reading.words[start:covered])
+        for entry in entries:
+            mentions.append(
+                ConceptMention(
+                    surface=surface,
+                    group=entry.group,
+                    span=(start_tok, end_tok),
+                    normal_form=normal,
                 )
-            i += length
+            )
     return mentions
 
 
@@ -248,22 +250,21 @@ def drug_hierarchy(name: str, drugs: DrugDictionary) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def build_concept_set(
-    text_units: list[str],
+    text: str,
     lexicon: ConceptLexicon,
     drugs: DrugDictionary,
     synonyms: dict[str, str],
 ) -> ConceptSet:
-    """Population, intervention-or-comparison and disease bags for a text.
+    """Population, intervention-or-comparison and disease bags for one text unit.
 
     Chemicals are drug-normalized and expanded with their class
     hierarchy; procedures and devices pool into the intervention bag.
     """
+    reading = read(text, lexicon)
     cs = ConceptSet()
-    for sentence in text_units:
-        tree = parse_phrase_tree(sentence)
-        for m in extract_population(tree, sentence, lexicon):
-            cs.population.append(m.normal_form)
-    for m in extract_concepts(text_units, lexicon):
+    for m in extract_population(parse_phrase_tree(text), reading):
+        cs.population.append(m.normal_form)
+    for m in extract_concepts(reading):
         if m.group == "disorder":
             cs.disease.append(m.normal_form)
         elif m.group == "chemical":

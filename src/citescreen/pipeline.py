@@ -182,10 +182,8 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
 
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:
     sentences, _ = preprocess.expand_abbreviations(list(citation.abstract))
-    title = build_concept_set([citation.title] if citation.title else [],
-                              res.lexicon, res.drugs, res.synonyms)
-    units = [build_concept_set([s], res.lexicon, res.drugs, res.synonyms)
-             for s in sentences]
+    title, *units = [build_concept_set(text, res.lexicon, res.drugs, res.synonyms)
+                     for text in (citation.title, *sentences)]
     return CitationConcepts(
         whole=ConceptSet.merged([title, *units]),
         title=concept_keys(title, res.drugs),
@@ -194,7 +192,7 @@ def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:
 
 
 def topic_concepts(topic: ClinicalTopic, res: Resources) -> ConceptSet:
-    return build_concept_set([topic.title], res.lexicon, res.drugs, res.synonyms)
+    return build_concept_set(topic.title, res.lexicon, res.drugs, res.synonyms)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from citescreen import preprocess
 from citescreen.cli import main
 from citescreen.corpus import load_gold_standard
 from citescreen.evaluate import confusion, pr_curve, precision_at_k, prf
-from citescreen.extract import drug_hierarchy, extract_population, normalize_drug
+from citescreen.extract import drug_hierarchy, extract_population, normalize_drug, read
 from citescreen.pipeline import Resources
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
 from citescreen.screen import QUALIFIER_WHITELIST, screen_citation, screening_query
@@ -196,7 +196,7 @@ def test_c3_population_patterns_within_time_budget():
         tree = parse_bracketed_tree(tree_text)
         sentence = " ".join(tree.tokens())
         surfaces = [m.surface
-                    for m in extract_population(tree, sentence, lexicon)]
+                    for m in extract_population(tree, read(sentence, lexicon))]
         assert expected in surfaces, pattern
     assert len(CASES) == 7
     assert time.monotonic() - start < 1.0

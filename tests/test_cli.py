@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 import requests
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citescreen import corpus
@@ -302,6 +302,9 @@ def test_record_missing_field_is_validation_error(runner, hf_jsonl, tmp_path,
     ("mesh_terms", [{"descriptor": 5, "qualifier": None,
                      "is_major_topic": True}]),
     ("mesh", 5),
+    ("pmid", 1.5),
+    ("pmid", "1101"),
+    ("year", 1e400),    # JSON reads 1e400 as infinity
 ])
 def test_record_wrong_field_type_is_validation_error(runner, hf_jsonl, tmp_path,
                                                      command, field, value):
@@ -549,6 +552,25 @@ class TestPipelineAndEval:
             assert (out_dir / f"{topic_id}.tsv").read_text() == (
                 expected_dir / f"{topic_id}.tsv").read_text()
 
+    @pytest.mark.parametrize("kind", ["gold-pipeline", "gold-eval", "ranked-eval",
+                                      "jsonl-screen", "jsonl-rank", "xml-ingest"])
+    def test_input_file_not_utf8_is_named(self, runner, fixture_corpus_dir,
+                                          gold_path, tmp_path, kind):
+        binary = tmp_path / "T1.tsv"
+        binary.write_bytes(b"rank\tpmid\n\xff\xfe\x80\n")
+        args = {
+            "gold-pipeline": ["--fixture-dir", str(fixture_corpus_dir),
+                              "pipeline", str(binary)],
+            "gold-eval": ["eval", str(binary), str(tmp_path)],
+            "ranked-eval": ["eval", str(gold_path), str(tmp_path)],
+            "jsonl-screen": ["screen", "--title", T1_TITLE, str(binary)],
+            "jsonl-rank": ["rank", "--title", T1_TITLE, str(binary)],
+            "xml-ingest": ["ingest", str(binary)],
+        }[kind]
+        result = _invoke(runner, args)
+        assert result.exit_code == 1
+        assert "error:" in result.output and str(binary) in result.output
+
     def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
                                                         tmp_path):
         ranked = tmp_path / "ranked"
@@ -637,6 +659,47 @@ def test_any_config_exits_cleanly(path_files, parts):
     result = _invoke(CliRunner(), [
         "--config", str(path), "query", "--title", "heart failure",
     ])
+    assert result.exit_code in (0, 1), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        assert "error:" in result.output
+
+
+# --------------------------------------------------------------------------
+# The JSONL surface, fuzzed: whatever a citation record's fields hold,
+# screen and rank end with exit 0, or with exit 1 and an error line.
+# --------------------------------------------------------------------------
+
+_CITATION_FIELDS = ["pmid", "title", "abstract", "abstract_is_structured",
+                    "section_labels", "mesh_terms", "publication_types",
+                    "journal", "year"]
+#: Any JSON value, and more often the numbers JSON can spell but a field
+#: that takes an integer cannot: 1e400 reads as infinity.
+_FIELD_VALUES = st.sampled_from([1e400, -1e400, 1.5, 1e300, 2.0 ** 70, "1101"]) | _JSON
+
+
+@pytest.fixture(scope="module")
+def jsonl_dir(fixture_corpus_dir, tmp_path_factory):
+    """A scratch directory and the heart-failure fixture's records as dicts."""
+    xml = (fixture_corpus_dir / "heart_failure.xml").read_text()
+    return (tmp_path_factory.mktemp("jsonl"),
+            [c.to_dict() for c in corpus.parse_citation_xml(xml)])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["screen", "rank"]), index=st.integers(0, 9),
+       field=_keys(_CITATION_FIELDS), value=_FIELD_VALUES,
+       dropped=st.sets(st.sampled_from(_CITATION_FIELDS), max_size=2))
+@example(command="rank", index=1, field="year", value=1e400, dropped=set())
+def test_any_jsonl_record_exits_cleanly(jsonl_dir, command, index, field, value,
+                                        dropped):
+    root, records = jsonl_dir
+    record = {k: v for k, v in records[index].items() if k not in dropped}
+    record[field] = value
+    path = root / "citations.jsonl"
+    path.write_text(json.dumps(records[0]) + "\n" + json.dumps(record) + "\n")
+    result = _invoke(CliRunner(), [command, "--title", T1_TITLE, str(path)])
     assert result.exit_code in (0, 1), result.output
     assert "Traceback" not in result.output
     if result.exit_code == 1:

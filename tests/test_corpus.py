@@ -138,8 +138,8 @@ class TestLexicon:
         p.write_text("Heart-Failure\tC1\tdisorder\n")
         lex = corpus.load_lexicon(str(p))
         words = normalize_token("HEART failure,").split()
-        length, (entry,) = lex.longest_match(words, 0)
-        assert (length, entry.canonical_id) == (2, "C1")
+        end, (entry,) = lex.matches(words)[0][-1]
+        assert (end, entry.canonical_id) == (2, "C1")
 
     def test_duplicate_last_wins(self, tmp_path, caplog):
         p = tmp_path / "lex.tsv"
@@ -245,6 +245,16 @@ class TestOtherLoaders:
             topics = corpus.load_gold_standard(str(p))
         assert [t.topic_id for t in topics] == ["T2"]
         assert "gold line 3 rejected: non-numeric PMID '\u00b2'" in caplog.text
+
+    def test_gold_repeated_topic_id_keeps_first_row(self, tmp_path, caplog):
+        p = tmp_path / "gold.tsv"
+        p.write_text("T1\tfirst\t1,2\nT2\tother\t7\nT1\tsecond\t3\n")
+        with caplog.at_level("WARNING"):
+            topics = corpus.load_gold_standard(str(p))
+        assert [(t.topic_id, t.title) for t in topics] == [("T1", "first"),
+                                                          ("T2", "other")]
+        assert topics[0].gold_pmids == frozenset({1, 2})
+        assert "gold line 3 rejected: repeated topic id 'T1'" in caplog.text
 
     def test_synonyms(self):
         syn = BUNDLED.synonyms

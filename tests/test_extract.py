@@ -12,6 +12,7 @@ from citescreen.extract import (
     extract_population,
     normalize_drug,
     normalize_drug_components,
+    read,
 )
 from citescreen.pipeline import Resources
 from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
@@ -42,18 +43,18 @@ class TestPopulationPatterns:
     def test_gold_trees(self, lexicon, pattern, tree_text, expected):
         tree = parse_bracketed_tree(tree_text)
         sentence = " ".join(tree.tokens())
-        surfaces = [m.surface for m in extract_population(tree, sentence, lexicon)]
+        surfaces = [m.surface for m in extract_population(tree, read(sentence, lexicon))]
         assert expected in surfaces
 
     def test_no_population_no_mentions(self, lexicon):
         tree = parse_bracketed_tree("(S (NP the (NN dose)) was increased)")
-        assert extract_population(tree, " ".join(tree.tokens()), lexicon) == []
+        assert extract_population(tree, read(" ".join(tree.tokens()), lexicon)) == []
 
     def test_leading_patterns_require_initial_term(self, lexicon):
         # the population term sits past the first two tokens, so the
         # noun-phrase-with-noun pattern must not fire; the bare-NP one may
         tree = parse_bracketed_tree("(S (NP the very elderly (NN patients)))")
-        mentions = extract_population(tree, " ".join(tree.tokens()), lexicon)
+        mentions = extract_population(tree, read(" ".join(tree.tokens()), lexicon))
         assert [m.surface for m in mentions] == ["the very elderly patients"]
 
     def test_duplicate_span_single_mention(self, lexicon):
@@ -61,7 +62,7 @@ class TestPopulationPatterns:
         tree = parse_bracketed_tree(
             "(S (NP (TOK patients) (VP hospitalized (PP with (NN pneumonia)))))"
         )
-        mentions = extract_population(tree, " ".join(tree.tokens()), lexicon)
+        mentions = extract_population(tree, read(" ".join(tree.tokens()), lexicon))
         spans = [m.span for m in mentions]
         assert len(spans) == len(set(spans))
 
@@ -223,7 +224,7 @@ class TestPopulationOracle:
         @given(_population_sentences(lexicon))
         def check(sentence):
             tree = parse_phrase_tree(sentence)
-            assert extract_population(tree, sentence, lexicon) == \
+            assert extract_population(tree, read(sentence, lexicon)) == \
                 _oracle_population(tree, sentence, lexicon)
 
         check()
@@ -239,7 +240,7 @@ class TestPopulationOracle:
         def check(tree_text):
             tree = parse_bracketed_tree(tree_text)
             sentence = " ".join(tree.tokens())
-            assert extract_population(tree, sentence, lexicon) == \
+            assert extract_population(tree, read(sentence, lexicon)) == \
                 _oracle_population(tree, sentence, lexicon)
 
         check()
@@ -254,32 +255,32 @@ class TestPopulationOracle:
     def test_overlapping_terms_and_duplicate_surfaces(self, sentence):
         lexicon = _LEXICONS["overlapping"]
         tree = parse_phrase_tree(sentence)
-        assert extract_population(tree, sentence, lexicon) == \
+        assert extract_population(tree, read(sentence, lexicon)) == \
             _oracle_population(tree, sentence, lexicon)
 
 
 class TestDictionaryMatching:
     def test_longest_match_wins(self, lexicon):
         mentions = extract_concepts(
-            ["Congestive heart failure admissions rose."], lexicon
+            read("Congestive heart failure admissions rose.", lexicon)
         )
         forms = [m.normal_form for m in mentions]
         assert "congestive heart failure" in forms
         assert "heart failure" not in forms
 
     def test_spans_and_groups(self, lexicon):
-        (m,) = extract_concepts(["Furosemide was given."], lexicon)
+        (m,) = extract_concepts(read("Furosemide was given.", lexicon))
         assert m.group == "chemical"
         assert m.span == (0, 1)
         assert m.surface == "Furosemide"
 
     def test_match_across_punctuation(self, lexicon):
-        mentions = extract_concepts(["heart-failure outcomes"], lexicon)
+        mentions = extract_concepts(read("heart-failure outcomes", lexicon))
         assert mentions[0].normal_form == "heart failure"
 
     def test_no_overlapping_mentions(self, lexicon):
         mentions = extract_concepts(
-            ["Patients with atrial fibrillation received warfarin."], lexicon
+            read("Patients with atrial fibrillation received warfarin.", lexicon)
         )
         spans = sorted(m.span for m in mentions)
         for (a, b), (c, d) in zip(spans, spans[1:]):
@@ -292,10 +293,101 @@ class TestDictionaryMatching:
             lexicon = corpus.ConceptLexicon(
                 [corpus.LexiconEntry("zyloxin", "C1", group)]
             )
-            return [m.group for m in extract_concepts(["zyloxin given."], lexicon)]
+            return [m.group for m in extract_concepts(read("zyloxin given.", lexicon))]
 
         for group in ["disorder", "chemical"] * 1000:
             assert groups(group) == [group]
+
+
+# ---------------------------------------------------------------------------
+# One trie walk: ConceptLexicon.matches against the two walks it replaced
+# ---------------------------------------------------------------------------
+
+def _population_matches(lexicon, words):
+    """(start, end) of every population term, ``words[start:end]`` spelling it."""
+    hits = []
+    for start in range(len(words)):
+        node = lexicon._trie
+        i = start
+        while i < len(words) and words[i] in node:
+            node = node[words[i]]
+            i += 1
+            if any(e.group == "population" for e in node.get(None, ())):
+                hits.append((start, i))
+    return hits
+
+
+def _longest_match(lexicon, words, start):
+    """Longest entry list starting at ``words[start]``, with its word length."""
+    node = lexicon._trie
+    best = None
+    i = start
+    while i < len(words) and words[i] in node:
+        node = node[words[i]]
+        i += 1
+        if None in node:
+            best = (i - start, node[None])
+    return best
+
+
+def _reference_concepts(sentence, lexicon):
+    """Dictionary mentions by one ``_longest_match`` walk per uncovered start."""
+    tokens = sentence.split()
+    words, word_src = [], []
+    for i, tok in enumerate(tokens):
+        for w in preprocess.normalize_token(tok).split():
+            words.append(w)
+            word_src.append(i)
+    mentions = []
+    i = 0
+    while i < len(words):
+        match = _longest_match(lexicon, words, i)
+        if match is None:
+            i += 1
+            continue
+        length, entries = match
+        start_tok, end_tok = word_src[i], word_src[i + length - 1] + 1
+        for entry in entries:
+            mentions.append(ConceptMention(
+                surface=" ".join(tokens[start_tok:end_tok]), group=entry.group,
+                span=(start_tok, end_tok), normal_form=" ".join(words[i:i + length]),
+            ))
+        i += length
+    return mentions
+
+
+_WORDS = ["aa", "bb", "cc", "dd"]
+_SURFACES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _lexicons_and_texts(draw):
+    """A lexicon over four words, so that entries share prefixes, nest,
+    overlap and repeat across groups, and a text spelled from the same words."""
+    entries = draw(st.lists(st.builds(
+        corpus.LexiconEntry, _SURFACES, st.sampled_from(["C1", "C2"]),
+        st.sampled_from(sorted(corpus.SEMANTIC_GROUPS)),
+    ), max_size=10))
+    tokens = draw(st.lists(
+        st.sampled_from([*_WORDS, "AA", "aa-bb", "bb/cc-dd", "(cc", "dd,", "-", "of"]),
+        max_size=12,
+    ))
+    return corpus.ConceptLexicon(entries), " ".join(tokens)
+
+
+class TestOneTrieWalk:
+    @settings(max_examples=400)
+    @given(_lexicons_and_texts())
+    def test_matches_equal_the_two_walks(self, lexicon_and_text):
+        lexicon, text = lexicon_and_text
+        reading = read(text, lexicon)
+        assert [
+            (start, end)
+            for start, found in enumerate(reading.hits)
+            for end, entries in found
+            if any(e.group == "population" for e in entries)
+        ] == _population_matches(lexicon, list(reading.words))
+        assert extract_concepts(reading) == _reference_concepts(text, lexicon)
 
 
 class TestDrugNormalization:
@@ -352,8 +444,8 @@ class TestDrugHierarchy:
 class TestConceptSet:
     def test_buckets(self, lexicon, drugs, synonyms):
         cs = build_concept_set(
-            ["Furosemide reduced mortality in elderly patients with heart"
-             " failure after catheter ablation."],
+            "Furosemide reduced mortality in elderly patients with heart"
+            " failure after catheter ablation.",
             lexicon, drugs, synonyms,
         )
         assert "heart failure" in cs.disease
@@ -364,11 +456,11 @@ class TestConceptSet:
         assert any("elderly patients" in p for p in cs.population)
 
     def test_empty_text(self, lexicon, drugs, synonyms):
-        assert build_concept_set([], lexicon, drugs, synonyms) == ConceptSet()
+        assert build_concept_set("", lexicon, drugs, synonyms) == ConceptSet()
 
     def test_synonym_class_expansion(self, lexicon, drugs, synonyms):
         cs = build_concept_set(
-            ["Beta blockers lower heart rate."], lexicon, drugs, synonyms
+            "Beta blockers lower heart rate.", lexicon, drugs, synonyms
         )
         assert "beta adrenergic blockers" in cs.intervention
 
