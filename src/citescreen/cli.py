@@ -16,7 +16,13 @@ import click
 
 from citescreen import corpus, pipeline, retrieve
 from citescreen.corpus import Citation, ClinicalTopic
-from citescreen.errors import CitescreenError, FormatError, StatusError, TransportError
+from citescreen.errors import (
+    CitescreenError,
+    FormatError,
+    OutputError,
+    StatusError,
+    TransportError,
+)
 from citescreen.evaluate import confusion
 from citescreen.extract import build_concept_set, extract_population, read
 from citescreen.pipeline import Resources
@@ -59,6 +65,15 @@ def _read_input(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to the output file ``path``; a failure is an OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_citations_jsonl(path: str) -> list[Citation]:
@@ -112,8 +127,7 @@ def ingest(ctx, xml_files, out):
         citations.extend(corpus.parse_citation_xml(_read_input(path)))
     lines = "".join(c.to_json() + "\n" for c in citations)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
+        _write_output(out, lines)
         click.echo(f"wrote {len(citations)} citations to {out}")
     else:
         click.echo(lines, nl=False)
@@ -175,8 +189,7 @@ def fetch(ctx, query_string, out):
     res = _resources(ctx)
     citations = res.fetch(query_string)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(c.to_json() + "\n" for c in citations)
+        _write_output(out, "".join(c.to_json() + "\n" for c in citations))
     pmids = [c.pmid for c in citations]
     tsv = "pmid\n" + "".join(f"{p}\n" for p in pmids)
     _emit(ctx, tsv, json.dumps({"source": "fixture" if res.fixture_dir else "live",
@@ -289,10 +302,12 @@ def pipeline_cmd(ctx, gold_tsv, out_dir):
     def ranked_pmids(topic: ClinicalTopic) -> list[int]:
         ranked = pipeline.run_topic(topic, res).ranked[:ctx.obj["top_k"]]
         if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"{topic.topic_id}.tsv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(pipeline.ranked_tsv(ranked))
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise OutputError(f"cannot make --out-dir {out_dir}: {exc}") from exc
+            _write_output(os.path.join(out_dir, f"{topic.topic_id}.tsv"),
+                          pipeline.ranked_tsv(ranked))
         return [r.pmid for r in ranked]
 
     _score(ctx, corpus.load_gold_standard(gold_tsv), ranked_pmids)

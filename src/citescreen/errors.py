@@ -21,6 +21,10 @@ class ConfigError(CitescreenError):
     """Invalid or missing configuration."""
 
 
+class OutputError(CitescreenError):
+    """An output file or directory could not be written."""
+
+
 class TransportError(CitescreenError):
     """Network failure after exhausting retries."""
 

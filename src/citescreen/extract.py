@@ -27,26 +27,41 @@ class ConceptMention:
     normal_form: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConceptSet:
-    """Three bags of normalized concepts (interventions and comparisons pooled)."""
+    """Three bags of normalized concepts (interventions and comparisons pooled).
+
+    ``population_stems`` is ``population_terms(population)``, the form
+    screening and ranking compare; a set built from bare phrases derives
+    it, and ``build_concept_set`` passes it in.
+    """
 
     population: list[str] = field(default_factory=list)
     intervention: list[str] = field(default_factory=list)
     disease: list[str] = field(default_factory=list)
+    population_stems: list[str] | None = None
+
+    def __post_init__(self):
+        if self.population_stems is None:
+            object.__setattr__(self, "population_stems",
+                               population_terms(self.population))
 
     def bag(self, category: str) -> list[str]:
         return getattr(self, category)
 
     @classmethod
     def merged(cls, sets: Iterable[ConceptSet]) -> ConceptSet:
-        """One set holding every bag's concepts in order, duplicates kept."""
-        out = cls()
-        for cs in sets:
-            out.population.extend(cs.population)
-            out.intervention.extend(cs.intervention)
-            out.disease.extend(cs.disease)
-        return out
+        """One set holding every bag's concepts in order, duplicates kept.
+
+        The stems are the parts' stems in order: ``population_terms``
+        maps phrase by phrase and word by word.
+        """
+        sets = list(sets)
+
+        def joined(name: str) -> list[str]:
+            return [term for cs in sets for term in getattr(cs, name)]
+        return cls(joined("population"), joined("intervention"), joined("disease"),
+                   population_stems=joined("population_stems"))
 
 
 def population_terms(bag: list[str]) -> list[str]:
@@ -65,6 +80,7 @@ class Reading:
     words: tuple[str, ...]          # normalized words of the tokens
     sources: tuple[int, ...]        # token index of each word
     hits: tuple                     # ConceptLexicon.matches(words)
+    population_spans: tuple         # (first token, last token) of each population term
 
 
 def read(text: str, lexicon: ConceptLexicon) -> Reading:
@@ -76,7 +92,14 @@ def read(text: str, lexicon: ConceptLexicon) -> Reading:
         for w in preprocess.normalize_token(tok).split():
             words.append(w)
             sources.append(i)
-    return Reading(tokens, tuple(words), tuple(sources), lexicon.matches(words))
+    hits = lexicon.matches(words)
+    population_spans = tuple(
+        (sources[start], sources[end - 1])
+        for start, found in enumerate(hits)
+        for end, entries in found
+        if any(e.group == "population" for e in entries)
+    )
+    return Reading(tokens, tuple(words), tuple(sources), hits, population_spans)
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +116,7 @@ def extract_population(tree: PhraseTree, reading: Reading) -> list[ConceptMentio
     dominating an NP) also accepts.  Every pattern emits the same
     mention for a span: the full phrase and its normal form.
     """
-    sources = reading.sources
-    # (first token, last token) of every population term in the sentence
-    terms = [
-        (sources[start], sources[end - 1])
-        for start, found in enumerate(reading.hits)
-        for end, entries in found
-        if any(e.group == "population" for e in entries)
-    ]
+    terms = reading.population_spans
     mentions: dict[tuple[int, int], ConceptMention] = {}
     for node in tree.iter_nodes():
         start, end = node.span
@@ -261,16 +277,24 @@ def build_concept_set(
     hierarchy; procedures and devices pool into the intervention bag.
     """
     reading = read(text, lexicon)
-    cs = ConceptSet()
-    for m in extract_population(parse_phrase_tree(text), reading):
-        cs.population.append(m.normal_form)
+    # A phrase is a population mention only if its span holds a term.
+    mentions = (extract_population(parse_phrase_tree(text), reading)
+                if reading.population_spans else [])
+    population = [m.normal_form for m in mentions]
+    intervention: list[str] = []
+    disease: list[str] = []
     for m in extract_concepts(reading):
         if m.group == "disorder":
-            cs.disease.append(m.normal_form)
+            disease.append(m.normal_form)
         elif m.group == "chemical":
             for name in normalize_drug_components(m.normal_form, drugs, synonyms):
                 key = preprocess.normalize_token(name)
-                cs.intervention.extend(drugs.hierarchy(key) or [key])
+                intervention.extend(drugs.hierarchy(key) or [key])
         elif m.group in ("procedure", "device"):
-            cs.intervention.append(m.normal_form)
-    return cs
+            intervention.append(m.normal_form)
+    # stem_and_filter maps word by word, so each distinct word of the
+    # unit is stemmed once, however many nested phrases repeat it.
+    words = [w for phrase in population for w in phrase.split()]
+    stems = {w: preprocess.stem_and_filter([w]) for w in set(words)}
+    return ConceptSet(population, intervention, disease,
+                      population_stems=[s for w in words for s in stems[w]])

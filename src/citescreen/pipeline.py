@@ -13,7 +13,7 @@ from citescreen.corpus import (
     DrugDictionary,
     HyponymTable,
 )
-from citescreen.errors import ConfigError
+from citescreen.errors import ConfigError, FormatError
 from citescreen.extract import ConceptSet, build_concept_set
 from citescreen.evaluate import ConfusionCounts, aggregate_topics, macro_average, prf
 from citescreen.rank import RankedResult, WeightConfig, rank_citations
@@ -116,9 +116,9 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
     """The run's ``Resources``: bundled, with the JSON ``config`` file's settings.
 
     ``fixture_dir`` (``--fixture-dir``) wins over the config's
-    ``fixture_dir``.  A value of the wrong type and an unknown key at the
-    top level or in ``paths``, ``weights`` or ``endpoint`` are a
-    ``ConfigError``.
+    ``fixture_dir``.  A value of the wrong type, an unknown key at the
+    top level or in ``paths``, ``weights`` or ``endpoint``, and a ``paths``
+    file that cannot be read or breaks its format are a ``ConfigError``.
     """
     raw = {}
     if config:
@@ -144,7 +144,7 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
                               f"not {paths[key]!r}")
         try:
             settings[name] = load(paths[key])
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, FormatError) as exc:
             raise ConfigError(
                 f"{where}: cannot read paths.{key} file {paths[key]}: {exc}"
             ) from exc

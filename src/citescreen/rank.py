@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from citescreen.errors import ConfigError
-from citescreen.extract import ConceptSet, population_terms
+from citescreen.extract import ConceptSet
 
 CATEGORIES = ("population", "intervention", "disease")
 
@@ -44,8 +44,10 @@ class RankedResult:
 
 
 def _category_bag(concepts: ConceptSet, category: str) -> list[str]:
-    bag = concepts.bag(category)
-    return population_terms(bag) if category == "population" else list(bag)
+    """Population is compared by its stems, made with the concept set."""
+    if category == "population":
+        return concepts.population_stems
+    return concepts.bag(category)
 
 
 def _cosines(query_bag: list[str], doc_bags: list[list[str]]) -> list[float]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from citescreen import preprocess
 from citescreen.corpus import Citation, DrugDictionary
-from citescreen.extract import ConceptSet, population_terms
+from citescreen.extract import ConceptSet
 
 #: The 22 clinically significant qualifier names (compared case-insensitively).
 QUALIFIER_WHITELIST = frozenset({
@@ -93,7 +93,7 @@ def concept_keys(concepts: ConceptSet, drugs: DrugDictionary) -> Keys:
     the per-bag union of its parts' keys.
     """
     return (
-        frozenset(population_terms(concepts.population)),
+        frozenset(concepts.population_stems),
         _expand_drug_terms(concepts.intervention, drugs),
         frozenset(concepts.disease),
     )

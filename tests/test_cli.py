@@ -391,6 +391,38 @@ class TestPipelineAndEval:
         report = json.loads(result.output)
         assert "overall_gold_k_micro" in report
 
+    @pytest.mark.parametrize("case", ["out-dir-is-a-file", "topic-id-with-slash"])
+    def test_unwritable_out_dir_is_named(self, runner, fixture_corpus_dir,
+                                         gold_path, tmp_path, case):
+        out_dir, gold = tmp_path / "ranked", tmp_path / "gold.tsv"
+        if case == "out-dir-is-a-file":
+            out_dir.write_text("")
+            gold.write_text(gold_path.read_text())
+            unwritable = out_dir
+        else:
+            gold.write_text(gold_path.read_text().replace("T1\t", "x/y\t", 1))
+            unwritable = out_dir / "x" / "y.tsv"
+        result = _invoke(runner, [
+            "--fixture-dir", str(fixture_corpus_dir),
+            "pipeline", str(gold), "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output and str(unwritable) in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["fetch", "ingest"])
+    def test_unwritable_out_file_is_named(self, runner, fixture_corpus_dir,
+                                          tmp_path, command):
+        args = {
+            "fetch": ["--fixture-dir", str(fixture_corpus_dir),
+                      "fetch", '"heart failure"[MeSH]'],
+            "ingest": ["ingest", str(fixture_corpus_dir / "stroke.xml")],
+        }[command]
+        result = _invoke(runner, [*args, "--out", str(tmp_path)])  # a directory
+        assert result.exit_code == 1
+        assert "error:" in result.output and str(tmp_path) in result.output
+        assert "Traceback" not in result.output
+
     def test_bad_config_is_validation_error(self, runner, gold_path, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
@@ -518,6 +550,24 @@ class TestPipelineAndEval:
         assert result.exit_code == 1
         assert "error:" in result.output
         assert "paths.drug_hierarchy" in result.output and "bin.tsv" in result.output
+
+    @pytest.mark.parametrize("key,content,message", [
+        ("drug_hierarchy", "Diuretics\nDiuretics\n", "duplicate name 'Diuretics'"),
+        ("hyponyms", "heart failure\tcardiac failure, heart failure\n",
+         "its own hyponym"),
+    ], ids=["drug_hierarchy", "hyponyms"])
+    def test_malformed_resource_file_is_named(self, runner, tmp_path, key,
+                                              content, message):
+        resource = tmp_path / "resource.txt"
+        resource.write_text(content)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {key: str(resource)}}))
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output and message in result.output
+        assert f"paths.{key}" in result.output and str(resource) in result.output
 
     def test_long_sentence_record_leaves_report_unchanged(
             self, runner, fixture_corpus_dir, gold_path, expected_dir, tmp_path):

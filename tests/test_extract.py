@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citescreen import corpus, preprocess
+from citescreen import corpus, extract, preprocess
 from citescreen.extract import (
     ConceptMention,
     ConceptSet,
@@ -12,6 +12,7 @@ from citescreen.extract import (
     extract_population,
     normalize_drug,
     normalize_drug_components,
+    population_terms,
     read,
 )
 from citescreen.pipeline import Resources
@@ -144,7 +145,8 @@ _LEXICONS = {
     # "elderly" and "elderly patients" start together and "elderly
     # patients" is listed twice, so terms overlap and repeat.  The chunker
     # ends a noun phrase before "hospitalized", so that term straddles a
-    # phrase boundary.
+    # phrase boundary.  The longest match starting at "elderly" can be a
+    # disorder that covers population terms.
     "overlapping": corpus.ConceptLexicon([
         _E("patients hospitalized", "P0", "population"),
         _E("patients", "P1", "population"),
@@ -154,6 +156,7 @@ _LEXICONS = {
         _E("heart failure patients", "P4", "population"),
         _E("elderly patients", "P5", "population"),
         _E("older adults", "P6", "population"),
+        _E("elderly patients with heart failure", "D2", "disorder"),
     ]),
 }
 _CONNECTIVES = ["with", "who", "in", "and", "or", "the", "of", "that", "were",
@@ -476,3 +479,64 @@ class TestConceptSet:
             assert merged.bag(category) == [
                 term for cs in sets for term in cs.bag(category)
             ]
+
+    def test_bare_phrases_derive_their_stems(self):
+        cs = ConceptSet(population=["the elderly patients", "older adults"])
+        assert cs.population_stems == population_terms(cs.population) == [
+            "elderli", "patient", "older", "adult"]
+        assert ConceptSet().population_stems == []
+
+
+def _always_parsed_concept_set(text, lexicon, drugs, synonyms):
+    """``build_concept_set`` with every unit chunked, whatever its terms, and
+    the stems derived from the phrases by ``population_terms``."""
+    reading = read(text, lexicon)
+    population = [m.normal_form
+                  for m in extract_population(parse_phrase_tree(text), reading)]
+    intervention, disease = [], []
+    for m in extract_concepts(reading):
+        if m.group == "disorder":
+            disease.append(m.normal_form)
+        elif m.group == "chemical":
+            for name in normalize_drug_components(m.normal_form, drugs, synonyms):
+                key = preprocess.normalize_token(name)
+                intervention.extend(drugs.hierarchy(key) or [key])
+        elif m.group in ("procedure", "device"):
+            intervention.append(m.normal_form)
+    return ConceptSet(population, intervention, disease)
+
+
+class TestConceptSetOfGeneratedText:
+    """Sentences drawn from lexicon surfaces and filler, with and without a
+    population term."""
+
+    @pytest.mark.parametrize("name", sorted(_LEXICONS))
+    def test_same_set_as_always_parsing(self, name, drugs, synonyms):
+        lexicon = _LEXICONS[name]
+
+        @settings(max_examples=300)
+        @given(_population_sentences(lexicon))
+        def check(sentence):
+            assert build_concept_set(sentence, lexicon, drugs, synonyms) == \
+                _always_parsed_concept_set(sentence, lexicon, drugs, synonyms)
+
+        check()
+
+    def test_no_population_term_no_parse(self, lexicon, drugs, synonyms,
+                                         monkeypatch):
+        parsed = []
+        monkeypatch.setattr(extract, "parse_phrase_tree",
+                            lambda text: parsed.append(text) or parse_phrase_tree(text))
+        build_concept_set("Furosemide lowered mortality in heart failure.",
+                          lexicon, drugs, synonyms)
+        assert parsed == []
+        build_concept_set("Furosemide in elderly patients.", lexicon, drugs, synonyms)
+        assert parsed == ["Furosemide in elderly patients."]
+
+    @settings(max_examples=200)
+    @given(st.lists(_population_sentences(BUNDLED.lexicon), max_size=4))
+    def test_stems_are_population_terms_of_the_phrases(self, sentences):
+        sets = [build_concept_set(s, BUNDLED.lexicon, BUNDLED.drugs, BUNDLED.synonyms)
+                for s in sentences]
+        for cs in [*sets, ConceptSet.merged(sets)]:
+            assert cs.population_stems == population_terms(cs.population)

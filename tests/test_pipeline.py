@@ -11,10 +11,12 @@ from types import SimpleNamespace
 import pytest
 import requests
 
-from citescreen import pipeline, retrieve, screen
+from citescreen import pipeline, preprocess, retrieve
 from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
-from citescreen.extract import population_terms
+from citescreen.extract import extract_population, read
 from citescreen.pipeline import Resources, load_resources, run_topic
+from citescreen.stemming import stem
+from citescreen.tree import parse_phrase_tree
 
 T1 = ClinicalTopic("T1", "Diuretics for heart failure in elderly patients")
 LOOP = ClinicalTopic("L", "Loop diuretics in heart failure")
@@ -56,24 +58,60 @@ def test_shared_citations_are_extracted_once(fresh_resources, calls):
     )
 
 
-def test_screening_keys_are_derived_once_per_run(fresh_resources, calls,
-                                                 monkeypatch):
-    """One ``population_terms`` per topic and per unit of each citation."""
-    stemmed = []
+def _population_words(text: str, res: Resources) -> Counter:
+    """Each distinct non-stopword word of ``text``'s population phrases, once."""
+    mentions = extract_population(parse_phrase_tree(text), read(text, res.lexicon))
+    return Counter({w for m in mentions for w in m.normal_form.split()
+                    if w.lower() not in preprocess.STOPWORDS})
 
-    def counted(bag):
-        stemmed.append(list(bag))
-        return population_terms(bag)
-    monkeypatch.setattr(screen, "population_terms", counted)
+
+@pytest.fixture
+def stemmed(monkeypatch):
+    """Every word ``stem`` is called on."""
+    words = []
+
+    def counted(word):
+        words.append(word)
+        return stem(word)
+    monkeypatch.setattr(preprocess, "stem", counted)
+    return words
+
+
+def test_screening_keys_are_derived_once_per_run(fresh_resources, calls, stemmed):
+    """Screening and ranking read stems made once: one ``stem`` call per
+    distinct population word of each text unit, for a citation's units
+    once per run and for the query's once per topic."""
     res = fresh_resources()
     first, second = run_topic(T1, res), run_topic(LOOP, res)
     assert set(first.fetched_pmids) & set(second.fetched_pmids)
+    assert first.ranked and second.ranked
     fetched = calls["citation_concepts"]
     assert len({c.pmid for c in fetched}) == len(fetched)
-    units = sum(1 + len(c.abstract) for c in fetched)  # the title and each sentence
-    assert len(stemmed) == 2 + units
-    run_topic(T1, res)  # a topic over kept citations derives only its query
-    assert len(stemmed) == 3 + units
+    made = Counter(stemmed)
+    expected = _population_words(T1.title, res) + _population_words(LOOP.title, res)
+    for c in fetched:
+        sentences, _ = preprocess.expand_abbreviations(list(c.abstract))
+        for unit in (c.title, *sentences):
+            expected += _population_words(unit, res)
+    assert made == expected
+    # a topic over kept citations stems only its query's words, and
+    # ranking stems nothing
+    del stemmed[:]
+    assert run_topic(T1, res).ranked == first.ranked
+    assert Counter(stemmed) == _population_words(T1.title, res)
+
+
+def test_long_run_on_sentence_stems_each_word_once(resources, stemmed):
+    """Nested phrases of a run-on sentence repeat their words; each distinct
+    word is still stemmed once, not once per phrase holding it."""
+    sentence = " ".join(
+        ["patients with heart failure and the elderly who received furosemide"] * 200)
+    assert len(sentence.split()) == 2000
+    concepts = pipeline.citation_concepts(
+        Citation(pmid=1, title="", abstract=[sentence]), resources)
+    assert len(concepts.whole.population) > 200
+    assert len(stemmed) == len(set(stemmed))
+    assert len(stemmed) <= len(set(sentence.split()))
 
 
 def test_corpus_is_parsed_once_per_resources(fresh_resources, gold_path, calls):
