@@ -190,21 +190,37 @@ class ConceptLexicon:
         return tuple(hits)
 
 
+#: The Arabic and Roman numerals one to five, which drug names may vary in.
+_NUMERALS = frozenset({"i", "ii", "iii", "iv", "v", "1", "2", "3", "4", "5"})
+
+
+def _strip_numerals(key: str) -> str:
+    return " ".join(w for w in key.split() if w not in _NUMERALS)
+
+
 class DrugDictionary:
     """Three-level hierarchy of drug classes with drugs under leaf classes.
 
     Level 1 is the broadest class, level 3 the most specific class, and
     drugs hang off level-3 classes.  Its methods take normalized names
-    (keys); ``hierarchy`` returns keys, ``canonical_name`` a key's display
-    name.
+    (keys); ``hierarchy`` returns keys, ``canonical_name`` and
+    ``name_without_numerals`` a display name.
     """
 
     def __init__(self, parents: dict[str, str | None], names: dict[str, str]):
         self._parents = parents   # normalized name -> normalized parent
         self._names = names       # normalized name -> display name, in file order
+        self._by_stripped: dict[str, str] = {}  # numeral-free key -> first name
+        for key, name in names.items():
+            self._by_stripped.setdefault(_strip_numerals(key), name)
 
     def canonical_name(self, key: str) -> str | None:
         return self._names.get(key)
+
+    def name_without_numerals(self, key: str) -> str | None:
+        """The first name, in file order, whose key equals ``key`` once
+        the numerals one to five are dropped from both; None if none."""
+        return self._by_stripped.get(_strip_numerals(key))
 
     def names(self) -> list[str]:
         return list(self._names.values())

@@ -168,12 +168,7 @@ def extract_concepts(reading: Reading) -> list[ConceptMention]:
 # Drug normalization
 # ---------------------------------------------------------------------------
 
-_NUMERALS = {"i", "ii", "iii", "iv", "v", "1", "2", "3", "4", "5"}
 _ARABIC_TO_ROMAN = {"1": "i", "2": "ii", "3": "iii", "4": "iv", "5": "v"}
-
-
-def _strip_numerals(norm: str) -> str:
-    return " ".join(w for w in norm.split() if w not in _NUMERALS)
 
 
 def _normalize_single(
@@ -192,10 +187,9 @@ def _normalize_single(
     hit = drugs.canonical_name(arabic_mapped)
     if hit:
         return hit
-    stripped = _strip_numerals(norm)
-    for candidate in drugs.names():
-        if _strip_numerals(preprocess.normalize_token(candidate)) == stripped:
-            return candidate
+    hit = drugs.name_without_numerals(norm)
+    if hit:
+        return hit
     # Rule 4: removal of contents inside parenthesis.
     without_parens = re.sub(r"\([^)]*\)", " ", mention)
     if without_parens != mention:

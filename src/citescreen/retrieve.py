@@ -5,8 +5,9 @@ MeSH-tagged concept terms, journal names, a publication-year floor and
 the allowed publication types.  Fetching sends that string to an
 E-Utilities-compatible HTTP endpoint, or evaluates it hermetically over
 a local XML fixture directory: ``parse_query`` turns it into a tree,
-rejecting unknown fields, and ``evaluate_query`` tests each citation's
-kept ``QueryFields`` against the tree.
+rejecting unknown fields, the fixture's postings narrow the citations
+the tree can match, and ``evaluate_query`` tests each of those
+citations' kept ``QueryFields`` against the tree.
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ _TERM_RE = re.compile(r'"([^"]*)"\[(\w+)\]')
 _YEAR_RE = re.compile(r"(\d+):\[Year\]")
 _FIELDS = ("mesh", "journal", "year", "pubtype")
 #: Deepest parenthesis nesting ``parse_query`` accepts.  ``build_query``
-#: emits one level; the bound keeps the recursive descent here and in
-#: ``evaluate_query`` far below Python's recursion limit.
+#: emits one level; the bound keeps the recursive descent here, in
+#: ``evaluate_query`` and in ``FixtureCorpus``'s postings walk far below
+#: Python's recursion limit.
 MAX_QUERY_DEPTH = 100
 
 
@@ -473,22 +475,65 @@ def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
 
 
 class FixtureCorpus:
-    """A fixture directory's citations, each with its ``QueryFields``.
+    """A fixture directory's citations, each with its ``QueryFields``, and
+    postings from each key a query term tests to the records holding it.
 
-    Both are computed once, here, so a search only evaluates its query.
+    All are computed once, here.  Records are kept in PMID order, stably,
+    so records that share a PMID keep their file order.  A search walks
+    its query tree over the postings for a superset of the matches, and
+    ``evaluate_query`` decides each record of that superset.
     """
 
     def __init__(self, fixture_dir: str):
-        self.records = [
-            (c, QueryFields.of(c)) for c in load_fixture_corpus(fixture_dir)
-        ]
+        self.records = sorted(
+            ((c, QueryFields.of(c)) for c in load_fixture_corpus(fixture_dir)),
+            key=lambda record: record[0].pmid,
+        )
+        postings: dict[tuple[str, str], set[int]] = {}
+        for i, (_, fields) in enumerate(self.records):
+            keys = [("mesh", m) for m in fields.mesh]
+            keys += [("title", w) for w in fields.title.split()]
+            keys += [("pubtype", t) for t in fields.pub_types]
+            keys.append(("journal", fields.journal))
+            for key in keys:
+                postings.setdefault(key, set()).add(i)
+        self._postings = {key: frozenset(ids) for key, ids in postings.items()}
+
+    def _posting(self, fieldname: str, key: str) -> frozenset[int]:
+        return self._postings.get((fieldname, key), frozenset())
+
+    def _candidates(self, node: _Term | _Bool) -> frozenset[int] | None:
+        """Indices of the records that can match ``node``; None for all.
+
+        The result holds every record ``evaluate_query`` accepts.  A MeSH
+        term matches its descriptor or its words in the title, so its
+        title records hold all of its words.  Years are not indexed.
+        """
+        if isinstance(node, _Term):
+            if node.fieldname == "year":
+                return None
+            if node.fieldname != "mesh":
+                return self._posting(node.fieldname, node.norm)
+            words = node.norm.split()
+            if not words:
+                return None
+            in_title = frozenset.intersection(
+                *(self._posting("title", w) for w in words))
+            return in_title | self._posting("mesh", node.norm)
+        parts = [self._candidates(o) for o in node.operands]
+        if node.op == "AND":
+            bounded = [p for p in parts if p is not None]
+            return frozenset.intersection(*bounded) if bounded else None
+        if any(p is None for p in parts):
+            return None
+        return frozenset.union(*parts)
 
     def search(self, query: str) -> list[Citation]:
         tree = parse_query(query)
-        return sorted(
-            (c for c, fields in self.records if evaluate_query(tree, fields)),
-            key=lambda c: c.pmid,
-        )
+        candidates = self._candidates(tree)
+        ids = range(len(self.records)) if candidates is None else sorted(candidates)
+        return [self.records[i][0] for i in ids
+                if evaluate_query(tree, self.records[i][1])]
 
 
 def fetch_citations(query: str, config: EndpointConfig,

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from citescreen import corpus
 from citescreen.cli import main
 from citescreen.pipeline import RESOURCE_FILES
-from citescreen.retrieve import MAX_QUERY_DEPTH
+from citescreen.retrieve import (
+    MAX_QUERY_DEPTH,
+    QueryFields,
+    evaluate_query,
+    load_fixture_corpus,
+    parse_query,
+)
 
 
 @pytest.fixture
@@ -754,3 +760,62 @@ def test_any_jsonl_record_exits_cleanly(jsonl_dir, command, index, field, value,
     assert "Traceback" not in result.output
     if result.exit_code == 1:
         assert "error:" in result.output
+
+
+# --------------------------------------------------------------------------
+# The query-string surface, fuzzed: whatever the query, a fixture fetch
+# ends with exit 0 and the PMIDs that evaluating every record gives, or
+# with exit 1 and an error line.
+# --------------------------------------------------------------------------
+
+_QUERY_TERMS = [
+    '"heart failure"[MeSH]', '"atrial fibrillation"[mesh]', '"stroke"[MeSH]',
+    '"Circulation"[Journal]', '"randomized controlled trial"[PubType]',
+    '2010:[Year]', '"2012"[YEAR]',
+    '""[MeSH]', '"--"[Journal]', '".,;"[PubType]',   # empty and punctuation-only
+    '"x"[Foo]', '"heart failure"[Title]',             # unknown fields
+    '"abc"[Year]', '"20l0"[Year]', '""[Year]',        # non-numeric years
+]
+_QUERY_JUNK = ["bogus", "and", "&&", "[MeSH]", '"', ":[Year]", "(-)", "#", "2010"]
+#: Whole queries: a term, or two to three of them joined by AND or OR in
+#: parentheses, each nesting wrapped in up to past ``MAX_QUERY_DEPTH``
+#: levels of parentheses.
+_NESTED_QUERIES = st.recursive(
+    st.sampled_from(_QUERY_TERMS),
+    lambda children: st.tuples(
+        st.sampled_from([" AND ", " OR "]), st.lists(children, min_size=2, max_size=3),
+        st.sampled_from([1, 1, 1, 2, MAX_QUERY_DEPTH // 2, MAX_QUERY_DEPTH + 1]),
+    ).map(lambda t: "(" * t[2] + t[0].join(t[1]) + ")" * t[2]),
+    max_leaves=6,
+)
+#: Token soup: terms, operators, parentheses that need not balance and junk.
+_TOKEN_SOUP = st.lists(st.sampled_from(
+    [*_QUERY_TERMS, *["AND", "OR", "(", ")"] * 3, *_QUERY_JUNK]), max_size=10,
+).map(" ".join)
+
+
+@pytest.fixture(scope="module")
+def fixture_fields(fixture_corpus_dir):
+    """Every fixture record's PMID and ``QueryFields``."""
+    return [(c.pmid, QueryFields.of(c))
+            for c in load_fixture_corpus(str(fixture_corpus_dir))]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(query=_NESTED_QUERIES | _TOKEN_SOUP)
+@example(query="(" * (MAX_QUERY_DEPTH + 1) + '"stroke"[MeSH]' + ")" * MAX_QUERY_DEPTH)
+@example(query="(" * 3000 + '"stroke"[MeSH]' + ")" * 3000)
+def test_any_query_string_exits_cleanly(fixture_corpus_dir, fixture_fields, query):
+    result = _invoke(CliRunner(), [
+        "--fixture-dir", str(fixture_corpus_dir), "fetch", "--", query,
+    ])
+    assert result.exit_code in (0, 1), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        assert "error:" in result.output
+        return
+    tree = parse_query(query)
+    expected = sorted(pmid for pmid, fields in fixture_fields
+                      if evaluate_query(tree, fields))
+    assert result.output.splitlines() == ["pmid", *map(str, expected)]

@@ -426,6 +426,60 @@ class TestDrugNormalization:
         assert parts == ["Beta adrenergic blockers", "unknownium"]
 
 
+_NAME_WORDS = ["angiotensin", "receptor", "blockers", "beta", "aspirin",
+               "i", "ii", "iii", "iv", "v", "vi", "1", "2", "3", "4", "5", "6", "10"]
+_NUMERAL_WORDS = ["i", "ii", "iii", "iv", "v", "1", "2", "3", "4", "5"]
+
+
+@st.composite
+def _drug_names(draw):
+    """A drug name of words that are often numerals, now and then only numerals."""
+    words = draw(st.lists(st.sampled_from(draw(st.sampled_from(
+        [_NAME_WORDS, _NUMERAL_WORDS]))), min_size=1, max_size=4))
+    return draw(st.sampled_from([str, str.upper, str.title]))(" ".join(words))
+
+
+def _scanned_name_without_numerals(key, drugs):
+    """Rule 2b as a scan over every dictionary name in file order."""
+    def strip(norm):
+        return " ".join(w for w in norm.split() if w not in _NUMERAL_WORDS)
+    for candidate in drugs.names():
+        if strip(preprocess.normalize_token(candidate)) == strip(key):
+            return candidate
+    return None
+
+
+def _dictionary(names):
+    """A flat dictionary of ``names``; the first of a normalized name wins."""
+    keyed = {}
+    for name in names:
+        keyed.setdefault(preprocess.normalize_token(name), name)
+    return corpus.DrugDictionary(dict.fromkeys(keyed), keyed)
+
+
+class TestDrugNameWithoutNumerals:
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(_drug_names(), max_size=8), mentions=st.lists(_drug_names(),
+                                                                       max_size=5))
+    def test_index_equals_the_scan(self, names, mentions):
+        drugs = _dictionary(names)
+        for mention in [*mentions, *names]:
+            key = preprocess.normalize_token(mention)
+            assert (drugs.name_without_numerals(key)
+                    == _scanned_name_without_numerals(key, drugs))
+
+    def test_first_name_in_file_order_wins(self):
+        drugs = _dictionary(["Blocker II", "Blocker 3", "II", "Aspirin"])
+        assert drugs.name_without_numerals("blocker iv") == "Blocker II"
+        assert drugs.name_without_numerals("5") == "II"
+        assert drugs.name_without_numerals("aspirin 2") == "Aspirin"
+        assert drugs.name_without_numerals("heparin") is None
+
+    def test_rule_2b_in_the_cascade(self, drugs, synonyms):
+        assert normalize_drug("Angiotensin III receptor blockers", drugs,
+                              synonyms) == "Angiotensin II receptor blockers"
+
+
 class TestDrugHierarchy:
     def test_chain_for_drug(self, drugs):
         assert drug_hierarchy("furosemide", drugs) == [

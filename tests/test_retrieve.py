@@ -1,18 +1,22 @@
 import importlib.util
 import random
 import re
+import tempfile
 import time
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from citescreen import retrieve
 from citescreen.corpus import (
     Citation,
     ClinicalTopic,
     MeshTerm,
+    load_gold_standard,
 )
 from citescreen.errors import (
     ConfigError,
@@ -22,15 +26,17 @@ from citescreen.errors import (
     TransportError,
 )
 from citescreen.extract import ConceptSet
-from citescreen.pipeline import Resources
+from citescreen.pipeline import Resources, topic_concepts
 from citescreen.preprocess import normalize_token
 from citescreen.retrieve import (
     EndpointConfig,
+    FixtureCorpus,
     PUBLICATION_TYPES,
     QueryFields,
     build_query,
     evaluate_query,
     infer_publication_type,
+    load_fixture_corpus,
     parse_query,
 )
 
@@ -255,6 +261,111 @@ class TestFixtureFetch:
     def test_missing_dir(self):
         with pytest.raises(ConfigError):
             _fetch('"x"[MeSH]', EndpointConfig(), "/no/such")
+
+
+    def test_search_decides_only_candidates(self, fixture_corpus_dir, gold_path,
+                                            monkeypatch):
+        """Each gold topic's fetch calls ``evaluate_query`` on fewer records
+        than the corpus holds and returns the PMIDs a scan of every record
+        returned."""
+        fixture = str(fixture_corpus_dir)
+        records = len(load_fixture_corpus(fixture))
+        res = Resources.bundled(fixture_dir=fixture)
+        decided = []
+        depth = 0
+
+        def outermost_counted(node, fields):
+            nonlocal depth
+            if depth == 0:
+                decided.append(fields)
+            depth += 1
+            try:
+                return evaluate_query(node, fields)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(retrieve, "evaluate_query", outermost_counted)
+        expected = {"T1": list(range(1101, 1108)), "T2": list(range(2201, 2208)),
+                    "T3": list(range(3301, 3308))}
+        for topic in load_gold_standard(str(gold_path)):
+            query = build_query(topic, topic_concepts(topic, res), res.hyponyms,
+                                res.journal_whitelist, res.min_year)
+            decided.clear()
+            pmids = _pmids(res.fetch(query))
+            assert len(pmids) <= len(decided) < records
+            assert pmids == expected[topic.topic_id]
+
+
+# --------------------------------------------------------------------------
+# Search through postings, against evaluating every record: generated
+# corpora with PMIDs shared across files, empty titles and titles that
+# hold MeSH phrases, under nested queries over every field.
+# --------------------------------------------------------------------------
+
+_TITLE_WORDS = ["heart", "failure", "Heart-Failure,", "atrial", "fibrillation",
+                "STROKE.", "stroke", "acute", "cohort", "in"]
+_MESH_PHRASES = ["heart failure", "atrial fibrillation", "stroke", "acute heart failure"]
+_GEN_JOURNALS = ["Circulation", "BMJ", "Stroke"]
+_GEN_PUB_TYPES = ["Randomized Controlled Trial", "Cohort", "Letter"]
+
+_RECORDS = st.fixed_dictionaries({
+    "pmid": st.integers(1, 6),
+    "title": st.lists(st.sampled_from(_TITLE_WORDS), max_size=6).map(" ".join),
+    "mesh": st.lists(st.sampled_from(_MESH_PHRASES), max_size=2),
+    "journal": st.sampled_from([*_GEN_JOURNALS, ""]),
+    "year": st.sampled_from([None, 1990, 2005, 2020]),
+    "pub_types": st.lists(st.sampled_from(_GEN_PUB_TYPES), max_size=2),
+})
+
+_QUERY_TERMS = (
+    # "diabetes" is in no record; "" and "--" normalize to no word at all
+    st.sampled_from([*_MESH_PHRASES, "failure", "heart-failure", "Heart diabetes",
+                     "diabetes", "", "--"]).map(lambda v: f'"{v}"[MeSH]')
+    | st.sampled_from([*_GEN_JOURNALS, "JAMA"]).map(lambda v: f'"{v}"[Journal]')
+    | st.sampled_from([*_GEN_PUB_TYPES, "editorial"]).map(lambda v: f'"{v}"[PubType]')
+    | st.sampled_from([1900, 2005, 2021]).map(lambda y: f"{y}:[Year]")
+)
+_QUERIES = st.recursive(
+    _QUERY_TERMS,
+    lambda children: st.tuples(st.sampled_from([" AND ", " OR "]),
+                               st.lists(children, min_size=2, max_size=3))
+    .map(lambda op_operands: "(" + op_operands[0].join(op_operands[1]) + ")"),
+    max_leaves=8,
+)
+
+
+def _record_xml(pmid, title, mesh, journal, year, pub_types):
+    pub_date = "" if year is None else f"<PubDate><Year>{year}</Year></PubDate>"
+    return (
+        f"<MedlineCitation><PMID>{pmid}</PMID><Article>"
+        f"<Journal><Title>{escape(journal)}</Title>"
+        f"<JournalIssue>{pub_date}</JournalIssue></Journal>"
+        f"<ArticleTitle>{escape(title)}</ArticleTitle><PublicationTypeList>"
+        + "".join(f"<PublicationType>{t}</PublicationType>" for t in pub_types)
+        + "</PublicationTypeList></Article><MeshHeadingList>"
+        + "".join(f"<MeshHeading><DescriptorName>{m}</DescriptorName></MeshHeading>"
+                  for m in mesh)
+        + "</MeshHeadingList></MedlineCitation>"
+    )
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(files=st.lists(st.lists(_RECORDS, max_size=5), min_size=1, max_size=3),
+       queries=st.lists(_QUERIES, min_size=1, max_size=4))
+def test_search_equals_evaluating_every_record(files, queries):
+    with tempfile.TemporaryDirectory() as root:
+        for n, records in enumerate(files):
+            Path(root, f"{n}.xml").write_text(
+                "<MedlineCitationSet>" + "".join(_record_xml(**r) for r in records)
+                + "</MedlineCitationSet>", encoding="utf-8")
+        corpus = FixtureCorpus(root)
+        everything = [(c, QueryFields.of(c)) for c in load_fixture_corpus(root)]
+    for query in queries:
+        tree = parse_query(query)
+        expected = sorted((c for c, fields in everything if evaluate_query(tree, fields)),
+                          key=lambda c: c.pmid)
+        assert corpus.search(query) == expected, query
 
 
 def _efetch_body(pmids, start=0):
