@@ -263,24 +263,23 @@ def _text(el: ET.Element | None) -> str:
 def parse_citation_xml(xml_document: str) -> list[Citation]:
     """Parse the MEDLINE citation subset into Citation objects.
 
-    Records missing a PMID are rejected with a warning; the remaining
-    records are still returned.  Malformed XML or a non-numeric Year
-    raises FormatError; a missing or empty Year reads as 0.
+    A record's PMID is its own direct ``<PMID>`` child, never one nested
+    deeper (such as a ``CommentsCorrections`` reference).  Records whose
+    PMID is missing, non-numeric or zero are rejected with a warning; the
+    remaining records are still returned.  Malformed XML or a non-numeric
+    Year raises FormatError; a missing or empty Year reads as 0.
     """
     try:
         root = ET.fromstring(xml_document)
     except ET.ParseError as exc:
         raise FormatError(f"malformed XML: {exc}") from exc
 
-    if root.tag == "MedlineCitation":
-        records = [root]
-    else:
-        records = list(root.iter("MedlineCitation"))
+    records = [root] if root.tag == "MedlineCitation" else root.iter("MedlineCitation")
 
     citations: list[Citation] = []
     for idx, rec in enumerate(records):
-        pmid_text = _text(rec.find("PMID")) or _text(rec.find(".//PMID"))
-        if not pmid_text or not pmid_text.isdecimal():
+        pmid_text = _text(rec.find("PMID"))
+        if not pmid_text.isdecimal() or int(pmid_text) == 0:
             log.warning("record %d rejected: missing or non-numeric PMID", idx)
             continue
 
@@ -446,6 +445,15 @@ def load_gold_standard(path: str) -> list[ClinicalTopic]:
     return list(topics.values())
 
 
+def _has_words(name: str, what: str, lineno: int) -> bool:
+    """Whether ``name`` can be a query term; warn if it is not blank but cannot."""
+    if preprocess.normalize_token(name):
+        return True
+    if name.strip():
+        log.warning("%s line %d: %r skipped: it has no words", what, lineno, name.strip())
+    return False
+
+
 def load_hyponym_table(path: str) -> HyponymTable:
     """Load disease \\t comma-separated-hyponyms rows."""
     table: dict[str, list[str]] = {}
@@ -453,9 +461,8 @@ def load_hyponym_table(path: str) -> HyponymTable:
         if len(cols) != 2:
             log.warning("hyponym line %d rejected: expected 2 columns", lineno)
             continue
-        term = cols[0].strip()
-        hyps = [h.strip() for h in cols[1].split(",") if h.strip()]
-        table[term] = hyps
+        table[cols[0].strip()] = [h.strip() for h in cols[1].split(",")
+                                  if _has_words(h, "hyponym", lineno)]
     return HyponymTable(table)
 
 
@@ -471,9 +478,11 @@ def load_synonym_table(path: str) -> dict[str, str]:
 
 
 def load_journal_whitelist(path: str) -> list[str]:
-    """Load one journal title per line; blank lines are skipped."""
+    """Load one journal title per line; blank lines are skipped, and so,
+    with a warning, are titles with no words."""
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        return [line.strip() for lineno, line in enumerate(fh, start=1)
+                if _has_words(line, "journal", lineno)]
 
 
 def bundled_path(name: str) -> str:

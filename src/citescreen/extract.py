@@ -32,8 +32,8 @@ class ConceptSet:
     """Three bags of normalized concepts (interventions and comparisons pooled).
 
     ``population_stems`` is ``population_terms(population)``, the form
-    screening and ranking compare; a set built from bare phrases derives
-    it, and ``build_concept_set`` passes it in.
+    screening and ranking compare, derived when the set is made; only
+    ``merged`` passes it in.
     """
 
     population: list[str] = field(default_factory=list)
@@ -286,9 +286,4 @@ def build_concept_set(
                 intervention.extend(drugs.hierarchy(key) or [key])
         elif m.group in ("procedure", "device"):
             intervention.append(m.normal_form)
-    # stem_and_filter maps word by word, so each distinct word of the
-    # unit is stemmed once, however many nested phrases repeat it.
-    words = [w for phrase in population for w in phrase.split()]
-    stems = {w: preprocess.stem_and_filter([w]) for w in set(words)}
-    return ConceptSet(population, intervention, disease,
-                      population_stems=[s for w in words for s in stems[w]])
+    return ConceptSet(population, intervention, disease)

@@ -106,78 +106,90 @@ _CONFIG_KEYS = ("paths", "weights", "endpoint", "fixture_dir", "min_year",
                 "qualifier_whitelist")
 
 
-def _check_keys(where: str, table: dict, known, prefix: str = "") -> None:
+def _check_keys(table: dict, known, prefix: str = "") -> None:
     for key in table:
         if key not in known:
-            raise ConfigError(f"{where}: unknown key {prefix + key!r}")
+            raise ConfigError(f"unknown key {prefix + key!r}")
 
 
 def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
     """The run's ``Resources``: bundled, with the JSON ``config`` file's settings.
 
     ``fixture_dir`` (``--fixture-dir``) wins over the config's
-    ``fixture_dir``.  A value of the wrong type, an unknown key at the
-    top level or in ``paths``, ``weights`` or ``endpoint``, and a ``paths``
-    file that cannot be read or breaks its format are a ``ConfigError``.
+    ``fixture_dir``.  A config that cannot be read or is not UTF-8 JSON, a
+    value of the wrong type, an unknown key at the top level or in
+    ``paths``, ``weights`` or ``endpoint``, and a ``paths`` file that
+    cannot be read or breaks its format are a ``ConfigError`` naming the
+    config file.
     """
-    raw = {}
+    settings = {}
     if config:
         try:
             with open(config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config}: {exc}") from exc
-    where = f"config {config}"
+        try:
+            settings = _config_settings(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"config {config}: {exc}") from exc
+    if fixture_dir:
+        settings["fixture_dir"] = fixture_dir
+    return Resources.bundled(**settings)
+
+
+def _config_settings(raw) -> dict:
+    """The ``Resources`` fields a parsed config sets, by field name."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: the top level must be a JSON object")
-    _check_keys(where, raw, _CONFIG_KEYS)
+        raise ConfigError("the top level must be a JSON object")
+    _check_keys(raw, _CONFIG_KEYS)
     paths = raw.get("paths", {})
     if not isinstance(paths, dict):
-        raise ConfigError(f"{where}: paths must be a JSON object")
-    _check_keys(where, paths, [key for _, key, _, _ in RESOURCE_FILES], "paths.")
+        raise ConfigError("paths must be a JSON object")
+    _check_keys(paths, [key for _, key, _, _ in RESOURCE_FILES], "paths.")
     settings = {}
     for name, key, load, _ in RESOURCE_FILES:
         if key not in paths:
             continue
         if not isinstance(paths[key], str):
-            raise ConfigError(f"{where}: paths.{key} must be a file name, "
-                              f"not {paths[key]!r}")
+            raise ConfigError(f"paths.{key} must be a file name, not {paths[key]!r}")
         try:
             settings[name] = load(paths[key])
         except (OSError, UnicodeDecodeError, FormatError) as exc:
-            raise ConfigError(
-                f"{where}: cannot read paths.{key} file {paths[key]}: {exc}"
-            ) from exc
+            raise ConfigError(f"cannot read paths.{key} file {paths[key]}: "
+                              f"{exc}") from exc
     if "weights" in raw:
         w = raw["weights"]
         if isinstance(w, dict):
-            _check_keys(where, w, ("w1", "w2", "w3"), "weights.")
+            _check_keys(w, ("w1", "w2", "w3"), "weights.")
         try:
             settings["weights"] = WeightConfig(w["w1"], w["w2"], w["w3"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"weights need numeric w1, w2 and w3: {exc}") from exc
     endpoint = raw.get("endpoint", {})
     if not isinstance(endpoint, dict):
-        raise ConfigError(f"{where}: endpoint must be a JSON object")
-    _check_keys(where, endpoint, [f.name for f in fields(EndpointConfig)], "endpoint.")
+        raise ConfigError("endpoint must be a JSON object")
+    _check_keys(endpoint, [f.name for f in fields(EndpointConfig)], "endpoint.")
     settings["endpoint"] = EndpointConfig(**endpoint)
-    if not isinstance(raw.get("fixture_dir"), (str, type(None))):
-        raise ConfigError(f"{where}: fixture_dir must be a directory name, "
-                          f"not {raw['fixture_dir']!r}")
+    if "fixture_dir" in raw:
+        if not isinstance(raw["fixture_dir"], (str, type(None))):
+            raise ConfigError(f"fixture_dir must be a directory name, "
+                              f"not {raw['fixture_dir']!r}")
+        settings["fixture_dir"] = raw["fixture_dir"]
     if "min_year" in raw:
         if type(raw["min_year"]) is not int:
-            raise ConfigError(f"{where}: min_year must be an integer, "
-                              f"not {raw['min_year']!r}")
+            raise ConfigError(f"min_year must be an integer, not {raw['min_year']!r}")
+        if raw["min_year"] < 1900:
+            raise ConfigError(f"min_year must be >= 1900, not {raw['min_year']}")
         settings["min_year"] = raw["min_year"]
     if "qualifier_whitelist" in raw:
         qualifiers = raw["qualifier_whitelist"]
         if not (isinstance(qualifiers, list)
                 and all(isinstance(q, str) for q in qualifiers)):
-            raise ConfigError(f"{where}: qualifier_whitelist must be a list "
-                              f"of strings, not {qualifiers!r}")
+            raise ConfigError(f"qualifier_whitelist must be a list of strings, "
+                              f"not {qualifiers!r}")
         settings["qualifier_whitelist"] = frozenset(qualifiers)
-    return Resources.bundled(fixture_dir=fixture_dir or raw.get("fixture_dir"),
-                             **settings)
+    return settings
 
 
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:

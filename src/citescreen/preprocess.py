@@ -165,5 +165,8 @@ STOPWORDS = frozenset(
 
 
 def stem_and_filter(tokens: list[str]) -> list[str]:
-    """Drop stopwords and suffix-strip the remaining tokens."""
-    return [stem(t) for t in tokens if t and t.lower() not in STOPWORDS]
+    """Drop stopwords and suffix-strip the remaining tokens, each distinct
+    token once: the map is token by token."""
+    kept = [t for t in tokens if t and t.lower() not in STOPWORDS]
+    stems = {t: stem(t) for t in dict.fromkeys(kept)}
+    return [stems[t] for t in kept]

@@ -75,12 +75,8 @@ _TYPE_PHRASES = (
 
 
 def _dedupe(terms) -> list[str]:
-    seen = []
-    for t in terms:
-        norm = preprocess.normalize_token(t)
-        if norm and norm not in seen:
-            seen.append(norm)
-    return seen
+    """The distinct non-empty normal forms of ``terms``, in order."""
+    return list(dict.fromkeys(n for n in map(preprocess.normalize_token, terms) if n))
 
 
 def build_query(
@@ -105,11 +101,8 @@ def build_query(
         )
     if min_year < 1900:
         raise QueryBuildError("min_year must be >= 1900")
-    disease_terms = list(diseases)
-    for d in diseases:
-        for h in hyponyms.hyponyms(d):
-            if h not in disease_terms:
-                disease_terms.append(h)
+    disease_terms = list(dict.fromkeys(
+        [*diseases, *(h for d in diseases for h in hyponyms.hyponyms(d))]))
 
     def group(terms, tag):
         return "(" + " OR ".join(f'"{t}"[{tag}]' for t in terms) + ")"
@@ -163,8 +156,9 @@ def parse_query(query: str) -> _Term | _Bool:
     """Parse a Boolean query string into an expression tree.
 
     Field names match case-insensitively; one other than MeSH, Journal,
-    Year or PubType, a Year value that is not a number, or parentheses
-    nested deeper than ``MAX_QUERY_DEPTH`` are an error.
+    Year or PubType, a Year value that is not a number, any other value
+    that normalizes to no word, or parentheses nested deeper than
+    ``MAX_QUERY_DEPTH`` are an error.
     """
     tokens = []
     pos = 0
@@ -219,7 +213,10 @@ def parse_query(query: str) -> _Term | _Bool:
                 int(value)
             except ValueError:
                 raise QueryParseError(f"year {value!r} is not a number") from None
-        return _Term(value, fieldname)
+        term = _Term(value, fieldname)
+        if not term.norm:
+            raise QueryParseError(f"{tm.group(2)} value {value!r} has no words")
+        return term
 
     def parse_and() -> _Term | _Bool:
         nonlocal idx
@@ -514,11 +511,8 @@ class FixtureCorpus:
                 return None
             if node.fieldname != "mesh":
                 return self._posting(node.fieldname, node.norm)
-            words = node.norm.split()
-            if not words:
-                return None
             in_title = frozenset.intersection(
-                *(self._posting("title", w) for w in words))
+                *(self._posting("title", w) for w in node.norm.split()))
             return in_title | self._posting("mesh", node.norm)
         parts = [self._candidates(o) for o in node.operands]
         if node.op == "AND":

@@ -8,50 +8,36 @@ as in the reference description.
 _VOWELS = "aeiou"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _pattern(word: str) -> str:
+    """``word`` as "c" for each consonant and "v" for each vowel, in one pass.
+
+    A "y" is a vowel after a consonant, and a consonant at the start of
+    the word or after a vowel.
+    """
+    kinds = []
+    consonant = False   # so that a leading "y" reads as a consonant
+    for ch in word:
+        consonant = ch not in _VOWELS and (ch != "y" or not consonant)
+        kinds.append("c" if consonant else "v")
+    return "".join(kinds)
 
 
 def _measure(stem: str) -> int:
     """Count VC sequences in ``stem`` (the m of the algorithm)."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        vowel = not _is_consonant(stem, i)
-        if prev_vowel and not vowel:
-            m += 1
-        prev_vowel = vowel
-    return m
+    return _pattern(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _pattern(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant, last consonant not w, x or y
-    if len(word) < 3:
-        return False
-    if not (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-    ):
-        return False
-    return word[-1] not in "wxy"
+    return _pattern(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 _STEP2 = [
@@ -79,9 +65,7 @@ def stem(word: str) -> str:
         return word
 
     # Step 1a
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith("ies"):
+    if word.endswith(("sses", "ies")):
         word = word[:-2]
     elif not word.endswith("ss") and word.endswith("s"):
         word = word[:-1]

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import citescreen
 from citescreen import corpus
 from citescreen.cli import main
 from citescreen.pipeline import RESOURCE_FILES
@@ -138,6 +140,22 @@ class TestQuery:
         result = _invoke(runner, ["--config", str(config), "query", "--title", T1_TITLE])
         assert result.exit_code == 1
         assert "min_year must be >= 1900" in result.output
+        assert f"config {config}" in result.output
+
+    def test_wordless_resource_entries_make_no_terms(self, runner, tmp_path):
+        (tmp_path / "hyponyms.tsv").write_text(
+            "heart failure\t---, congestive heart failure\n")
+        (tmp_path / "journals.txt").write_text("Circulation\n--\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {
+            "hyponyms": str(tmp_path / "hyponyms.tsv"),
+            "journals": str(tmp_path / "journals.txt")}}))
+        result = _invoke(runner, ["--config", str(config), "query", "--title", T1_TITLE])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(
+            '("heart failure"[MeSH] OR "congestive heart failure"[MeSH]) AND '
+            '("diuretics"[MeSH] OR "cardiovascular agents"[MeSH]) AND '
+            '("Circulation"[Journal]) AND 1974:[Year] AND (')
 
 
 class TestFetch:
@@ -223,6 +241,17 @@ class TestFetch:
         assert result.exit_code == 1
         assert "unknown field 'Foo'" in result.output
 
+    @pytest.mark.parametrize("term", ['""[MeSH]', '"--"[MeSH]', '" "[Journal]',
+                                      '"()"[PubType]'])
+    def test_wordless_term_is_validation_error(self, runner, fixture_corpus_dir,
+                                               term):
+        result = _invoke(runner, [
+            "--fixture-dir", str(fixture_corpus_dir), "fetch",
+            f'"heart failure"[MeSH] OR {term}',
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output and "has no words" in result.output
+
     @pytest.mark.parametrize("depth", [MAX_QUERY_DEPTH, MAX_QUERY_DEPTH + 1, 3000])
     def test_query_nesting_limit(self, runner, fixture_corpus_dir, depth):
         # two expression nodes per level, the deepest shape a level can take
@@ -251,6 +280,24 @@ class TestFetch:
         ])
         assert result.exit_code == 1
         assert "error:" in result.output and "b.xml" in result.output
+
+    def test_records_without_a_pmid_of_their_own_are_skipped(self, runner,
+                                                             tmp_path):
+        def record(pmid_xml):
+            return (f"<MedlineCitation>{pmid_xml}<Article><ArticleTitle>Heart "
+                    f"failure</ArticleTitle></Article></MedlineCitation>")
+        (tmp_path / "a.xml").write_text(
+            "<MedlineCitationSet>" + record("<PMID>0</PMID>")
+            + record("<PMID>000</PMID>") + record("<PMID>12</PMID>")
+            + record("<CommentsCorrections><PMID>999</PMID></CommentsCorrections>")
+            + "</MedlineCitationSet>")
+        fetched = _invoke(runner, ["--fixture-dir", str(tmp_path), "fetch",
+                                   '"heart failure"[MeSH]'])
+        assert (fetched.exit_code, fetched.output) == (0, "pmid\n12\n")
+        ingested = _invoke(runner, ["ingest", str(tmp_path / "a.xml")])
+        assert ingested.exit_code == 0, ingested.output
+        assert [json.loads(line)["pmid"] for line in
+                ingested.output.splitlines()] == [12]
 
 
 @pytest.fixture
@@ -477,6 +524,25 @@ class TestPipelineAndEval:
             ])
         assert result.exit_code == 1
         assert "error:" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("content", [
+        b"\xff{}",
+        json.dumps({"weights": [1]}).encode(),
+        json.dumps({"weights": {"w1": 0.5}}).encode(),
+        json.dumps({"weights": {"w1": True, "w2": 0, "w3": 0}}).encode(),
+        json.dumps({"endpoint": {"page_size": 0}}).encode(),
+    ], ids=["not-utf8", "weights-list", "weights-missing", "boolean-weight",
+            "zero-page-size"])
+    def test_config_error_names_the_config(self, runner, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert f"config {config}" in result.output
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("key", UNKNOWN_KEYS)
@@ -718,7 +784,7 @@ def test_any_config_exits_cleanly(path_files, parts):
     assert result.exit_code in (0, 1), result.output
     assert "Traceback" not in result.output
     if result.exit_code == 1:
-        assert "error:" in result.output
+        assert "error:" in result.output and f"config {path}" in result.output
 
 
 # --------------------------------------------------------------------------
@@ -819,3 +885,138 @@ def test_any_query_string_exits_cleanly(fixture_corpus_dir, fixture_fields, quer
     expected = sorted(pmid for pmid, fields in fixture_fields
                       if evaluate_query(tree, fields))
     assert result.output.splitlines() == ["pmid", *map(str, expected)]
+
+
+# --------------------------------------------------------------------------
+# The XML surface, fuzzed: whatever MEDLINE XML a file holds, ingest, a
+# fixture fetch and the pipeline over it end with exit 0, or with exit 1
+# and an error line.  Records draw zero, nested, missing and non-numeric
+# PMIDs, empty and non-numeric years, empty titles, and titles and
+# sentences whose population phrase holds a long run of "y"; documents
+# are truncated or given bytes that are not UTF-8.
+# --------------------------------------------------------------------------
+
+#: At least 1,200 "y"s: the recursive consonant test of the stemmer
+#: stopped at Python's recursion limit on such a word.  Hypothesis runs a
+#: test with that limit raised by up to 2,000 frames, so the runs drawn
+#: go well past it.
+_LONG_Y = st.integers(1_200, 5_000).map(lambda n: "y" * n)
+_PMIDS = st.sampled_from(["<PMID>{}</PMID>", "<PMID>{}</PMID>", "<PMID>0</PMID>",
+                          "<PMID>000</PMID>",
+                          "", "<PMID>12a</PMID>", "<PMID>²</PMID>",
+                          "<PMID></PMID>",
+                          "<CommentsCorrections><PMID>{}</PMID></CommentsCorrections>"])
+_POPULATION_TEXTS = st.sampled_from([
+    "", "Furosemide in elderly patients with heart failure",
+    "Furosemide in elderly patients {} with heart failure",
+    "Diuretics for heart failure in {} elderly patients",
+])
+
+
+@st.composite
+def _xml_records(draw):
+    pmid = draw(_PMIDS).format(draw(st.integers(1101, 1104)))
+    year = draw(st.sampled_from(["2005", "2005", "", "abc", None]))
+    pub_date = "" if year is None else f"<PubDate><Year>{year}</Year></PubDate>"
+    title, sentence = (draw(_POPULATION_TEXTS).format(draw(_LONG_Y))
+                       for _ in range(2))
+    return (f"<MedlineCitation>{pmid}<Article><Journal><Title>Circulation</Title>"
+            f"<JournalIssue>{pub_date}</JournalIssue></Journal>"
+            f"<ArticleTitle>{title}</ArticleTitle><Abstract><AbstractText>"
+            f"{sentence}.</AbstractText></Abstract><PublicationTypeList>"
+            f"<PublicationType>Randomized Controlled Trial</PublicationType>"
+            f"</PublicationTypeList></Article><MeshHeadingList><MeshHeading>"
+            f"<DescriptorName>Diuretics</DescriptorName></MeshHeading>"
+            f"</MeshHeadingList></MedlineCitation>")
+
+
+@st.composite
+def _xml_documents(draw):
+    """A MEDLINE document's bytes: whole, truncated, or with a byte that is
+    not UTF-8 put in."""
+    records = draw(st.lists(_xml_records(), min_size=1, max_size=3))
+    data = ("<MedlineCitationSet>" + "".join(records)
+            + "</MedlineCitationSet>").encode()
+    cut = draw(st.integers(0, len(data)))
+    mutation = draw(st.sampled_from(["none", "none", "truncate", "not-utf8"]))
+    if mutation == "truncate":
+        return data[:cut]
+    if mutation == "not-utf8":
+        return data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def xml_dir(tmp_path_factory):
+    """A fixture directory for one generated file, and a one-topic gold table."""
+    root = tmp_path_factory.mktemp("xml")
+    (root / "corpus").mkdir()
+    (root / "gold.tsv").write_text(f"T1\t{T1_TITLE}\t1101,1102\n")
+    return root
+
+
+_YS = "y" * 5_000
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(document=_xml_documents())
+@example(document=(
+    "<MedlineCitationSet><MedlineCitation><PMID>1101</PMID><Article><Journal>"
+    "<Title>Circulation</Title><JournalIssue><PubDate><Year>2005</Year></PubDate>"
+    f"</JournalIssue></Journal><ArticleTitle>Furosemide in elderly patients {_YS} "
+    "with heart failure</ArticleTitle></Article><MeshHeadingList><MeshHeading>"
+    "<DescriptorName>Diuretics</DescriptorName></MeshHeading></MeshHeadingList>"
+    "<PublicationType>Cohort</PublicationType></MedlineCitation>"
+    "</MedlineCitationSet>").encode())
+def test_any_xml_exits_cleanly(xml_dir, document):
+    path = xml_dir / "corpus" / "records.xml"
+    path.write_bytes(document)
+    corpus_dir = str(xml_dir / "corpus")
+    for args in (["ingest", str(path)],
+                 ["--fixture-dir", corpus_dir, "fetch", '"heart failure"[MeSH]'],
+                 ["--fixture-dir", corpus_dir, "pipeline", str(xml_dir / "gold.tsv")]):
+        result = _invoke(CliRunner(), args)
+        assert result.exit_code in (0, 1, 2), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code != 0:
+            assert "error:" in result.output
+
+
+# --------------------------------------------------------------------------
+# Recursion: the only functions that call themselves walk a parsed query
+# tree, whose depth ``parse_query`` bounds by ``MAX_QUERY_DEPTH``.
+# --------------------------------------------------------------------------
+
+def _self_calling_functions(path):
+    """``module.function`` (or ``module.Class.method``) of each function in
+    the file ``path`` whose body calls it by its own name (a method through
+    ``self`` or ``cls``)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, [*scope, child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                for call in ast.walk(child):
+                    if isinstance(call, ast.Call) and (
+                        (isinstance(call.func, ast.Name) and call.func.id == name)
+                        or (isinstance(call.func, ast.Attribute)
+                            and call.func.attr == name
+                            and isinstance(call.func.value, ast.Name)
+                            and call.func.value.id in ("self", "cls"))):
+                        found.add(".".join([*scope, name]))
+                visit(child, [*scope, name])
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_only_query_tree_walks_recurse():
+    package = Path(citescreen.__file__).parent
+    recursive = set().union(*map(_self_calling_functions, package.glob("*.py")))
+    assert recursive == {"retrieve.evaluate_query", "retrieve.FixtureCorpus._candidates"}

@@ -91,6 +91,29 @@ class TestCitationXml:
             assert [c.pmid for c in parse_citation_xml(xml)] == [7]
         assert "record 0 rejected: missing or non-numeric PMID" in caplog.text
 
+    @pytest.mark.parametrize("pmid", ["0", "000"])
+    def test_zero_pmid_skipped_with_warning(self, caplog, pmid):
+        xml = f"<MedlineCitationSet><MedlineCitation><PMID>{pmid}</PMID>" \
+              "</MedlineCitation><MedlineCitation><PMID>7</PMID>" \
+              "</MedlineCitation></MedlineCitationSet>"
+        with caplog.at_level("WARNING"):
+            assert [c.pmid for c in parse_citation_xml(xml)] == [7]
+        assert "record 0 rejected: missing or non-numeric PMID" in caplog.text
+
+    def test_nested_pmid_is_not_the_records(self, caplog):
+        """A PMID below the record's own, such as the commented article's in
+        ``CommentsCorrections``, never stands in for a missing one."""
+        xml = ("<MedlineCitationSet><MedlineCitation><Article><ArticleTitle>Reply"
+               "</ArticleTitle></Article><CommentsCorrectionsList>"
+               "<CommentsCorrections RefType=\"CommentOn\"><PMID>999</PMID>"
+               "</CommentsCorrections></CommentsCorrectionsList></MedlineCitation>"
+               "<MedlineCitation><PMID>5</PMID><CommentsCorrectionsList>"
+               "<CommentsCorrections><PMID>999</PMID></CommentsCorrections>"
+               "</CommentsCorrectionsList></MedlineCitation></MedlineCitationSet>")
+        with caplog.at_level("WARNING"):
+            assert [c.pmid for c in parse_citation_xml(xml)] == [5]
+        assert "record 0 rejected: missing or non-numeric PMID" in caplog.text
+
     def test_malformed_xml(self):
         with pytest.raises(FormatError):
             parse_citation_xml("<MedlineCitation><PMID>1")
@@ -227,6 +250,16 @@ class TestOtherLoaders:
         table = BUNDLED.hyponyms
         assert "congestive heart failure" in table.hyponyms("heart failure")
 
+    def test_wordless_hyponym_skipped_with_warning(self, tmp_path, caplog):
+        p = tmp_path / "hyponyms.tsv"
+        p.write_text("heart failure\t---, congestive heart failure,, ()\n")
+        with caplog.at_level("WARNING"):
+            table = corpus.load_hyponym_table(str(p))
+        assert table.hyponyms("heart failure") == ["congestive heart failure"]
+        assert "hyponym line 1: '---' skipped: it has no words" in caplog.text
+        assert "hyponym line 1: '()' skipped" in caplog.text
+        assert "''" not in caplog.text   # blank entries are skipped silently
+
     def test_self_hyponym_rejected(self):
         from citescreen.corpus import HyponymTable
         with pytest.raises(FormatError):
@@ -264,3 +297,12 @@ class TestOtherLoaders:
         journals = BUNDLED.journal_whitelist
         assert "Circulation" in journals
         assert len(journals) == 16
+
+    def test_wordless_journal_skipped_with_warning(self, tmp_path, caplog):
+        p = tmp_path / "journals.txt"
+        p.write_text("Circulation\n\n  ...  \nThe Lancet\n")
+        with caplog.at_level("WARNING"):
+            assert corpus.load_journal_whitelist(str(p)) == ["Circulation",
+                                                             "The Lancet"]
+        assert "journal line 3: '...' skipped: it has no words" in caplog.text
+        assert "line 2" not in caplog.text

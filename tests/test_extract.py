@@ -16,6 +16,7 @@ from citescreen.extract import (
     read,
 )
 from citescreen.pipeline import Resources
+from citescreen.stemming import stem
 from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
 
 from population_cases import CASES
@@ -590,7 +591,11 @@ class TestConceptSetOfGeneratedText:
     @settings(max_examples=200)
     @given(st.lists(_population_sentences(BUNDLED.lexicon), max_size=4))
     def test_stems_are_population_terms_of_the_phrases(self, sentences):
+        """Built and merged sets hold the stem of each non-stopword word
+        of their phrases, word by word."""
         sets = [build_concept_set(s, BUNDLED.lexicon, BUNDLED.drugs, BUNDLED.synonyms)
                 for s in sentences]
         for cs in [*sets, ConceptSet.merged(sets)]:
-            assert cs.population_stems == population_terms(cs.population)
+            assert cs.population_stems == [
+                stem(w) for phrase in cs.population for w in phrase.split()
+                if w.lower() not in preprocess.STOPWORDS]

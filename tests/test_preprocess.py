@@ -13,6 +13,7 @@ from citescreen.preprocess import (
     segment_sentences,
     stem_and_filter,
 )
+from citescreen.stemming import stem
 
 
 def _segment_by_prefix_scan(text: str) -> list[str]:
@@ -244,6 +245,18 @@ class TestNormalization:
     def test_stem_and_filter_drops_stopwords(self):
         out = stem_and_filter(["patients", "with", "heart", "failure"])
         assert out == ["patient", "heart", "failur"]
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(
+        ["patients", "Patients", "PATIENTS", "elderly", "Elderly", "", "the",
+         "The", "WITH", "who", "heart", "failure", "adults", "y" * 30])
+        | st.text("abcdeiosy", max_size=8), max_size=12))
+    def test_stem_and_filter_is_the_per_token_map(self, tokens):
+        """Each token maps on its own: empty and stopword tokens to nothing,
+        any other to its stem, however often it repeats."""
+        expected = [stem(t) for t in tokens
+                    if t and t.lower() not in preprocess.STOPWORDS]
+        assert stem_and_filter(tokens) == expected
 
 
 def test_default_stopwords_loaded():

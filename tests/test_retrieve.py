@@ -166,6 +166,9 @@ _MALFORMED_QUERIES = {  # query -> the error message it must give
     "bogus": "unparseable query",
     '"x"[Mystery]': "unknown field 'Mystery'",
     '"abc"[Year]': "year 'abc' is not a number",
+    '""[MeSH]': "MeSH value '' has no words",
+    '"--"[Journal]': "Journal value '--' has no words",
+    '" .,; "[pubtype]': "pubtype value ' .,; ' has no words",
 }
 
 
@@ -318,7 +321,8 @@ _RECORDS = st.fixed_dictionaries({
 })
 
 _QUERY_TERMS = (
-    # "diabetes" is in no record; "" and "--" normalize to no word at all
+    # "diabetes" is in no record; "" and "--" normalize to no word at all,
+    # so a query holding either is rejected, by the search as by the parser
     st.sampled_from([*_MESH_PHRASES, "failure", "heart-failure", "Heart diabetes",
                      "diabetes", "", "--"]).map(lambda v: f'"{v}"[MeSH]')
     | st.sampled_from([*_GEN_JOURNALS, "JAMA"]).map(lambda v: f'"{v}"[Journal]')
@@ -362,7 +366,12 @@ def test_search_equals_evaluating_every_record(files, queries):
         corpus = FixtureCorpus(root)
         everything = [(c, QueryFields.of(c)) for c in load_fixture_corpus(root)]
     for query in queries:
-        tree = parse_query(query)
+        try:
+            tree = parse_query(query)
+        except QueryParseError as exc:
+            with pytest.raises(QueryParseError, match=re.escape(str(exc))):
+                corpus.search(query)
+            continue
         expected = sorted((c for c, fields in everything if evaluate_query(tree, fields)),
                           key=lambda c: c.pmid)
         assert corpus.search(query) == expected, query

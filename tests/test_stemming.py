@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citescreen.stemming import (
-    _STEP2,
-    _STEP3,
-    _STEP4,
-    _ends_cvc,
-    _ends_double_consonant,
-    _has_vowel,
-    _measure,
-    stem,
-)
+from citescreen import stemming
+from citescreen.stemming import _STEP2, _STEP3, _STEP4, stem
 
 # Canonical suffix-stripping reference vectors, frozen.
 VECTORS = {
@@ -119,9 +111,85 @@ def test_stable_on_clinical_stems():
         assert stem(once) == once
 
 
+def test_long_run_of_y_stems():
+    # the recursive consonant test stopped at Python's recursion limit
+    assert stem("y" * 20_000) == "y" * 19_999 + "i"
+
+
+# --------------------------------------------------------------------------
+# The earlier helpers, which decided a "y" by asking the same question of
+# the letter before it, recursively: the reference for the one-pass
+# vowel pattern.
+# --------------------------------------------------------------------------
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word, i):
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem):
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        vowel = not _is_consonant(stem, i)
+        if prev_vowel and not vowel:
+            m += 1
+        prev_vowel = vowel
+    return m
+
+
+def _has_vowel(stem):
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word):
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(word):
+    if len(word) < 3:
+        return False
+    if not (
+        _is_consonant(word, len(word) - 3)
+        and not _is_consonant(word, len(word) - 2)
+        and _is_consonant(word, len(word) - 1)
+    ):
+        return False
+    return word[-1] not in "wxy"
+
+
+#: Words rich in "y" and vowels, long enough for runs of "y" but well
+#: below the depth at which the recursive helpers stopped.
+_Y_WORDS = st.text("aeiouyybcstlwxyy", max_size=60) | st.builds(
+    lambda head, ys, tail: head + "y" * ys + tail,
+    st.text("aeiouybcst", max_size=4), st.integers(0, 200),
+    st.text("aeiouybcst", max_size=4),
+)
+
+
+@settings(max_examples=1000)
+@given(_Y_WORDS)
+def test_vowel_pattern_helpers_match_recursive_ones(word):
+    for name, reference in (("_measure", _measure), ("_has_vowel", _has_vowel),
+                            ("_ends_double_consonant", _ends_double_consonant),
+                            ("_ends_cvc", _ends_cvc)):
+        assert getattr(stemming, name)(word) == reference(word), name
+
+
 # --------------------------------------------------------------------------
 # Differential check against the earlier ``stem``, which ran steps 2 and 3
-# as two loops over a ``_replace`` helper.
+# as two loops over a ``_replace`` helper and read the recursive helpers.
 # --------------------------------------------------------------------------
 
 def _reference_replace(word, suffix, repl, min_measure):
@@ -201,6 +269,6 @@ _WORDS = st.builds(
 
 
 @settings(max_examples=2000)
-@given(_WORDS)
+@given(_WORDS | _Y_WORDS)
 def test_matches_reference_on_suffixed_words(word):
     assert stem(word) == _reference_stem(word)
