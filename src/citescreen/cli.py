@@ -83,7 +83,7 @@ def _load_citations_jsonl(path: str) -> list[Citation]:
             continue
         try:
             citations.append(Citation.from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FormatError(
                 f"{path} line {lineno}: bad citation record: {exc!r}"
             ) from exc
@@ -146,8 +146,9 @@ def extract(ctx, text, tree_text):
     res = _resources(ctx)
     if tree_text is not None:
         tree = parse_bracketed_tree(tree_text)
-        mentions = extract_population(tree, read(" ".join(tree.tokens()), res.lexicon))
-        rows = [("population", m.surface) for m in mentions]
+        reading = read(" ".join(tree.tokens()), res.lexicon)
+        rows = [("population", " ".join(reading.tokens[start:end]))
+                for start, end in extract_population(tree, reading)]
     else:
         concepts = build_concept_set(text, res.lexicon, res.drugs, res.synonyms)
         rows = [

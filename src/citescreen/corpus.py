@@ -445,12 +445,22 @@ def load_gold_standard(path: str) -> list[ClinicalTopic]:
     return list(topics.values())
 
 
-def _has_words(name: str, what: str, lineno: int) -> bool:
-    """Whether ``name`` can be a query term; warn if it is not blank but cannot."""
-    if preprocess.normalize_token(name):
+def _is_query_term(name: str, what: str, lineno: int) -> bool:
+    """Whether ``name`` can be a query term; warn if it is not blank but cannot.
+
+    A term needs a word and may not hold a double quote: the query
+    syntax quotes each term and has no escape for one.
+    """
+    name = name.strip()
+    if '"' in name:
+        reason = "it holds a double quote"
+    elif preprocess.normalize_token(name):
         return True
-    if name.strip():
-        log.warning("%s line %d: %r skipped: it has no words", what, lineno, name.strip())
+    elif name:
+        reason = "it has no words"
+    else:
+        return False
+    log.warning("%s line %d: %r skipped: %s", what, lineno, name, reason)
     return False
 
 
@@ -462,7 +472,7 @@ def load_hyponym_table(path: str) -> HyponymTable:
             log.warning("hyponym line %d rejected: expected 2 columns", lineno)
             continue
         table[cols[0].strip()] = [h.strip() for h in cols[1].split(",")
-                                  if _has_words(h, "hyponym", lineno)]
+                                  if _is_query_term(h, "hyponym", lineno)]
     return HyponymTable(table)
 
 
@@ -479,10 +489,10 @@ def load_synonym_table(path: str) -> dict[str, str]:
 
 def load_journal_whitelist(path: str) -> list[str]:
     """Load one journal title per line; blank lines are skipped, and so,
-    with a warning, are titles with no words."""
+    with a warning, are titles with no words or with a double quote."""
     with open(path, encoding="utf-8") as fh:
         return [line.strip() for lineno, line in enumerate(fh, start=1)
-                if _has_words(line, "journal", lineno)]
+                if _is_query_term(line, "journal", lineno)]
 
 
 def bundled_path(name: str) -> str:

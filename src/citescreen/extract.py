@@ -1,11 +1,14 @@
 """Concept extraction.
 
-Population is pulled out of constituency trees: the noun phrases, and
+``read`` reads a text unit once for both extractors.
+``extract_population`` returns the token spans of the noun phrases, and
 the verb phrases dominating a noun phrase, whose span holds a population
-term, which is what the paper's seven structural patterns select
-together; intervention-or-comparison and disease come from
-dictionary matching over normalized tokens; drug mentions are mapped
-onto the class hierarchy with a cascade of normalization rules.
+term: what the paper's seven structural patterns select together.
+``extract_concepts`` returns the (group, normal form) pair of each entry
+of each longest dictionary match.  ``build_concept_set`` fills the
+population, intervention-or-comparison and disease bags from both,
+mapping drug mentions onto the class hierarchy with a cascade of
+normalization rules.
 """
 
 from __future__ import annotations
@@ -17,14 +20,6 @@ from dataclasses import dataclass, field
 from citescreen import preprocess
 from citescreen.corpus import ConceptLexicon, DrugDictionary
 from citescreen.tree import PhraseTree, parse_phrase_tree
-
-
-@dataclass(frozen=True)
-class ConceptMention:
-    surface: str
-    group: str
-    span: tuple[int, int]        # token range within the sentence
-    normal_form: str
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,6 @@ class Reading:
 
     tokens: tuple[str, ...]
     words: tuple[str, ...]          # normalized words of the tokens
-    sources: tuple[int, ...]        # token index of each word
     hits: tuple                     # ConceptLexicon.matches(words)
     population_spans: tuple         # (first token, last token) of each population term
 
@@ -99,69 +93,52 @@ def read(text: str, lexicon: ConceptLexicon) -> Reading:
         for end, entries in found
         if any(e.group == "population" for e in entries)
     )
-    return Reading(tokens, tuple(words), tuple(sources), hits, population_spans)
+    return Reading(tokens, tuple(words), hits, population_spans)
 
 
 # ---------------------------------------------------------------------------
 # Population patterns
 # ---------------------------------------------------------------------------
 
-def extract_population(tree: PhraseTree, reading: Reading) -> list[ConceptMention]:
-    """Phrases holding a population term, one mention per span, in span order.
+def extract_population(tree: PhraseTree, reading: Reading) -> list[tuple[int, int]]:
+    """Token spans of the phrases holding a population term, sorted and distinct.
 
     The paper's seven structural patterns accept exactly the NPs and the
     VPs dominating an NP whose span contains a population term: patterns
     1-4 accept only NPs that pattern 5 (any NP) also accepts, under a
     stricter term position, and pattern 7 only VPs that pattern 6 (a VP
-    dominating an NP) also accepts.  Every pattern emits the same
-    mention for a span: the full phrase and its normal form.
+    dominating an NP) also accepts.  Every pattern yields the same
+    phrase for a span, so the span is the whole result.
     """
     terms = reading.population_spans
-    mentions: dict[tuple[int, int], ConceptMention] = {}
+    spans: set[tuple[int, int]] = set()
     for node in tree.iter_nodes():
         start, end = node.span
         if (
             node.label in ("NP", "VP")
-            and node.span not in mentions
+            and node.span not in spans
             and any(start <= first and last < end for first, last in terms)
             and (node.label == "NP" or node.dominates("NP"))
         ):
-            surface = " ".join(reading.tokens[start:end])
-            mentions[node.span] = ConceptMention(
-                surface=surface,
-                group="population",
-                span=node.span,
-                normal_form=preprocess.normalize_token(surface),
-            )
-    return sorted(mentions.values(), key=lambda m: m.span)
+            spans.add(node.span)
+    return sorted(spans)
 
 
 # ---------------------------------------------------------------------------
 # Dictionary matching (multi-pattern, longest match first)
 # ---------------------------------------------------------------------------
 
-def extract_concepts(reading: Reading) -> list[ConceptMention]:
-    """Dictionary mentions over normalized words; longest match wins."""
-    mentions: list[ConceptMention] = []
+def extract_concepts(reading: Reading) -> list[tuple[str, str]]:
+    """(group, normal form) of each entry of each longest dictionary match."""
+    concepts: list[tuple[str, str]] = []
     covered = 0   # words before this index belong to an earlier match
     for start, found in enumerate(reading.hits):
         if start < covered or not found:
             continue
         covered, entries = found[-1]
-        start_tok = reading.sources[start]
-        end_tok = reading.sources[covered - 1] + 1
-        surface = " ".join(reading.tokens[start_tok:end_tok])
         normal = " ".join(reading.words[start:covered])
-        for entry in entries:
-            mentions.append(
-                ConceptMention(
-                    surface=surface,
-                    group=entry.group,
-                    span=(start_tok, end_tok),
-                    normal_form=normal,
-                )
-            )
-    return mentions
+        concepts.extend((entry.group, normal) for entry in entries)
+    return concepts
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +248,20 @@ def build_concept_set(
     hierarchy; procedures and devices pool into the intervention bag.
     """
     reading = read(text, lexicon)
-    # A phrase is a population mention only if its span holds a term.
-    mentions = (extract_population(parse_phrase_tree(text), reading)
-                if reading.population_spans else [])
-    population = [m.normal_form for m in mentions]
+    # Only a unit holding a population term can have a population phrase.
+    spans = (extract_population(parse_phrase_tree(text), reading)
+             if reading.population_spans else [])
+    population = [preprocess.normalize_token(" ".join(reading.tokens[start:end]))
+                  for start, end in spans]
     intervention: list[str] = []
     disease: list[str] = []
-    for m in extract_concepts(reading):
-        if m.group == "disorder":
-            disease.append(m.normal_form)
-        elif m.group == "chemical":
-            for name in normalize_drug_components(m.normal_form, drugs, synonyms):
+    for group, normal in extract_concepts(reading):
+        if group == "disorder":
+            disease.append(normal)
+        elif group == "chemical":
+            for name in normalize_drug_components(normal, drugs, synonyms):
                 key = preprocess.normalize_token(name)
                 intervention.extend(drugs.hierarchy(key) or [key])
-        elif m.group in ("procedure", "device"):
-            intervention.append(m.normal_form)
+        elif group in ("procedure", "device"):
+            intervention.append(normal)
     return ConceptSet(population, intervention, disease)

@@ -118,16 +118,17 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
     ``fixture_dir`` (``--fixture-dir``) wins over the config's
     ``fixture_dir``.  A config that cannot be read or is not UTF-8 JSON, a
     value of the wrong type, an unknown key at the top level or in
-    ``paths``, ``weights`` or ``endpoint``, and a ``paths`` file that
-    cannot be read or breaks its format are a ``ConfigError`` naming the
-    config file.
+    ``paths``, ``weights`` or ``endpoint``, a ``paths`` file that cannot
+    be read or breaks its format, and a lexicon file without entries are
+    a ``ConfigError`` naming the config file.
     """
     settings = {}
     if config:
         try:
             with open(config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
             raise ConfigError(f"cannot read config {config}: {exc}") from exc
         try:
             settings = _config_settings(raw)
@@ -158,6 +159,8 @@ def _config_settings(raw) -> dict:
         except (OSError, UnicodeDecodeError, FormatError) as exc:
             raise ConfigError(f"cannot read paths.{key} file {paths[key]}: "
                               f"{exc}") from exc
+        if name == "lexicon" and not settings[name].entries:
+            raise ConfigError(f"paths.lexicon file {paths[key]} has no entries")
     if "weights" in raw:
         w = raw["weights"]
         if isinstance(w, dict):

@@ -194,10 +194,9 @@ def test_c3_population_patterns_within_time_budget():
     start = time.monotonic()
     for pattern, tree_text, expected in CASES:
         tree = parse_bracketed_tree(tree_text)
-        sentence = " ".join(tree.tokens())
-        surfaces = [m.surface
-                    for m in extract_population(tree, read(sentence, lexicon))]
-        assert expected in surfaces, pattern
+        tokens = tree.tokens()
+        spans = extract_population(tree, read(" ".join(tokens), lexicon))
+        assert expected in [" ".join(tokens[a:b]) for a, b in spans], pattern
     assert len(CASES) == 7
     assert time.monotonic() - start < 1.0
 

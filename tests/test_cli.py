@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import citescreen
 from citescreen import corpus
 from citescreen.cli import main
-from citescreen.pipeline import RESOURCE_FILES
+from citescreen.pipeline import RESOURCE_FILES, Resources
 from citescreen.retrieve import (
     MAX_QUERY_DEPTH,
     QueryFields,
@@ -24,6 +24,9 @@ from citescreen.retrieve import (
     load_fixture_corpus,
     parse_query,
 )
+from citescreen.tree import parse_bracketed_tree
+
+from population_cases import reference_population
 
 
 @pytest.fixture
@@ -384,6 +387,18 @@ def test_record_not_an_object_is_validation_error(runner, hf_jsonl, tmp_path,
     assert "error:" in result.output and "line 2" in result.output
 
 
+@pytest.mark.parametrize("command", ["screen", "rank"])
+def test_deeply_nested_record_is_named(runner, hf_jsonl, tmp_path, command):
+    """A line nested deeper than the JSON decoder recurses is a bad record."""
+    first = hf_jsonl.read_text().splitlines()[0]
+    path = tmp_path / "deep.jsonl"
+    path.write_text(first + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    assert result.exit_code == 1
+    assert f"error: {path} line 2: bad citation record" in result.output
+    assert "Traceback" not in result.output
+
+
 class TestRank:
     def test_matches_frozen_expectation(self, runner, hf_jsonl, expected_dir):
         result = _invoke(runner, ["rank", "--title", T1_TITLE, str(hf_jsonl)])
@@ -544,6 +559,55 @@ class TestPipelineAndEval:
         assert result.output.startswith("error: ")
         assert f"config {config}" in result.output
         assert "Traceback" not in result.output
+
+    def test_deeply_nested_config_is_named(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: cannot read config {config}: ")
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("content", ["", "heart failure\tD1\tno-such-group\n"],
+                             ids=["empty", "all-rejected"])
+    def test_lexicon_without_entries_is_named(self, runner, tmp_path, content):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(content)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"lexicon": str(lexicon)}}))
+        result = _invoke(runner, [
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
+        assert result.exit_code == 1
+        assert result.output == (f"error: config {config}: paths.lexicon file "
+                                 f"{lexicon} has no entries\n")
+
+    @pytest.mark.parametrize("key,edit", [
+        ("journals", lambda text: text + 'The "Heart" Journal\n'),
+        ("hyponyms", lambda text: text.replace(
+            "systolic heart failure", 'systolic heart failure, cardiac"pump failure')),
+    ], ids=["journals", "hyponyms"])
+    def test_quoted_resource_entry_is_skipped(self, runner, fixture_corpus_dir,
+                                              gold_path, expected_dir, tmp_path,
+                                              key, edit):
+        """The query syntax has no escape for a double quote, so an entry
+        holding one is left out of every query and the report is unchanged."""
+        filename = {"journals": "journals.txt", "hyponyms": "hyponyms.tsv"}[key]
+        bundled = Path(corpus.bundled_path(filename)).read_text(encoding="utf-8")
+        resource = tmp_path / filename
+        resource.write_text(edit(bundled), encoding="utf-8")
+        assert resource.read_text(encoding="utf-8") != bundled
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {key: str(resource)}}))
+        result = _invoke(runner, [
+            "--config", str(config), "--fixture-dir", str(fixture_corpus_dir),
+            "--output", "json", "--gold-k", "5", "pipeline", str(gold_path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == json.loads(
+            (expected_dir / "report.json").read_text())
 
     @pytest.mark.parametrize("key", UNKNOWN_KEYS)
     def test_unknown_config_key_is_named(self, runner, tmp_path, key):
@@ -769,6 +833,7 @@ def path_files(tmp_path_factory):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(parts=_CONFIGS)
+@example(parts=({}, {}, {"lexicon": "empty"}))
 def test_any_config_exits_cleanly(path_files, parts):
     root, names = path_files
     top, sections, paths = parts
@@ -981,6 +1046,107 @@ def test_any_xml_exits_cleanly(xml_dir, document):
         assert "Traceback" not in result.output
         if result.exit_code != 0:
             assert "error:" in result.output
+
+
+# --------------------------------------------------------------------------
+# Resource entries in the query: whatever a journals or hyponyms file
+# holds, the query that ``query`` prints parses.
+# --------------------------------------------------------------------------
+
+_ENTRIES = st.text(alphabet='ab "-.()[]', max_size=12)
+
+
+@pytest.fixture(scope="module")
+def entry_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("entries")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(journals=st.lists(_ENTRIES, max_size=4), hyponyms=st.lists(_ENTRIES, max_size=4))
+@example(journals=['The "Heart" Journal'], hyponyms=['cardiac"pump failure'])
+def test_printed_query_parses(entry_dir, journals, hyponyms):
+    (entry_dir / "journals.txt").write_text("\n".join(journals), encoding="utf-8")
+    (entry_dir / "hyponyms.tsv").write_text(
+        "heart failure\t" + ",".join(hyponyms) + "\n", encoding="utf-8")
+    config = entry_dir / "config.json"
+    config.write_text(json.dumps({"paths": {
+        "journals": str(entry_dir / "journals.txt"),
+        "hyponyms": str(entry_dir / "hyponyms.tsv"),
+    }}))
+    result = _invoke(CliRunner(), [
+        "--config", str(config), "query", "--title", T1_TITLE,
+    ])
+    assert result.exit_code == 0, result.output
+    parse_query(result.output.strip())
+
+
+# --------------------------------------------------------------------------
+# The bracketed-tree surface, fuzzed: whatever tree ``extract --tree`` is
+# given, it ends with exit 0 and the phrases of the seven-pattern
+# reference, or with exit 1 and an error line.  Trees draw unbalanced
+# parentheses, unknown labels, empty and multi-word leaves, thousands of
+# nesting levels and long sentences.
+# --------------------------------------------------------------------------
+
+_TREE_WORDS = ["elderly", "patients", "Patients", "heart", "failure", "older",
+               "adults", "women", "with", "who", "the", "in", "-", ","]
+_TREE_LABELS = ["S", "NP", "NP", "NP", "VP", "VP", "PP", "SBAR"]
+#: Ways to break a tree, each put in at a drawn position.
+_TREE_FAULTS = ["(", ")", "(XP ", "(np ", "(TOK )", "(NN heart failure)",
+                "(TOK (NP x))"]
+
+
+@st.composite
+def _tree_nodes(draw, depth=0):
+    kinds = ["word", "leaf", "phrase", "phrase"] if depth < 4 else ["word", "leaf"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "word":
+        return draw(st.sampled_from(_TREE_WORDS))
+    if kind == "leaf":
+        label = draw(st.sampled_from(["TOK", "NN"]))
+        return f"({label} {draw(st.sampled_from(_TREE_WORDS))})"
+    children = draw(st.lists(_tree_nodes(depth + 1), max_size=4))
+    return f"({draw(st.sampled_from(_TREE_LABELS))} {' '.join(children)})"
+
+
+@st.composite
+def _bracketed_trees(draw):
+    """A tree under thousands of NP levels now and then, with a long run of
+    bare words now and then, cut short or broken now and then.
+
+    VPs nest only a few levels: ``PhraseTree.dominates`` walks a VP's
+    whole subtree, so a chain of VPs costs time quadratic in its depth.
+    """
+    words = draw(st.lists(st.sampled_from(_TREE_WORDS), max_size=12))
+    sentence = " ".join(words * draw(st.sampled_from([1, 1, 1, 100])))
+    tree = f"(S {sentence} {' '.join(draw(st.lists(_tree_nodes(), max_size=4)))})"
+    depth = draw(st.sampled_from([0, 0, 0, 3_000, 4_000]))
+    tree = "(NP " * depth + tree + ")" * depth
+    fault = draw(st.sampled_from(["", "", "", "", "cut", *_TREE_FAULTS]))
+    at = draw(st.integers(0, len(tree)))
+    return tree[:at] if fault == "cut" else tree[:at] + fault + tree[at:]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree_text=_bracketed_trees())
+@example(tree_text="(NP " * 3_000 + "elderly (NN patients)" + ")" * 3_000)
+@example(tree_text="(S (NP elderly (NN heart failure)) (VP (TOK ) with (NP adults)))")
+@example(tree_text="(S (XP elderly patients))")
+def test_any_tree_exits_cleanly(tree_text):
+    result = _invoke(CliRunner(), ["extract", "--tree", tree_text])
+    assert result.exit_code in (0, 1), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        assert "error:" in result.output
+        return
+    tree = parse_bracketed_tree(tree_text)
+    tokens = tree.tokens()
+    spans = reference_population(tree, " ".join(tokens), Resources.bundled().lexicon)
+    assert result.output.splitlines() == [
+        "category\tconcept",
+        *(f"population\t{' '.join(tokens[start:end])}" for start, end in spans)]
 
 
 # --------------------------------------------------------------------------

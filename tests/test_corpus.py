@@ -260,6 +260,18 @@ class TestOtherLoaders:
         assert "hyponym line 1: '()' skipped" in caplog.text
         assert "''" not in caplog.text   # blank entries are skipped silently
 
+    def test_quoted_hyponym_skipped_with_warning(self, tmp_path, caplog):
+        p = tmp_path / "hyponyms.tsv"
+        p.write_text('heart failure\tcardiac"pump failure, congestive heart failure\n'
+                     'stroke\t"brain attack"\n')
+        with caplog.at_level("WARNING"):
+            table = corpus.load_hyponym_table(str(p))
+        assert table.hyponyms("heart failure") == ["congestive heart failure"]
+        assert table.hyponyms("stroke") == []
+        assert ("hyponym line 1: 'cardiac\"pump failure' skipped: it holds a double "
+                "quote") in caplog.text
+        assert "hyponym line 2: '\"brain attack\"' skipped" in caplog.text
+
     def test_self_hyponym_rejected(self):
         from citescreen.corpus import HyponymTable
         with pytest.raises(FormatError):
@@ -306,3 +318,11 @@ class TestOtherLoaders:
                                                              "The Lancet"]
         assert "journal line 3: '...' skipped: it has no words" in caplog.text
         assert "line 2" not in caplog.text
+
+    def test_quoted_journal_skipped_with_warning(self, tmp_path, caplog):
+        p = tmp_path / "journals.txt"
+        p.write_text('Circulation\nThe "Heart" Journal\n')
+        with caplog.at_level("WARNING"):
+            assert corpus.load_journal_whitelist(str(p)) == ["Circulation"]
+        assert ("journal line 2: 'The \"Heart\" Journal' skipped: it holds a double "
+                "quote") in caplog.text

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from citescreen import corpus, extract, preprocess
 from citescreen.extract import (
-    ConceptMention,
     ConceptSet,
     build_concept_set,
     drug_hierarchy,
@@ -19,9 +18,16 @@ from citescreen.pipeline import Resources
 from citescreen.stemming import stem
 from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
 
-from population_cases import CASES
+from population_cases import CASES, reference_population
 
 BUNDLED = Resources.bundled()
+
+
+def _phrases(tree, lexicon):
+    """``tree``'s population phrases: its tokens joined over each returned span."""
+    tokens = tree.tokens()
+    return [" ".join(tokens[start:end])
+            for start, end in extract_population(tree, read(" ".join(tokens), lexicon))]
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +49,7 @@ class TestPopulationPatterns:
     @pytest.mark.parametrize("pattern,tree_text,expected",
                              CASES, ids=[f"pattern{c[0]}" for c in CASES])
     def test_gold_trees(self, lexicon, pattern, tree_text, expected):
-        tree = parse_bracketed_tree(tree_text)
-        sentence = " ".join(tree.tokens())
-        surfaces = [m.surface for m in extract_population(tree, read(sentence, lexicon))]
-        assert expected in surfaces
+        assert expected in _phrases(parse_bracketed_tree(tree_text), lexicon)
 
     def test_no_population_no_mentions(self, lexicon):
         tree = parse_bracketed_tree("(S (NP the (NN dose)) was increased)")
@@ -56,88 +59,15 @@ class TestPopulationPatterns:
         # the population term sits past the first two tokens, so the
         # noun-phrase-with-noun pattern must not fire; the bare-NP one may
         tree = parse_bracketed_tree("(S (NP the very elderly (NN patients)))")
-        mentions = extract_population(tree, read(" ".join(tree.tokens()), lexicon))
-        assert [m.surface for m in mentions] == ["the very elderly patients"]
+        assert _phrases(tree, lexicon) == ["the very elderly patients"]
 
     def test_duplicate_span_single_mention(self, lexicon):
         # the same NP matches several patterns but is emitted once
         tree = parse_bracketed_tree(
             "(S (NP (TOK patients) (VP hospitalized (PP with (NN pneumonia)))))"
         )
-        mentions = extract_population(tree, read(" ".join(tree.tokens()), lexicon))
-        spans = [m.span for m in mentions]
+        spans = extract_population(tree, read(" ".join(tree.tokens()), lexicon))
         assert len(spans) == len(set(spans))
-
-
-def _dominates(node, label):
-    return any(n.label == label for n in list(node.iter_nodes())[1:])
-
-
-def _pattern_matches(node, pattern):
-    """The paper's seven structural patterns for population phrases."""
-    if pattern == 1:
-        return node.label == "NP" and _dominates(node, "NN")
-    if pattern == 2:
-        return node.label == "NP" and _dominates(node, "VP")
-    if pattern == 3:
-        return node.label == "NP" and _dominates(node, "SBAR")
-    if pattern == 4:
-        return node.label == "NP" and _dominates(node, "PP")
-    if pattern == 5:
-        return node.label == "NP"
-    if pattern == 6:
-        return node.label == "VP" and _dominates(node, "NP")
-    if pattern == 7:
-        if node.label != "VP":
-            return False
-        has_pp_sbar = any(
-            n.label == "PP" and _dominates(n, "SBAR") for n in node.children
-        )
-        return has_pp_sbar and _dominates(node, "NP")
-    raise ValueError(pattern)
-
-
-def _oracle_positions(phrase_tokens, lexicon):
-    """Brute-force scan: the start token of every population term occurrence."""
-    words, sources = [], []
-    for i, tok in enumerate(phrase_tokens):
-        for w in preprocess.normalize_token(tok).split():
-            words.append(w)
-            sources.append(i)
-    surfaces = {e.surface for e in lexicon.entries if e.group == "population"}
-    hits = []
-    for surface in surfaces:
-        parts = surface.split()
-        for j in range(len(words) - len(parts) + 1):
-            if words[j:j + len(parts)] == parts:
-                hits.append(sources[j])
-    return hits
-
-
-def _oracle_population(tree, sentence, lexicon):
-    """Population mentions by the seven patterns in order, rescanning per node.
-
-    Patterns 1-4 need a population term within the phrase's first two
-    tokens, patterns 5-7 one anywhere; a span keeps its first match.
-    """
-    tokens = sentence.split()
-    mentions = {}
-    for pattern in range(1, 8):
-        for node in tree.iter_nodes():
-            if not _pattern_matches(node, pattern) or node.span in mentions:
-                continue
-            phrase_tokens = tokens[node.span[0]:node.span[1]]
-            hits = _oracle_positions(phrase_tokens, lexicon)
-            if pattern <= 4:
-                hits = [h for h in hits if h <= 1]
-            if not hits:
-                continue
-            surface = " ".join(phrase_tokens)
-            mentions[node.span] = ConceptMention(
-                surface=surface, group="population", span=node.span,
-                normal_form=preprocess.normalize_token(surface),
-            )
-    return sorted(mentions.values(), key=lambda m: m.span)
 
 
 _E = corpus.LexiconEntry
@@ -229,7 +159,7 @@ class TestPopulationOracle:
         def check(sentence):
             tree = parse_phrase_tree(sentence)
             assert extract_population(tree, read(sentence, lexicon)) == \
-                _oracle_population(tree, sentence, lexicon)
+                reference_population(tree, sentence, lexicon)
 
         check()
 
@@ -245,7 +175,7 @@ class TestPopulationOracle:
             tree = parse_bracketed_tree(tree_text)
             sentence = " ".join(tree.tokens())
             assert extract_population(tree, read(sentence, lexicon)) == \
-                _oracle_population(tree, sentence, lexicon)
+                reference_population(tree, sentence, lexicon)
 
         check()
 
@@ -260,35 +190,24 @@ class TestPopulationOracle:
         lexicon = _LEXICONS["overlapping"]
         tree = parse_phrase_tree(sentence)
         assert extract_population(tree, read(sentence, lexicon)) == \
-            _oracle_population(tree, sentence, lexicon)
+            reference_population(tree, sentence, lexicon)
 
 
 class TestDictionaryMatching:
     def test_longest_match_wins(self, lexicon):
-        mentions = extract_concepts(
+        forms = [normal for _, normal in extract_concepts(
             read("Congestive heart failure admissions rose.", lexicon)
-        )
-        forms = [m.normal_form for m in mentions]
+        )]
         assert "congestive heart failure" in forms
         assert "heart failure" not in forms
 
-    def test_spans_and_groups(self, lexicon):
-        (m,) = extract_concepts(read("Furosemide was given.", lexicon))
-        assert m.group == "chemical"
-        assert m.span == (0, 1)
-        assert m.surface == "Furosemide"
+    def test_group_and_normal_form(self, lexicon):
+        assert extract_concepts(read("Furosemide was given.", lexicon)) == [
+            ("chemical", "furosemide")]
 
     def test_match_across_punctuation(self, lexicon):
-        mentions = extract_concepts(read("heart-failure outcomes", lexicon))
-        assert mentions[0].normal_form == "heart failure"
-
-    def test_no_overlapping_mentions(self, lexicon):
-        mentions = extract_concepts(
-            read("Patients with atrial fibrillation received warfarin.", lexicon)
-        )
-        spans = sorted(m.span for m in mentions)
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert b <= c or (a, b) == (c, d)
+        concepts = extract_concepts(read("heart-failure outcomes", lexicon))
+        assert concepts[0] == ("disorder", "heart failure")
 
     def test_fresh_lexicon_matches_its_own_entries(self):
         # Each lexicon is freed on return, so the next one built often
@@ -297,7 +216,7 @@ class TestDictionaryMatching:
             lexicon = corpus.ConceptLexicon(
                 [corpus.LexiconEntry("zyloxin", "C1", group)]
             )
-            return [m.group for m in extract_concepts(read("zyloxin given.", lexicon))]
+            return [g for g, _ in extract_concepts(read("zyloxin given.", lexicon))]
 
         for group in ["disorder", "chemical"] * 1000:
             assert groups(group) == [group]
@@ -335,14 +254,13 @@ def _longest_match(lexicon, words, start):
 
 
 def _reference_concepts(sentence, lexicon):
-    """Dictionary mentions by one ``_longest_match`` walk per uncovered start."""
-    tokens = sentence.split()
-    words, word_src = [], []
-    for i, tok in enumerate(tokens):
-        for w in preprocess.normalize_token(tok).split():
-            words.append(w)
-            word_src.append(i)
-    mentions = []
+    """(group, normal form) pairs by one ``_longest_match`` walk per uncovered start.
+
+    The walk resumes after each match, so no two matches overlap.
+    """
+    words = [w for tok in sentence.split()
+             for w in preprocess.normalize_token(tok).split()]
+    concepts = []
     i = 0
     while i < len(words):
         match = _longest_match(lexicon, words, i)
@@ -350,14 +268,9 @@ def _reference_concepts(sentence, lexicon):
             i += 1
             continue
         length, entries = match
-        start_tok, end_tok = word_src[i], word_src[i + length - 1] + 1
-        for entry in entries:
-            mentions.append(ConceptMention(
-                surface=" ".join(tokens[start_tok:end_tok]), group=entry.group,
-                span=(start_tok, end_tok), normal_form=" ".join(words[i:i + length]),
-            ))
+        concepts += [(entry.group, " ".join(words[i:i + length])) for entry in entries]
         i += length
-    return mentions
+    return concepts
 
 
 _WORDS = ["aa", "bb", "cc", "dd"]
@@ -546,18 +459,19 @@ def _always_parsed_concept_set(text, lexicon, drugs, synonyms):
     """``build_concept_set`` with every unit chunked, whatever its terms, and
     the stems derived from the phrases by ``population_terms``."""
     reading = read(text, lexicon)
-    population = [m.normal_form
-                  for m in extract_population(parse_phrase_tree(text), reading)]
+    tokens = text.split()
+    population = [preprocess.normalize_token(" ".join(tokens[start:end]))
+                  for start, end in extract_population(parse_phrase_tree(text), reading)]
     intervention, disease = [], []
-    for m in extract_concepts(reading):
-        if m.group == "disorder":
-            disease.append(m.normal_form)
-        elif m.group == "chemical":
-            for name in normalize_drug_components(m.normal_form, drugs, synonyms):
+    for group, normal in extract_concepts(reading):
+        if group == "disorder":
+            disease.append(normal)
+        elif group == "chemical":
+            for name in normalize_drug_components(normal, drugs, synonyms):
                 key = preprocess.normalize_token(name)
                 intervention.extend(drugs.hierarchy(key) or [key])
-        elif m.group in ("procedure", "device"):
-            intervention.append(m.normal_form)
+        elif group in ("procedure", "device"):
+            intervention.append(normal)
     return ConceptSet(population, intervention, disease)
 
 

@@ -60,8 +60,11 @@ def test_shared_citations_are_extracted_once(fresh_resources, calls):
 
 def _population_words(text: str, res: Resources) -> Counter:
     """Each distinct non-stopword word of ``text``'s population phrases, once."""
-    mentions = extract_population(parse_phrase_tree(text), read(text, res.lexicon))
-    return Counter({w for m in mentions for w in m.normal_form.split()
+    tokens = text.split()
+    spans = extract_population(parse_phrase_tree(text), read(text, res.lexicon))
+    phrases = [preprocess.normalize_token(" ".join(tokens[start:end]))
+               for start, end in spans]
+    return Counter({w for phrase in phrases for w in phrase.split()
                     if w.lower() not in preprocess.STOPWORDS})
 
 
