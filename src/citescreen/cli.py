@@ -297,8 +297,21 @@ def eval_cmd(ctx, gold_tsv, ranked_dir):
 @click.pass_context
 @_handle_errors
 def pipeline_cmd(ctx, gold_tsv, out_dir):
-    """Run query, fetch, screen and rank for every topic, then score."""
+    """Run query, fetch, screen and rank for every topic, then score.
+
+    With --out-dir each topic's ranking is written there as
+    <topic_id>.tsv, so every topic id must be a plain file name: an id
+    holding a slash or backslash, or an empty, "." or ".." id, is an error
+    before any topic runs.
+    """
     res = _resources(ctx)
+    topics = corpus.load_gold_standard(gold_tsv)
+    out_paths = {t.topic_id: os.path.join(out_dir, f"{t.topic_id}.tsv")
+                 for t in topics} if out_dir else {}
+    for topic_id, path in out_paths.items():
+        if topic_id in ("", ".", "..") or "/" in topic_id or "\\" in topic_id:
+            raise OutputError(f"cannot write {path}: topic id {topic_id!r} "
+                              f"is not a plain file name")
 
     def ranked_pmids(topic: ClinicalTopic) -> list[int]:
         ranked = pipeline.run_topic(topic, res).ranked[:ctx.obj["top_k"]]
@@ -307,11 +320,10 @@ def pipeline_cmd(ctx, gold_tsv, out_dir):
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as exc:
                 raise OutputError(f"cannot make --out-dir {out_dir}: {exc}") from exc
-            _write_output(os.path.join(out_dir, f"{topic.topic_id}.tsv"),
-                          pipeline.ranked_tsv(ranked))
+            _write_output(out_paths[topic.topic_id], pipeline.ranked_tsv(ranked))
         return [r.pmid for r in ranked]
 
-    _score(ctx, corpus.load_gold_standard(gold_tsv), ranked_pmids)
+    _score(ctx, topics, ranked_pmids)
 
 
 if __name__ == "__main__":

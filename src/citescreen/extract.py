@@ -14,8 +14,10 @@ normalization rules.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from citescreen import preprocess
 from citescreen.corpus import ConceptLexicon, DrugDictionary
@@ -27,8 +29,9 @@ class ConceptSet:
     """Three bags of normalized concepts (interventions and comparisons pooled).
 
     ``population_stems`` is ``population_terms(population)``, the form
-    screening and ranking compare, derived when the set is made; only
-    ``merged`` passes it in.
+    screening and ranking compare, derived when the set is made unless the
+    maker passes it in: ``merged`` passes its parts' stems, and
+    ``build_concept_set`` stems through the run's table.
     """
 
     population: list[str] = field(default_factory=list)
@@ -41,8 +44,12 @@ class ConceptSet:
             object.__setattr__(self, "population_stems",
                                population_terms(self.population))
 
-    def bag(self, category: str) -> list[str]:
-        return getattr(self, category)
+    @cached_property
+    def term_counts(self) -> tuple[Counter, Counter, Counter]:
+        """Raw counts of the population stems, the interventions and the
+        diseases, in first-occurrence order: ranking's tf, made on first use."""
+        return (Counter(self.population_stems), Counter(self.intervention),
+                Counter(self.disease))
 
     @classmethod
     def merged(cls, sets: Iterable[ConceptSet]) -> ConceptSet:
@@ -59,12 +66,14 @@ class ConceptSet:
                    population_stems=joined("population_stems"))
 
 
-def population_terms(bag: list[str]) -> list[str]:
-    """Stemmed, stopword-filtered tokens of the population phrases."""
+def population_terms(bag: list[str],
+                     stems: dict[str, str | None] | None = None) -> list[str]:
+    """Stemmed, stopword-filtered tokens of the population phrases;
+    ``stems`` is the word -> stem table ``stem_and_filter`` reads and extends."""
     tokens: list[str] = []
     for phrase in bag:
         tokens.extend(phrase.split())
-    return preprocess.stem_and_filter(tokens)
+    return preprocess.stem_and_filter(tokens, stems)
 
 
 @dataclass(frozen=True)
@@ -112,13 +121,19 @@ def extract_population(tree: PhraseTree, reading: Reading) -> list[tuple[int, in
     """
     terms = reading.population_spans
     spans: set[tuple[int, int]] = set()
-    for node in tree.iter_nodes():
-        start, end = node.span
+    above_np: set[int] = set()   # ids of the nodes that dominate an NP
+    # The pre-order walked backwards reaches every child before its parent,
+    # so one pass decides "dominates an NP" for each node from its children.
+    for node in reversed(list(tree.iter_nodes())):
+        for child in node.children:
+            if child.label == "NP" or id(child) in above_np:
+                above_np.add(id(node))
+                break
         if (
-            node.label in ("NP", "VP")
+            (node.label == "NP" or (node.label == "VP" and id(node) in above_np))
             and node.span not in spans
-            and any(start <= first and last < end for first, last in terms)
-            and (node.label == "NP" or node.dominates("NP"))
+            and any(node.span[0] <= first and last < node.span[1]
+                    for first, last in terms)
         ):
             spans.add(node.span)
     return sorted(spans)
@@ -241,11 +256,14 @@ def build_concept_set(
     lexicon: ConceptLexicon,
     drugs: DrugDictionary,
     synonyms: dict[str, str],
+    stems: dict[str, str | None] | None = None,
 ) -> ConceptSet:
     """Population, intervention-or-comparison and disease bags for one text unit.
 
     Chemicals are drug-normalized and expanded with their class
     hierarchy; procedures and devices pool into the intervention bag.
+    Population words are stemmed through ``stems``, the run's word -> stem
+    table, when one is given.
     """
     reading = read(text, lexicon)
     # Only a unit holding a population term can have a population phrase.
@@ -264,4 +282,5 @@ def build_concept_set(
                 intervention.extend(drugs.hierarchy(key) or [key])
         elif group in ("procedure", "device"):
             intervention.append(normal)
-    return ConceptSet(population, intervention, disease)
+    return ConceptSet(population, intervention, disease,
+                      population_stems=population_terms(population, stems))

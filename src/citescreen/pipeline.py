@@ -29,6 +29,8 @@ from citescreen.screen import (
     CitationConcepts,
     ScreeningDecision,
     concept_keys,
+    detect_conclusion,
+    major_mesh_keys,
     screen_citation,
     screening_query,
 )
@@ -53,7 +55,8 @@ class Resources:
     ``fixture_dir``, parsed at the first fetch, or else from the live
     ``endpoint``.  It extracts each citation's concepts and screening keys
     once, so every topic of the run reuses them; corpus files changed on
-    disk during the run are not read again.  One rate limiter spaces every
+    disk during the run are not read again.  It stems each population word
+    once, through one word -> stem table.  One rate limiter spaces every
     live request of the run.
     """
 
@@ -75,6 +78,9 @@ class Resources:
     )
     _limiter: _RateLimiter = field(
         default_factory=_RateLimiter, init=False, repr=False, compare=False
+    )
+    _stems: dict[str, str | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def fetch(self, query: str) -> list[Citation]:
@@ -197,17 +203,21 @@ def _config_settings(raw) -> dict:
 
 def citation_concepts(citation: Citation, res: Resources) -> CitationConcepts:
     sentences, _ = preprocess.expand_abbreviations(list(citation.abstract))
-    title, *units = [build_concept_set(text, res.lexicon, res.drugs, res.synonyms)
+    title, *units = [build_concept_set(text, res.lexicon, res.drugs, res.synonyms,
+                                       res._stems)
                      for text in (citation.title, *sentences)]
     return CitationConcepts(
         whole=ConceptSet.merged([title, *units]),
         title=concept_keys(title, res.drugs),
         sentences=tuple(concept_keys(u, res.drugs) for u in units),
+        mesh=major_mesh_keys(citation, res.drugs),
+        conclusion=tuple(detect_conclusion(citation)),
     )
 
 
 def topic_concepts(topic: ClinicalTopic, res: Resources) -> ConceptSet:
-    return build_concept_set(topic.title, res.lexicon, res.drugs, res.synonyms)
+    return build_concept_set(topic.title, res.lexicon, res.drugs, res.synonyms,
+                             res._stems)
 
 
 @dataclass

@@ -81,7 +81,9 @@ def _chars_in_order(abbr: str, long_form: str) -> bool:
 
 
 def _valid_long_form(abbr: str, long_form: str) -> bool:
-    if not long_form:
+    # A long form holding a parenthesis would take in an earlier
+    # declaration, which a second pass would then resolve again.
+    if not long_form or "(" in long_form or ")" in long_form:
         return False
     if long_form[0].lower() != abbr[0].lower():
         return False
@@ -164,9 +166,18 @@ STOPWORDS = frozenset(
 )
 
 
-def stem_and_filter(tokens: list[str]) -> list[str]:
+def stem_and_filter(tokens: list[str],
+                    stems: dict[str, str | None] | None = None) -> list[str]:
     """Drop stopwords and suffix-strip the remaining tokens, each distinct
-    token once: the map is token by token."""
-    kept = [t for t in tokens if t and t.lower() not in STOPWORDS]
-    stems = {t: stem(t) for t in dict.fromkeys(kept)}
-    return [stems[t] for t in kept]
+    token once: the map is token by token.
+
+    ``stems`` is a token -> stem table, None for a token dropped, that the
+    call reads and extends; a caller that keeps it stems each token once
+    across calls.
+    """
+    if stems is None:
+        stems = {}
+    for t in tokens:
+        if t not in stems:
+            stems[t] = stem(t) if t and t.lower() not in STOPWORDS else None
+    return [stems[t] for t in tokens if stems[t] is not None]

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from citescreen.errors import ConfigError
 from citescreen.extract import ConceptSet
 
-CATEGORIES = ("population", "intervention", "disease")
-
 
 @dataclass(frozen=True)
 class WeightConfig:
@@ -43,36 +41,30 @@ class RankedResult:
     vsm_score: float
 
 
-def _category_bag(concepts: ConceptSet, category: str) -> list[str]:
-    """Population is compared by its stems, made with the concept set."""
-    if category == "population":
-        return concepts.population_stems
-    return concepts.bag(category)
-
-
-def _cosines(query_bag: list[str], doc_bags: list[list[str]]) -> list[float]:
+def _cosines(query_tf: Counter, doc_tfs: list[Counter]) -> list[float]:
     """Cosine of the query's tf-idf vector with each document's.
 
-    tf is the raw count and idf is log10(n / df) over the ``doc_bags``;
-    terms of zero weight, and terms no document holds, are dropped.
+    tf is the raw count, given per document, and idf is log10(n / df)
+    over the documents, computed once per term; terms of zero weight, and
+    terms no document holds, are dropped.
     """
-    n = len(doc_bags)
-    doc_freq = Counter(t for bag in doc_bags for t in set(bag))
+    n = len(doc_tfs)
+    doc_freq = Counter(t for tf in doc_tfs for t in tf)
+    idf = {t: math.log(n / df) / math.log(10.0) for t, df in doc_freq.items()}
 
-    def vector(bag: list[str]) -> tuple[dict[str, float], float]:
+    def vector(counts: Counter) -> tuple[dict[str, float], float]:
         weights = {}
-        for term, tf in Counter(bag).items():
-            df = doc_freq[term]
-            if df:
-                w = tf * (math.log(n / df) / math.log(10.0))
+        for term, tf in counts.items():
+            if term in idf:
+                w = tf * idf[term]
                 if w > 0:
                     weights[term] = w
         return weights, math.sqrt(sum(w * w for w in weights.values()))
 
-    q, q_norm = vector(query_bag)
+    q, q_norm = vector(query_tf)
     sims = []
-    for bag in doc_bags:
-        d, d_norm = vector(bag)
+    for counts in doc_tfs:
+        d, d_norm = vector(counts)
         if q and d:
             dot = sum(w * d.get(t, 0.0) for t, w in q.items())
             sims.append(dot / (q_norm * d_norm))
@@ -93,9 +85,8 @@ def rank_citations(
     """
     pmids = sorted(set(accepted_pmids))
     pop, inter, dis = (
-        _cosines(_category_bag(query, c),
-                 [_category_bag(citation_concepts[p], c) for p in pmids])
-        for c in CATEGORIES
+        _cosines(query_tf, [citation_concepts[p].term_counts[c] for p in pmids])
+        for c, query_tf in enumerate(query.term_counts)
     )
     results = [
         RankedResult(p, ps, i, d, ps * weights.w1 + i * weights.w2 + d * weights.w3)

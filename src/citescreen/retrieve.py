@@ -136,14 +136,14 @@ _FIELDS = ("mesh", "journal", "year", "pubtype")
 MAX_QUERY_DEPTH = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Term:
     value: str
     fieldname: str  # lower-cased, one of _FIELDS
     norm: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.norm = preprocess.normalize_token(self.value)
+        object.__setattr__(self, "norm", preprocess.normalize_token(self.value))
 
 
 @dataclass
@@ -152,14 +152,40 @@ class _Bool:
     operands: list
 
 
-def parse_query(query: str) -> _Term | _Bool:
+def _parse_term(tok: str) -> _Term:
+    """The term one query token spells; an error if it spells none."""
+    ym = _YEAR_RE.fullmatch(tok)
+    if ym:
+        return _Term(ym.group(1), "year")
+    tm = _TERM_RE.fullmatch(tok)
+    if tm is None:
+        raise QueryParseError(f"bad term {tok!r}")
+    value, fieldname = tm.group(1), tm.group(2).lower()
+    if fieldname not in _FIELDS:
+        raise QueryParseError(f"unknown field {tm.group(2)!r}")
+    if fieldname == "year":
+        try:
+            int(value)
+        except ValueError:
+            raise QueryParseError(f"year {value!r} is not a number") from None
+    term = _Term(value, fieldname)
+    if not term.norm:
+        raise QueryParseError(f"{tm.group(2)} value {value!r} has no words")
+    return term
+
+
+def parse_query(query: str, _terms: dict[str, _Term] | None = None) -> _Term | _Bool:
     """Parse a Boolean query string into an expression tree.
 
     Field names match case-insensitively; one other than MeSH, Journal,
     Year or PubType, a Year value that is not a number, any other value
     that normalizes to no word, or parentheses nested deeper than
-    ``MAX_QUERY_DEPTH`` are an error.
+    ``MAX_QUERY_DEPTH`` are an error.  ``_terms`` maps each token already
+    parsed to its term: a token found there is not parsed again, and each
+    token that parses is added.  A token's term does not depend on the
+    query around it, so the table may serve every query of a run.
     """
+    terms = {} if _terms is None else _terms
     tokens = []
     pos = 0
     while pos < len(query):
@@ -199,23 +225,9 @@ def parse_query(query: str) -> _Term | _Bool:
         if tok in (")", "AND", "OR"):
             raise QueryParseError(f"unexpected token {tok!r}")
         idx += 1
-        ym = _YEAR_RE.fullmatch(tok)
-        if ym:
-            return _Term(ym.group(1), "year")
-        tm = _TERM_RE.fullmatch(tok)
-        if tm is None:
-            raise QueryParseError(f"bad term {tok!r}")
-        value, fieldname = tm.group(1), tm.group(2).lower()
-        if fieldname not in _FIELDS:
-            raise QueryParseError(f"unknown field {tm.group(2)!r}")
-        if fieldname == "year":
-            try:
-                int(value)
-            except ValueError:
-                raise QueryParseError(f"year {value!r} is not a number") from None
-        term = _Term(value, fieldname)
-        if not term.norm:
-            raise QueryParseError(f"{tm.group(2)} value {value!r} has no words")
+        term = terms.get(tok)
+        if term is None:
+            term = terms[tok] = _parse_term(tok)
         return term
 
     def parse_and() -> _Term | _Bool:
@@ -478,7 +490,11 @@ class FixtureCorpus:
     All are computed once, here.  Records are kept in PMID order, stably,
     so records that share a PMID keep their file order.  A search walks
     its query tree over the postings for a superset of the matches, and
-    ``evaluate_query`` decides each record of that superset.
+    ``evaluate_query`` decides each record of that superset.  The corpus
+    also keeps, for every query it searches, each token's parsed term and
+    each term's candidates, so the terms that queries share (journals,
+    publication types, a year floor, common diseases) are parsed and
+    looked up once.
     """
 
     def __init__(self, fixture_dir: str):
@@ -495,9 +511,18 @@ class FixtureCorpus:
             for key in keys:
                 postings.setdefault(key, set()).add(i)
         self._postings = {key: frozenset(ids) for key, ids in postings.items()}
+        self._terms: dict[str, _Term] = {}  # query token -> its term
+        self._term_candidates: dict[_Term, frozenset[int]] = {}
 
     def _posting(self, fieldname: str, key: str) -> frozenset[int]:
         return self._postings.get((fieldname, key), frozenset())
+
+    def _term_posting(self, term: _Term) -> frozenset[int]:
+        if term.fieldname != "mesh":
+            return self._posting(term.fieldname, term.norm)
+        in_title = frozenset.intersection(
+            *(self._posting("title", w) for w in term.norm.split()))
+        return in_title | self._posting("mesh", term.norm)
 
     def _candidates(self, node: _Term | _Bool) -> frozenset[int] | None:
         """Indices of the records that can match ``node``; None for all.
@@ -507,13 +532,10 @@ class FixtureCorpus:
         title records hold all of its words.  Years are not indexed.
         """
         if isinstance(node, _Term):
-            if node.fieldname == "year":
-                return None
-            if node.fieldname != "mesh":
-                return self._posting(node.fieldname, node.norm)
-            in_title = frozenset.intersection(
-                *(self._posting("title", w) for w in node.norm.split()))
-            return in_title | self._posting("mesh", node.norm)
+            found = self._term_candidates.get(node)
+            if found is None and node.fieldname != "year":
+                found = self._term_candidates[node] = self._term_posting(node)
+            return found
         parts = [self._candidates(o) for o in node.operands]
         if node.op == "AND":
             bounded = [p for p in parts if p is not None]
@@ -523,7 +545,7 @@ class FixtureCorpus:
         return frozenset.union(*parts)
 
     def search(self, query: str) -> list[Citation]:
-        tree = parse_query(query)
+        tree = parse_query(query, self._terms)
         candidates = self._candidates(tree)
         ids = range(len(self.records)) if candidates is None else sorted(candidates)
         return [self.records[i][0] for i in ids

@@ -7,7 +7,8 @@ sentences cover them; (4) coverage holds within one sentence or an
 adjacent pair.  The lowest satisfied constraint is recorded.
 
 Screening intersects precomputed keys: a citation's title and sentence
-keys are derived once per run, the query's once per topic.
+keys, its constraint-1 MeSH keys and its conclusion sentences are derived
+once per run, the query's keys once per topic.
 """
 
 from __future__ import annotations
@@ -99,18 +100,38 @@ def concept_keys(concepts: ConceptSet, drugs: DrugDictionary) -> Keys:
     )
 
 
+#: A major-topic MeSH term with a qualifier: its normalized descriptor,
+#: its qualifier stripped and lower-cased, and the descriptor with its
+#: drug-hierarchy ancestors.
+MeshKeys = tuple[str, str, frozenset[str]]
+
+
+def major_mesh_keys(citation: Citation, drugs: DrugDictionary) -> tuple[MeshKeys, ...]:
+    """The ``MeshKeys`` of each major-topic MeSH term with a qualifier, in order."""
+    keys = []
+    for term in citation.mesh_terms:
+        if term.is_major_topic and term.qualifier is not None:
+            descriptor = preprocess.normalize_token(term.descriptor)
+            keys.append((descriptor, term.qualifier.strip().lower(),
+                         _expand_drug_terms([descriptor], drugs)))
+    return tuple(keys)
+
+
 @dataclass(frozen=True)
 class CitationConcepts:
     """One citation's concepts, extracted once per run.
 
     ``whole`` is the whole-citation concept set that ranking reads;
     ``title`` and ``sentences`` are the keys of the title and of each
-    abstract sentence that screening reads.
+    abstract sentence, ``mesh`` the ``major_mesh_keys`` and ``conclusion``
+    the ``detect_conclusion`` indices that screening reads.
     """
 
     whole: ConceptSet
     title: Keys
     sentences: tuple[Keys, ...]
+    mesh: tuple[MeshKeys, ...]
+    conclusion: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -124,7 +145,6 @@ class ScreeningQuery:
     keys: tuple[frozenset[str] | None, ...]
     mesh_terms: frozenset[str]
     qualifier_whitelist: frozenset[str]
-    drugs: DrugDictionary
 
 
 def screening_query(query_concepts: ConceptSet, drugs: DrugDictionary,
@@ -136,7 +156,6 @@ def screening_query(query_concepts: ConceptSet, drugs: DrugDictionary,
             keys, (q.population, q.intervention, q.disease))),
         mesh_terms=keys[1] | _expand_drug_terms(q.disease, drugs),
         qualifier_whitelist=frozenset(w.lower() for w in qualifier_whitelist),
-        drugs=drugs,
     )
 
 
@@ -148,21 +167,16 @@ def _covers(query_keys, units: list[Keys]) -> bool:
     )
 
 
-def match_mesh(query: ScreeningQuery, citation: Citation) -> str | None:
+def match_mesh(query: ScreeningQuery, concepts: CitationConcepts) -> str | None:
     """Constraint 1 evidence, or None.
 
     Succeeds when a MeSH descriptor matching a query disease or
     intervention concept (any drug-hierarchy level counts) carries a
     whitelisted qualifier marked as the main topic.
     """
-    for term in citation.mesh_terms:
-        if not term.is_major_topic or term.qualifier is None:
-            continue
-        qualifier = term.qualifier.strip().lower()
-        if qualifier not in query.qualifier_whitelist:
-            continue
-        descriptor = preprocess.normalize_token(term.descriptor)
-        if _expand_drug_terms([descriptor], query.drugs) & query.mesh_terms:
+    for descriptor, qualifier, keys in concepts.mesh:
+        if (qualifier in query.qualifier_whitelist
+                and not keys.isdisjoint(query.mesh_terms)):
             return f"{descriptor}/{qualifier}"
     return None
 
@@ -198,7 +212,7 @@ def screen_citation(
     citation_concepts: CitationConcepts,
 ) -> ScreeningDecision:
     """Evaluate the four constraints in order; lowest satisfied wins."""
-    evidence = match_mesh(query, citation)
+    evidence = match_mesh(query, citation_concepts)
     if evidence is not None:
         return ScreeningDecision(citation.pmid, True, 1, evidence)
 
@@ -206,7 +220,7 @@ def screen_citation(
         return ScreeningDecision(citation.pmid, True, 2, citation.title)
 
     sentences = citation_concepts.sentences
-    conclusion = detect_conclusion(citation)
+    conclusion = citation_concepts.conclusion
     if conclusion and _covers(
         query.keys, [sentences[i] for i in conclusion if 0 <= i < len(sentences)]
     ):

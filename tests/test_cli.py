@@ -478,6 +478,26 @@ class TestPipelineAndEval:
         assert "error:" in result.output and str(unwritable) in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("topic_id", ["../escaped", "a/b", "a\\b", "/abs",
+                                          ".", "..", ""])
+    def test_topic_id_that_is_not_a_file_name_is_named(
+            self, runner, fixture_corpus_dir, gold_path, tmp_path, topic_id):
+        """An id that is not one plain file name could put its ranking
+        outside --out-dir; it is an error before any topic runs."""
+        if topic_id == "/abs":
+            topic_id = str(tmp_path / "abs")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(gold_path.read_text().replace("T2\t", f"{topic_id}\t", 1))
+        out_dir = tmp_path / "out"
+        result = _invoke(runner, [
+            "--fixture-dir", str(fixture_corpus_dir),
+            "pipeline", str(gold), "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 1
+        assert "error:" in result.output and repr(topic_id) in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["gold.tsv"]
+
     @pytest.mark.parametrize("command", ["fetch", "ingest"])
     def test_unwritable_out_file_is_named(self, runner, fixture_corpus_dir,
                                           tmp_path, command):
@@ -1112,17 +1132,14 @@ def _tree_nodes(draw, depth=0):
 
 @st.composite
 def _bracketed_trees(draw):
-    """A tree under thousands of NP levels now and then, with a long run of
-    bare words now and then, cut short or broken now and then.
-
-    VPs nest only a few levels: ``PhraseTree.dominates`` walks a VP's
-    whole subtree, so a chain of VPs costs time quadratic in its depth.
-    """
+    """A tree under thousands of NP or VP levels now and then, with a long
+    run of bare words now and then, cut short or broken now and then."""
     words = draw(st.lists(st.sampled_from(_TREE_WORDS), max_size=12))
     sentence = " ".join(words * draw(st.sampled_from([1, 1, 1, 100])))
     tree = f"(S {sentence} {' '.join(draw(st.lists(_tree_nodes(), max_size=4)))})"
     depth = draw(st.sampled_from([0, 0, 0, 3_000, 4_000]))
-    tree = "(NP " * depth + tree + ")" * depth
+    label = draw(st.sampled_from(["NP", "VP"]))
+    tree = f"({label} " * depth + tree + ")" * depth
     fault = draw(st.sampled_from(["", "", "", "", "cut", *_TREE_FAULTS]))
     at = draw(st.integers(0, len(tree)))
     return tree[:at] if fault == "cut" else tree[:at] + fault + tree[at:]
@@ -1132,6 +1149,8 @@ def _bracketed_trees(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(tree_text=_bracketed_trees())
 @example(tree_text="(NP " * 3_000 + "elderly (NN patients)" + ")" * 3_000)
+@example(tree_text="(VP " * 4_000 + "(S elderly patients with women)" + ")" * 4_000)
+@example(tree_text="(VP " * 3_000 + "(NP elderly patients) with women" + ")" * 3_000)
 @example(tree_text="(S (NP elderly (NN heart failure)) (VP (TOK ) with (NP adults)))")
 @example(tree_text="(S (XP elderly patients))")
 def test_any_tree_exits_cleanly(tree_text):
@@ -1147,6 +1166,94 @@ def test_any_tree_exits_cleanly(tree_text):
     assert result.output.splitlines() == [
         "category\tconcept",
         *(f"population\t{' '.join(tokens[start:end])}" for start, end in spans)]
+
+
+# --------------------------------------------------------------------------
+# The gold-TSV and ranked-TSV surfaces, fuzzed: whatever a gold table
+# holds, ``pipeline`` on the fixture corpus ends with exit 0 and writes
+# only under --out-dir, or with exit 1 or 2 and an error line; whatever a
+# ranked TSV holds, ``eval`` does the same.  Files draw wrong column
+# counts, blank ids and titles, repeated ids, PMIDs that are not decimal,
+# path-like ids, CRLF line ends, a byte-order mark and bytes that are not
+# UTF-8.
+# --------------------------------------------------------------------------
+
+_GOLD_IDS = ["T1", "T2", "T1", "", " ", "../escaped", "a/b", "a\\b", ".", "..",
+             "{abs}", "T\u00e9", "T1 "]
+_GOLD_TITLES = ["Diuretics for heart failure in elderly patients",
+                "Anticoagulation in older adults with stroke", "", " ", "the of",
+                "Beta blockers"]
+_GOLD_PMIDS = ["1101,1102", "", "1101,,1103", "²", "12a", "-5", "1101 ,x", "0",
+               "99999999999999999999", "١٢", "3301\t3302"]
+
+
+def _clean_exit(result):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code != 0:
+        assert "error:" in result.output
+
+
+@st.composite
+def _gold_rows(draw):
+    """A row whose every column is well-formed half the time, so that runs
+    also write files."""
+    cols = [draw(st.sampled_from(["T1", "T2", "T3"]) | st.sampled_from(_GOLD_IDS)),
+            draw(st.sampled_from(_GOLD_TITLES[:2]) | st.sampled_from(_GOLD_TITLES)),
+            draw(st.sampled_from(_GOLD_PMIDS[:1]) | st.sampled_from(_GOLD_PMIDS)),
+            "extra"]
+    return "\t".join(cols[:draw(st.sampled_from([1, 2, 3, 3, 3, 3, 4]))])
+
+
+@st.composite
+def _tsv_bytes(draw, rows):
+    """``rows`` joined by LF or CRLF, with a BOM or a bad byte now and then."""
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(draw(rows))
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=_tsv_bytes(st.lists(_gold_rows(), max_size=3)))
+@example(data=b"../escaped\tDiuretics for heart failure in elderly patients\t1101\n")
+def test_any_gold_tsv_exits_cleanly(fixture_corpus_dir, tmp_path_factory, data):
+    base = tmp_path_factory.mktemp("gold")
+    gold, out_dir = base / "gold.tsv", base / "out"
+    gold.write_bytes(data.replace(b"{abs}", str(base / "abs").encode()))
+    result = _invoke(CliRunner(), ["--fixture-dir", str(fixture_corpus_dir),
+                                   "pipeline", str(gold), "--out-dir", str(out_dir)])
+    _clean_exit(result)
+    if result.exit_code == 0:
+        written = [p for p in base.rglob("*") if p.is_file() and p != gold]
+        assert all(out_dir in p.parents for p in written), written
+
+
+_RANKED_ROWS = ["1\t1101\t0.5\t0\t0\t0.5", "2\t1102", "3\t²", "4\t12a", "5",
+                "6\t-7", "7\t", "\t\t", "8\t99999999999999999999", "9\t1_101",
+                " ", "x\t1103\tjunk"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=_tsv_bytes(st.tuples(
+    st.sampled_from(["rank\tpmid\tpop_sim\tint_sim\tdis_sim\tvsm_score", "rank\tpmid",
+                     "pmid", ""]),
+    st.lists(st.sampled_from(_RANKED_ROWS), max_size=5)).map(lambda t: [t[0], *t[1]])),
+    topic=st.sampled_from(["T1", "T2"]))
+def test_any_ranked_tsv_exits_cleanly(gold_path, tmp_path_factory, data, topic):
+    ranked = tmp_path_factory.mktemp("ranked")
+    (ranked / f"{topic}.tsv").write_bytes(data)
+    result = _invoke(CliRunner(), ["--output", "json", "eval", str(gold_path),
+                                   str(ranked)])
+    _clean_exit(result)
 
 
 # --------------------------------------------------------------------------

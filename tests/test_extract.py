@@ -444,8 +444,8 @@ class TestConceptSet:
     def test_merged_concatenates_each_bag(self, sets):
         merged = ConceptSet.merged(sets)
         for category in ("population", "intervention", "disease"):
-            assert merged.bag(category) == [
-                term for cs in sets for term in cs.bag(category)
+            assert getattr(merged, category) == [
+                term for cs in sets for term in getattr(cs, category)
             ]
 
     def test_bare_phrases_derive_their_stems(self):

@@ -5,6 +5,7 @@ extracts each citation's concepts once, however many topics fetch it;
 one rate limiter spaces its live requests.
 """
 
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from citescreen import pipeline, preprocess, retrieve
 from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
 from citescreen.extract import extract_population, read
 from citescreen.pipeline import Resources, load_resources, run_topic
+from citescreen.screen import detect_conclusion
 from citescreen.stemming import stem
 from citescreen.tree import parse_phrase_tree
 
@@ -81,27 +83,59 @@ def stemmed(monkeypatch):
 
 
 def test_screening_keys_are_derived_once_per_run(fresh_resources, calls, stemmed):
-    """Screening and ranking read stems made once: one ``stem`` call per
-    distinct population word of each text unit, for a citation's units
-    once per run and for the query's once per topic."""
+    """Screening and ranking read stems made once per run: one ``stem``
+    call per distinct population word of the run, whichever citations'
+    units and topics' titles hold it."""
     res = fresh_resources()
     first, second = run_topic(T1, res), run_topic(LOOP, res)
     assert set(first.fetched_pmids) & set(second.fetched_pmids)
     assert first.ranked and second.ranked
     fetched = calls["citation_concepts"]
     assert len({c.pmid for c in fetched}) == len(fetched)
-    made = Counter(stemmed)
-    expected = _population_words(T1.title, res) + _population_words(LOOP.title, res)
+    expected = _population_words(T1.title, res) | _population_words(LOOP.title, res)
     for c in fetched:
         sentences, _ = preprocess.expand_abbreviations(list(c.abstract))
         for unit in (c.title, *sentences):
-            expected += _population_words(unit, res)
-    assert made == expected
-    # a topic over kept citations stems only its query's words, and
-    # ranking stems nothing
+            expected |= _population_words(unit, res)
+    assert Counter(stemmed) == expected
+    # a topic over kept citations and words already stemmed stems nothing,
+    # and ranking stems nothing
     del stemmed[:]
     assert run_topic(T1, res).ranked == first.ranked
-    assert Counter(stemmed) == _population_words(T1.title, res)
+    assert stemmed == []
+
+
+def _query_terms(query: str) -> list[tuple[str, str]]:
+    """(value, lower-cased field) of each term token of a query string."""
+    return [(value or year, (field or "year").lower()) for value, field, year in
+            re.findall(r'"([^"]*)"\[(\w+)\]|(\d+):\[Year\]', query)]
+
+
+def test_reuse_topic_derives_only_what_is_new(fresh_resources, monkeypatch):
+    """A topic parses and normalizes only query tokens the run has not
+    parsed, and finds the conclusion only of citations the run has not
+    fetched; a repeated topic does neither."""
+    res = fresh_resources()
+    first = run_topic(T1, res)
+    terms, conclusions = [], []
+    made_term = retrieve._Term.__post_init__
+
+    def counted_term(term):
+        terms.append((term.value, term.fieldname))
+        made_term(term)
+    monkeypatch.setattr(retrieve._Term, "__post_init__", counted_term)
+    monkeypatch.setattr(pipeline, "detect_conclusion",
+                        lambda c: conclusions.append(c.pmid) or detect_conclusion(c))
+    second = run_topic(LOOP, res)
+    seen = set(_query_terms(first.query_string))
+    assert seen & set(_query_terms(second.query_string))
+    assert terms == list(dict.fromkeys(
+        t for t in _query_terms(second.query_string) if t not in seen))
+    new = set(second.fetched_pmids) - set(first.fetched_pmids)
+    assert sorted(conclusions) == sorted(new)
+    del terms[:], conclusions[:]
+    assert run_topic(T1, res) == first
+    assert (terms, conclusions) == ([], [])
 
 
 def test_long_run_on_sentence_stems_each_word_once(resources, stemmed):

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citescreen import preprocess
@@ -219,6 +219,7 @@ class TestAbbreviationExpansion:
 
     @settings(max_examples=300, deadline=None)
     @given(_abbreviation_sentences())
+    @example(["HF (HFpEF) (HFpEF) (HFpEF)."])
     def test_second_pass_changes_and_declares_nothing(self, sentences):
         once, _ = expand_abbreviations(sentences)
         twice, again = expand_abbreviations(once)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from citescreen.errors import ConfigError
 from citescreen.extract import ConceptSet, population_terms
-from citescreen.rank import CATEGORIES, WeightConfig, rank_citations
+from citescreen.rank import RankedResult, WeightConfig, rank_citations
 
 TOL = 1e-9
+#: The order of ``ConceptSet.term_counts`` and of a result's similarities.
+CATEGORIES = ("population", "intervention", "disease")
 
 
 class TestWeightConfig:
@@ -105,7 +108,7 @@ def _random_concepts(rng):
 def _oracle(pmids, query, concepts, weights, log_base):
     """Dense numpy reimplementation of the weighted tf-idf ranking."""
     def prep(cs, cat):
-        bag = cs.bag(cat)
+        bag = getattr(cs, cat)
         return population_terms(bag) if cat == "population" else list(bag)
 
     scores = {p: 0.0 for p in pmids}
@@ -202,3 +205,83 @@ class TestRankingOracle:
         results = rank_citations([9, 3, 7], cs, concepts)
         assert [r.pmid for r in results] == [3, 7, 9]
         assert len({r.vsm_score for r in results}) == 1
+
+
+# --------------------------------------------------------------------------
+# Differential check against the ranking that rebuilt every bag's counts
+# and every term's idf for each vector: each set now makes its counts
+# once, and each topic its idf once per term, with the same float
+# expressions, so every score must be the same float.
+# --------------------------------------------------------------------------
+
+def _ref_category_bag(concepts, category):
+    if category == "population":
+        return concepts.population_stems
+    return getattr(concepts, category)
+
+
+def _ref_cosines(query_bag, doc_bags):
+    n = len(doc_bags)
+    doc_freq = Counter(t for bag in doc_bags for t in set(bag))
+
+    def vector(bag):
+        weights = {}
+        for term, tf in Counter(bag).items():
+            df = doc_freq[term]
+            if df:
+                w = tf * (math.log(n / df) / math.log(10.0))
+                if w > 0:
+                    weights[term] = w
+        return weights, math.sqrt(sum(w * w for w in weights.values()))
+
+    q, q_norm = vector(query_bag)
+    sims = []
+    for bag in doc_bags:
+        d, d_norm = vector(bag)
+        if q and d:
+            dot = sum(w * d.get(t, 0.0) for t, w in q.items())
+            sims.append(dot / (q_norm * d_norm))
+        else:
+            sims.append(0.0)
+    return sims
+
+
+def _ref_rank(accepted_pmids, query, concepts, weights):
+    pmids = sorted(set(accepted_pmids))
+    pop, inter, dis = (
+        _ref_cosines(_ref_category_bag(query, c),
+                     [_ref_category_bag(concepts[p], c) for p in pmids])
+        for c in CATEGORIES
+    )
+    results = [
+        RankedResult(p, ps, i, d, ps * weights.w1 + i * weights.w2 + d * weights.w3)
+        for p, ps, i, d in zip(pmids, pop, inter, dis)
+    ]
+    return sorted(results, key=lambda r: (-r.vsm_score, r.pmid))
+
+
+#: Phrases with repeated words and stopwords, so that stems and counts repeat.
+_PHRASES = st.lists(st.sampled_from(["elderly", "patients", "the", "with", "older",
+                                     "adults", "patient", "aged"]),
+                    min_size=1, max_size=4).map(" ".join)
+_WORDY_SETS = st.builds(
+    ConceptSet,
+    population=st.lists(_PHRASES, max_size=4),
+    intervention=st.lists(st.sampled_from(VOCAB[:5]), max_size=6),
+    disease=st.lists(st.sampled_from(VOCAB[:5]), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1, 50), _WORDY_SETS, min_size=1, max_size=10),
+       st.lists(_WORDY_SETS, min_size=1, max_size=3),
+       st.sampled_from([WeightConfig(), WeightConfig(0.5, 0.5, 0.0),
+                        WeightConfig(0.2, 0.2, 0.6)]),
+       st.randoms(use_true_random=False))
+def test_every_score_equals_the_per_call_counts(concepts, queries, weights, rnd):
+    """Several topics over the same sets, each over a drawn subset of the
+    candidates: the counts a set made for one topic serve the next."""
+    for query in queries:
+        pmids = rnd.sample(sorted(concepts), rnd.randint(1, len(concepts)))
+        assert rank_citations(pmids, query, concepts, weights) == \
+            _ref_rank(pmids, query, concepts, weights)

@@ -377,6 +377,43 @@ def test_search_equals_evaluating_every_record(files, queries):
         assert corpus.search(query) == expected, query
 
 
+#: Ways to break a valid query, each built around it.
+_BREAKS = [
+    lambda q: q + " AND", lambda q: "(" + q, lambda q: q + ")", lambda q: q + " " + q,
+    lambda q: q + ' AND "x"[Mystery]', lambda q: q + ' OR "abc"[Year]',
+    lambda q: q + ' AND ""[MeSH]', lambda q: q + " bogus", lambda q: "",
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(_RECORDS, max_size=8),
+       valid=st.lists(_QUERIES, min_size=1, max_size=8),
+       broken=st.lists(st.tuples(st.sampled_from(_BREAKS), _QUERIES), max_size=6),
+       after=st.lists(_QUERIES, max_size=4))
+def test_one_corpus_searches_as_fresh_parses_do(records, valid, broken, after):
+    """One corpus keeps the terms of every query it parsed; malformed
+    queries after valid ones give the messages a fresh parse gives, and
+    leave later searches unchanged."""
+    with tempfile.TemporaryDirectory() as root:
+        Path(root, "0.xml").write_text(
+            "<MedlineCitationSet>" + "".join(_record_xml(**r) for r in records)
+            + "</MedlineCitationSet>", encoding="utf-8")
+        corpus = FixtureCorpus(root)
+        everything = [(c, QueryFields.of(c)) for c in load_fixture_corpus(root)]
+    for query in [*valid, *(b(q) for b, q in broken), *after, *valid]:
+        try:
+            tree = parse_query(query)
+        except QueryParseError as exc:
+            with pytest.raises(QueryParseError) as searched:
+                corpus.search(query)
+            assert str(searched.value) == str(exc), query
+            continue
+        expected = sorted((c for c, fields in everything if evaluate_query(tree, fields)),
+                          key=lambda c: c.pmid)
+        assert corpus.search(query) == expected, query
+
+
 def _efetch_body(pmids, start=0):
     records = "".join(
         f"<MedlineCitation><PMID>{p}</PMID>"

@@ -16,6 +16,7 @@ from citescreen.screen import (
     _covers,
     concept_keys,
     detect_conclusion,
+    major_mesh_keys,
     match_mesh,
     screen_citation,
     screening_query,
@@ -61,12 +62,15 @@ def _citation(pmid, n_sentences, mesh=(), labels=None, title="A title"):
     )
 
 
-def _concepts(title, sentences):
-    """What ``pipeline.citation_concepts`` keeps for these concept sets."""
+def _concepts(citation, title, sentences):
+    """What ``pipeline.citation_concepts`` keeps for ``citation`` with these
+    concept sets."""
     return CitationConcepts(
         whole=ConceptSet.merged([title, *sentences]),
         title=concept_keys(title, DRUGS),
         sentences=tuple(concept_keys(s, DRUGS) for s in sentences),
+        mesh=major_mesh_keys(citation, DRUGS),
+        conclusion=tuple(detect_conclusion(citation)),
     )
 
 
@@ -74,103 +78,52 @@ def _concepts(title, sentences):
 # (pmid, citation, concepts, expected_constraint_or_None).
 def _fixture():
     rows = []
+
+    def row(pmid, citation, title, sentences, expected):
+        rows.append((pmid, citation, _concepts(citation, title, sentences), expected))
+
     # 1: matching MeSH descriptor, whitelisted qualifier, major topic
-    rows.append((
-        1,
-        _citation(1, 2, mesh=[MeshTerm("Heart Failure", "therapy", True)]),
-        _concepts(EMPTY, [EMPTY, EMPTY]),
-        1,
-    ))
+    row(1, _citation(1, 2, mesh=[MeshTerm("Heart Failure", "therapy", True)]),
+        EMPTY, [EMPTY, EMPTY], 1)
     # 2: MeSH match through the drug hierarchy (furosemide is a diuretic)
-    rows.append((
-        2,
-        _citation(2, 2, mesh=[MeshTerm("Furosemide", "therapeutic use", True)]),
-        _concepts(EMPTY, [EMPTY, EMPTY]),
-        1,
-    ))
+    row(2, _citation(2, 2, mesh=[MeshTerm("Furosemide", "therapeutic use", True)]),
+        EMPTY, [EMPTY, EMPTY], 1)
     # 3: full coverage in the title; qualifier outside the whitelist
-    rows.append((
-        3,
-        _citation(3, 2, mesh=[MeshTerm("Heart Failure", "metabolism", True)]),
-        _concepts(FULL, [EMPTY, EMPTY]),
-        2,
-    ))
+    row(3, _citation(3, 2, mesh=[MeshTerm("Heart Failure", "metabolism", True)]),
+        FULL, [EMPTY, EMPTY], 2)
     # 4: title coverage via hierarchy expansion of a specific drug
-    rows.append((
-        4,
-        _citation(4, 2),
-        _concepts(
-            ConceptSet(population=["elderly patients"],
-                       intervention=["furosemide"],
-                       disease=["heart failure"]),
-            [EMPTY, EMPTY],
-        ),
-        2,
-    ))
+    row(4, _citation(4, 2),
+        ConceptSet(population=["elderly patients"],
+                   intervention=["furosemide"],
+                   disease=["heart failure"]),
+        [EMPTY, EMPTY], 2)
     # 5: structured abstract, coverage inside the labelled conclusion
-    rows.append((
-        5,
-        _citation(5, 3, labels={0: "BACKGROUND", 1: "METHODS",
-                                2: "CONCLUSIONS"}),
-        _concepts(INT_DIS, [EMPTY, EMPTY, FULL]),
-        3,
-    ))
+    row(5, _citation(5, 3, labels={0: "BACKGROUND", 1: "METHODS",
+                                   2: "CONCLUSIONS"}),
+        INT_DIS, [EMPTY, EMPTY, FULL], 3)
     # 6: unstructured, no cues; merged last two sentences cover
-    rows.append((
-        6,
-        _citation(6, 4),
-        _concepts(INT_DIS, [EMPTY, EMPTY, POP_DIS, INT_ONLY]),
-        3,
-    ))
+    row(6, _citation(6, 4), INT_DIS, [EMPTY, EMPTY, POP_DIS, INT_ONLY], 3)
     # 7: single mid-abstract sentence covers everything
-    rows.append((
-        7,
-        _citation(7, 3),
-        _concepts(INT_DIS, [FULL, EMPTY, EMPTY]),
-        4,
-    ))
+    row(7, _citation(7, 3), INT_DIS, [FULL, EMPTY, EMPTY], 4)
     # 8: coverage split across an adjacent sentence pair
-    rows.append((
-        8,
-        _citation(8, 4),
-        _concepts(INT_DIS, [POP_DIS, INT_ONLY, EMPTY, EMPTY]),
-        4,
-    ))
+    row(8, _citation(8, 4), INT_DIS, [POP_DIS, INT_ONLY, EMPTY, EMPTY], 4)
     # 9: no population mention anywhere
-    rows.append((
-        9,
-        _citation(9, 3),
-        _concepts(INT_DIS, [INT_DIS, INT_DIS, INT_DIS]),
-        None,
-    ))
+    row(9, _citation(9, 3), INT_DIS, [INT_DIS, INT_DIS, INT_DIS], None)
     # 10: disease never matches exactly (narrower form only)
     narrower = ConceptSet(population=["elderly patients"],
                           intervention=["diuretics"],
                           disease=["congestive heart failure"])
-    rows.append((
-        10,
-        _citation(10, 3),
-        _concepts(narrower, [narrower, narrower, narrower]),
-        None,
-    ))
+    row(10, _citation(10, 3), narrower, [narrower, narrower, narrower], None)
     # 11: intervention from an unrelated branch of the hierarchy
     unrelated = ConceptSet(population=["elderly patients"],
                            intervention=["warfarin"],
                            disease=["heart failure"])
-    rows.append((
-        11,
-        _citation(11, 3, mesh=[MeshTerm("Warfarin", "therapeutic use", True)]),
-        _concepts(unrelated, [unrelated, EMPTY, EMPTY]),
-        None,
-    ))
+    row(11, _citation(11, 3, mesh=[MeshTerm("Warfarin", "therapeutic use", True)]),
+        unrelated, [unrelated, EMPTY, EMPTY], None)
     # 12: no abstract, bare title, MeSH not marked as major topic
-    rows.append((
-        12,
-        Citation(pmid=12, title="A note",
-                 mesh_terms=(MeshTerm("Heart Failure", "therapy", False),)),
-        _concepts(EMPTY, []),
-        None,
-    ))
+    row(12, Citation(pmid=12, title="A note",
+                     mesh_terms=(MeshTerm("Heart Failure", "therapy", False),)),
+        EMPTY, [], None)
     return rows
 
 
@@ -189,7 +142,7 @@ class TestScreeningFixture:
     def test_short_circuit(self, drugs, pmid, citation, concepts, expected):
         """Independently re-check that every lower constraint fails."""
         if expected > 1:
-            assert match_mesh(_query(QUERY), citation) is None
+            assert match_mesh(_query(QUERY), concepts) is None
         if expected > 2:
             assert not _covers(_query(QUERY).keys, [concepts.title])
         if expected > 3:
@@ -211,7 +164,7 @@ class TestScreeningFixture:
                     intervention=list(QUERY.intervention),
                     disease=list(QUERY.disease),
                 )
-                relaxed.bag(category).clear()
+                getattr(relaxed, category).clear()
                 decision = screen_citation(_query(relaxed), citation, concepts)
                 assert decision.accepted, (pmid, category)
 
@@ -260,9 +213,10 @@ class TestDecisionInvariants:
     def test_custom_qualifier_whitelist(self, drugs):
         citation = _citation(1, 1,
                              mesh=[MeshTerm("Heart Failure", "history", True)])
-        assert match_mesh(_query(QUERY), citation) is None
+        concepts = _concepts(citation, EMPTY, [EMPTY])
+        assert match_mesh(_query(QUERY), concepts) is None
         assert match_mesh(_query(QUERY, frozenset({"history"})),
-                          citation) is not None
+                          concepts) is not None
 
 
 class TestQueryBags:
@@ -271,8 +225,8 @@ class TestQueryBags:
         # stem to no key can never be covered, so it rejects.
         assert population_terms(["those who"]) == []
         citation = Citation(pmid=1, title="Those elderly patients with heart failure")
-        concepts = _concepts(ConceptSet(population=["those elderly patients"],
-                                        disease=["heart failure"]), [])
+        concepts = _concepts(citation, ConceptSet(population=["those elderly patients"],
+                                                  disease=["heart failure"]), [])
         stopwords_only = ConceptSet(population=["those who"], disease=["heart failure"])
         decision = screen_citation(_query(stopwords_only), citation, concepts)
         assert not decision.accepted
@@ -428,7 +382,7 @@ def _screening_cases(draw):
 def test_screening_matches_merge_then_derive_reference(case):
     query, citation, title, sentences, whitelist = case
     decision = screen_citation(
-        _query(query, whitelist), citation, _concepts(title, sentences)
+        _query(query, whitelist), citation, _concepts(citation, title, sentences)
     )
     assert decision == _ref_screen(query, citation, title, sentences, DRUGS,
                                    whitelist)
