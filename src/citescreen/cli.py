@@ -59,12 +59,24 @@ def _emit(ctx, tsv_text: str, json_text: str):
 
 
 def _read_input(path: str) -> str:
-    """The text of the input file ``path``; one that is not UTF-8 is a FormatError."""
+    """The text of the input file ``path``; one that cannot be read, such
+    as a directory, or is not UTF-8 is a FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _topic_path(directory: str, topic_id: str) -> str:
+    """``directory/<topic_id>.tsv``; an id that is not a plain file name,
+    one holding a slash or backslash or the id "", "." or "..", is an error."""
+    path = os.path.join(directory, f"{topic_id}.tsv")
+    if topic_id in ("", ".", "..") or "/" in topic_id or "\\" in topic_id:
+        raise FormatError(f"topic id {topic_id!r} is not a plain file name: {path}")
+    return path
 
 
 def _write_output(path: str, text: str) -> None:
@@ -208,8 +220,7 @@ def screen(ctx, title, citations_jsonl):
     query_concepts = pipeline.topic_concepts(ClinicalTopic("topic", title), res)
     query = screening_query(query_concepts, res.drugs, res.qualifier_whitelist)
     for citation in _load_citations_jsonl(citations_jsonl):
-        concepts = pipeline.citation_concepts(citation, res)
-        click.echo(screen_citation(query, citation, concepts).to_json())
+        click.echo(screen_citation(query, citation, res.concepts(citation)).to_json())
 
 
 @main.command()
@@ -222,7 +233,7 @@ def rank(ctx, title, citations_jsonl):
     res = _resources(ctx)
     query_concepts = pipeline.topic_concepts(ClinicalTopic("topic", title), res)
     per_citation = {
-        citation.pmid: pipeline.citation_concepts(citation, res).whole
+        citation.pmid: res.concepts(citation).whole
         for citation in _load_citations_jsonl(citations_jsonl)
     }
     ranked = rank_citations(
@@ -282,12 +293,15 @@ def _report_tsv(report: dict) -> str:
 @_handle_errors
 def eval_cmd(ctx, gold_tsv, ranked_dir):
     """Score per-topic ranked lists (<topic_id>.tsv) against a gold table."""
+    topics = corpus.load_gold_standard(gold_tsv)
+    paths = {t.topic_id: _topic_path(ranked_dir, t.topic_id) for t in topics}
+
     def ranked_pmids(topic: ClinicalTopic) -> list[int]:
-        path = os.path.join(ranked_dir, f"{topic.topic_id}.tsv")
+        path = paths[topic.topic_id]
         pmids = _read_ranked_pmids(path) if os.path.exists(path) else []
         return pmids[:ctx.obj["top_k"]]
 
-    _score(ctx, corpus.load_gold_standard(gold_tsv), ranked_pmids)
+    _score(ctx, topics, ranked_pmids)
 
 
 @main.command("pipeline")
@@ -306,12 +320,8 @@ def pipeline_cmd(ctx, gold_tsv, out_dir):
     """
     res = _resources(ctx)
     topics = corpus.load_gold_standard(gold_tsv)
-    out_paths = {t.topic_id: os.path.join(out_dir, f"{t.topic_id}.tsv")
+    out_paths = {t.topic_id: _topic_path(out_dir, t.topic_id)
                  for t in topics} if out_dir else {}
-    for topic_id, path in out_paths.items():
-        if topic_id in ("", ".", "..") or "/" in topic_id or "\\" in topic_id:
-            raise OutputError(f"cannot write {path}: topic id {topic_id!r} "
-                              f"is not a plain file name")
 
     def ranked_pmids(topic: ClinicalTopic) -> list[int]:
         ranked = pipeline.run_topic(topic, res).ranked[:ctx.obj["top_k"]]

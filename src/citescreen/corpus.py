@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 from citescreen import preprocess
@@ -67,33 +67,10 @@ class Citation:
             if bad:
                 raise ValueError(f"section label index out of range: {bad}")
 
-    def to_dict(self) -> dict:
-        return {
-            "pmid": self.pmid,
-            "title": self.title,
-            "abstract": list(self.abstract),
-            "abstract_is_structured": self.abstract_is_structured,
-            "section_labels": (
-                {str(k): v for k, v in self.section_labels.items()}
-                if self.section_labels is not None
-                else None
-            ),
-            "mesh_terms": [
-                {
-                    "descriptor": m.descriptor,
-                    "qualifier": m.qualifier,
-                    "is_major_topic": m.is_major_topic,
-                }
-                for m in self.mesh_terms
-            ],
-            "publication_types": list(self.publication_types),
-            "journal": self.journal,
-            "year": self.year,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Citation":
-        """Inverse of :meth:`to_dict`; an unknown or wrong-typed field raises TypeError."""
+        """Inverse of ``json.loads(c.to_json())``; an unknown, missing or
+        wrong-typed field raises TypeError."""
         if not isinstance(d, dict):
             raise TypeError(f"a citation record must be an object, not {d!r}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
@@ -123,25 +100,20 @@ class Citation:
         mesh = d.get("mesh_terms", [])
         if not isinstance(mesh, list) or not all(map(_is_mesh_term, mesh)):
             raise TypeError(f"mesh_terms must be a list of MeSH term objects, not {mesh!r}")
-        return cls(
-            pmid=d["pmid"],
-            title=d["title"],
-            abstract=tuple(d.get("abstract", ())),
-            abstract_is_structured=d.get("abstract_is_structured", False),
-            section_labels=(
-                {int(k): v for k, v in labels.items()} if labels is not None else None
-            ),
-            mesh_terms=tuple(
-                MeshTerm(m["descriptor"], m.get("qualifier"), m.get("is_major_topic", False))
-                for m in mesh
-            ),
-            publication_types=tuple(d.get("publication_types", ())),
-            journal=d.get("journal", ""),
-            year=d.get("year", 0),
-        )
+        if labels is not None:
+            labels = {int(k): v for k, v in labels.items()}
+        return cls(**{**d, "abstract": tuple(d.get("abstract", ())),
+                      "section_labels": labels,
+                      "mesh_terms": tuple(MeshTerm(**m) for m in mesh),
+                      "publication_types": tuple(d.get("publication_types", ()))})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """One JSON object, keys sorted; section label keys become strings
+        first, so that they sort as strings ("10" before "2")."""
+        d = asdict(self)
+        if self.section_labels is not None:
+            d["section_labels"] = {str(k): v for k, v in self.section_labels.items()}
+        return json.dumps(d, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -413,12 +385,12 @@ def load_gold_standard(path: str) -> list[ClinicalTopic]:
     """Load topic_id \\t title \\t comma-separated-PMIDs rows.
 
     A row that repeats an earlier row's topic id is rejected, so the
-    first row of a topic id wins.  A file that is not UTF-8 is a
-    FormatError naming it.
+    first row of a topic id wins.  A file that cannot be read, such as a
+    directory, or is not UTF-8 is a FormatError naming it.
     """
     try:
         rows = list(_read_rows(path, 3))
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"gold file {path}: {exc}") from exc
     topics: dict[str, ClinicalTopic] = {}
     for lineno, cols in rows:

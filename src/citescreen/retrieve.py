@@ -478,7 +478,7 @@ def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
         try:
             with open(path, encoding="utf-8") as fh:
                 citations.extend(parse_citation_xml(fh.read()))
-        except (FormatError, UnicodeDecodeError) as exc:
+        except (FormatError, OSError, UnicodeDecodeError) as exc:
             raise FormatError(f"fixture file {path}: {exc}") from exc
     return citations
 
@@ -491,10 +491,9 @@ class FixtureCorpus:
     so records that share a PMID keep their file order.  A search walks
     its query tree over the postings for a superset of the matches, and
     ``evaluate_query`` decides each record of that superset.  The corpus
-    also keeps, for every query it searches, each token's parsed term and
-    each term's candidates, so the terms that queries share (journals,
-    publication types, a year floor, common diseases) are parsed and
-    looked up once.
+    also keeps each query token's parsed term, so the terms that queries
+    share (journals, publication types, a year floor, common diseases)
+    are parsed once.
     """
 
     def __init__(self, fixture_dir: str):
@@ -512,7 +511,6 @@ class FixtureCorpus:
                 postings.setdefault(key, set()).add(i)
         self._postings = {key: frozenset(ids) for key, ids in postings.items()}
         self._terms: dict[str, _Term] = {}  # query token -> its term
-        self._term_candidates: dict[_Term, frozenset[int]] = {}
 
     def _posting(self, fieldname: str, key: str) -> frozenset[int]:
         return self._postings.get((fieldname, key), frozenset())
@@ -532,10 +530,7 @@ class FixtureCorpus:
         title records hold all of its words.  Years are not indexed.
         """
         if isinstance(node, _Term):
-            found = self._term_candidates.get(node)
-            if found is None and node.fieldname != "year":
-                found = self._term_candidates[node] = self._term_posting(node)
-            return found
+            return None if node.fieldname == "year" else self._term_posting(node)
         parts = [self._candidates(o) for o in node.operands]
         if node.op == "AND":
             bounded = [p for p in parts if p is not None]

@@ -40,9 +40,6 @@ class PhraseTree:
             yield node
             stack += node.children[::-1]
 
-    def dominates(self, label: str) -> bool:
-        return any(n.label == label for c in self.children for n in c.iter_nodes())
-
 
 def _leaf(label: str, token: str, index: int) -> PhraseTree:
     return PhraseTree(label, span=(index, index + 1), token=token)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import string
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,9 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import citescreen
-from citescreen import corpus
+from citescreen import corpus, pipeline
 from citescreen.cli import main
-from citescreen.pipeline import RESOURCE_FILES, Resources
+from citescreen.pipeline import RESOURCE_FILES, Resources, citation_concepts
 from citescreen.retrieve import (
     MAX_QUERY_DEPTH,
     QueryFields,
@@ -67,6 +68,21 @@ class TestIngest:
         result = _invoke(runner, ["ingest", xml, "--out", str(out)])
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 10
+
+    def test_jsonl_matches_frozen_records(self, runner, fixture_corpus_dir,
+                                          expected_dir, tmp_path):
+        """``ingest`` and ``fetch --out`` write the pinned JSON lines, byte for
+        byte: the files are given in PMID order, the order fetch keeps, and
+        the year floor matches every fixture record."""
+        frozen = (expected_dir / "ingest.jsonl").read_text()
+        xmls = [str(fixture_corpus_dir / f"{name}.xml")
+                for name in ("heart_failure", "atrial_fibrillation", "stroke")]
+        assert _invoke(runner, ["ingest", *xmls]).output == frozen
+        out = tmp_path / "fetched.jsonl"
+        result = _invoke(runner, ["--fixture-dir", str(fixture_corpus_dir),
+                                  "fetch", "1000:[Year]", "--out", str(out)])
+        assert result.exit_code == 0
+        assert out.read_text() == frozen
 
     def test_malformed_xml_is_validation_error(self, runner, tmp_path):
         bad = tmp_path / "bad.xml"
@@ -399,6 +415,24 @@ def test_deeply_nested_record_is_named(runner, hf_jsonl, tmp_path, command):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["screen", "rank"])
+def test_repeated_record_is_extracted_once(runner, hf_jsonl, tmp_path, monkeypatch,
+                                           command):
+    extracted = []
+
+    def counted(citation, res):
+        extracted.append(citation.pmid)
+        return citation_concepts(citation, res)
+
+    monkeypatch.setattr(pipeline, "citation_concepts", counted)
+    lines = hf_jsonl.read_text().splitlines()
+    path = tmp_path / "repeated.jsonl"
+    path.write_text("\n".join([*lines, lines[0]]) + "\n")
+    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    assert result.exit_code == 0
+    assert sorted(extracted) == list(range(1101, 1111))
+
+
 class TestRank:
     def test_matches_frozen_expectation(self, runner, hf_jsonl, expected_dir):
         result = _invoke(runner, ["rank", "--title", T1_TITLE, str(hf_jsonl)])
@@ -450,6 +484,24 @@ class TestPipelineAndEval:
         report = json.loads(result.output)
         for entry in report["topics"].values():
             assert entry["f_score"] == 80.0
+
+    @pytest.mark.parametrize("topic_id", ["../outside", "a/b", "a\\b", "/abs",
+                                          ".", "..", ""])
+    def test_eval_topic_id_that_is_not_a_file_name_is_named(
+            self, runner, gold_path, expected_dir, tmp_path, topic_id):
+        """An id that is not one plain file name could score a ranked file
+        outside the ranked directory, such as ``outside.tsv`` beside it."""
+        if topic_id == "/abs":
+            topic_id = str(tmp_path / "abs")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(gold_path.read_text().replace("T1\t", f"{topic_id}\t", 1))
+        (tmp_path / "ranked").mkdir()
+        for name in ("outside", "abs"):
+            (tmp_path / f"{name}.tsv").write_text((expected_dir / "T1.tsv").read_text())
+        result = _invoke(runner, ["eval", str(gold), str(tmp_path / "ranked")])
+        assert result.exit_code == 1
+        assert "error:" in result.output and repr(topic_id) in result.output
+        assert "Traceback" not in result.output
 
     def test_gold_k_section(self, runner, gold_path, expected_dir):
         result = _invoke(runner, [
@@ -777,6 +829,28 @@ class TestPipelineAndEval:
         assert result.exit_code == 1
         assert "error:" in result.output and str(binary) in result.output
 
+    @pytest.mark.parametrize("kind", ["gold-pipeline", "gold-eval", "ranked-eval",
+                                      "jsonl-screen", "jsonl-rank", "xml-ingest",
+                                      "xml-fixture"])
+    def test_input_that_is_a_directory_is_named(self, runner, fixture_corpus_dir,
+                                                gold_path, tmp_path, kind):
+        directory = tmp_path / ("T1.xml" if kind == "xml-fixture" else "T1.tsv")
+        directory.mkdir()
+        args = {
+            "gold-pipeline": ["--fixture-dir", str(fixture_corpus_dir),
+                              "pipeline", str(directory)],
+            "gold-eval": ["eval", str(directory), str(tmp_path)],
+            "ranked-eval": ["eval", str(gold_path), str(tmp_path)],
+            "jsonl-screen": ["screen", "--title", T1_TITLE, str(directory)],
+            "jsonl-rank": ["rank", "--title", T1_TITLE, str(directory)],
+            "xml-ingest": ["ingest", str(directory)],
+            "xml-fixture": ["--fixture-dir", str(tmp_path), "fetch", '"stroke"[MeSH]'],
+        }[kind]
+        result = _invoke(runner, args)
+        assert result.exit_code == 1
+        assert "error:" in result.output and str(directory) in result.output
+        assert "Traceback" not in result.output
+
     def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
                                                         tmp_path):
         ranked = tmp_path / "ranked"
@@ -890,7 +964,7 @@ def jsonl_dir(fixture_corpus_dir, tmp_path_factory):
     """A scratch directory and the heart-failure fixture's records as dicts."""
     xml = (fixture_corpus_dir / "heart_failure.xml").read_text()
     return (tmp_path_factory.mktemp("jsonl"),
-            [c.to_dict() for c in corpus.parse_citation_xml(xml)])
+            [json.loads(c.to_json()) for c in corpus.parse_citation_xml(xml)])
 
 
 @settings(max_examples=150, deadline=None,
@@ -1055,17 +1129,48 @@ _YS = "y" * 5_000
     "<PublicationType>Cohort</PublicationType></MedlineCitation>"
     "</MedlineCitationSet>").encode())
 def test_any_xml_exits_cleanly(xml_dir, document):
-    path = xml_dir / "corpus" / "records.xml"
-    path.write_bytes(document)
-    corpus_dir = str(xml_dir / "corpus")
-    for args in (["ingest", str(path)],
-                 ["--fixture-dir", corpus_dir, "fetch", '"heart failure"[MeSH]'],
-                 ["--fixture-dir", corpus_dir, "pipeline", str(xml_dir / "gold.tsv")]):
-        result = _invoke(CliRunner(), args)
+    for result in _run_on_xml(xml_dir, document):
         assert result.exit_code in (0, 1, 2), result.output
         assert "Traceback" not in result.output
         if result.exit_code != 0:
             assert "error:" in result.output
+
+
+def _run_on_xml(xml_dir, document):
+    """``ingest``, a fixture ``fetch`` and ``pipeline`` over ``document``."""
+    path = xml_dir / "corpus" / "records.xml"
+    path.write_bytes(document)
+    corpus_dir = str(xml_dir / "corpus")
+    return [_invoke(CliRunner(), args) for args in (
+        ["ingest", str(path)],
+        ["--fixture-dir", corpus_dir, "fetch", '"heart failure"[MeSH]'],
+        ["--fixture-dir", corpus_dir, "pipeline", str(xml_dir / "gold.tsv")])]
+
+
+def test_two_hundred_abbreviations_run(xml_dir):
+    """A T1 record whose abstract declares 200 abbreviations in 200 sentences
+    and uses each in one of 200 more; its timings are in CHANGES.md."""
+    declared = []
+    for k in range(200):
+        short = "X" + string.ascii_uppercase[k // 26] + string.ascii_uppercase[k % 26]
+        long_form = " ".join(f"{c.lower()}ion" for c in short)
+        declared.append((short, f"Patients received {long_form} ({short})."))
+    abstract = " ".join([*(d for _, d in declared),
+                         *(f"The {short} dose was stable." for short, _ in declared)])
+    document = (
+        "<MedlineCitation><PMID>1101</PMID><Article><Journal><Title>Circulation"
+        "</Title><JournalIssue><PubDate><Year>2005</Year></PubDate></JournalIssue>"
+        f"</Journal><ArticleTitle>{T1_TITLE}</ArticleTitle><Abstract><AbstractText>"
+        f"{abstract}</AbstractText></Abstract><PublicationTypeList><PublicationType>"
+        "Randomized Controlled Trial</PublicationType></PublicationTypeList>"
+        "</Article><MeshHeadingList><MeshHeading><DescriptorName>Diuretics"
+        "</DescriptorName></MeshHeading></MeshHeadingList></MedlineCitation>")
+    ingested, fetched, piped = _run_on_xml(xml_dir, document.encode())
+    for result in (ingested, fetched, piped):
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+    assert len(json.loads(ingested.output)["abstract"]) == 400
+    assert fetched.output == "pmid\n1101\n"
 
 
 # --------------------------------------------------------------------------
@@ -1247,13 +1352,31 @@ _RANKED_ROWS = ["1\t1101\t0.5\t0\t0\t0.5", "2\t1102", "3\t²", "4\t12a", "5",
     st.sampled_from(["rank\tpmid\tpop_sim\tint_sim\tdis_sim\tvsm_score", "rank\tpmid",
                      "pmid", ""]),
     st.lists(st.sampled_from(_RANKED_ROWS), max_size=5)).map(lambda t: [t[0], *t[1]])),
-    topic=st.sampled_from(["T1", "T2"]))
-def test_any_ranked_tsv_exits_cleanly(gold_path, tmp_path_factory, data, topic):
-    ranked = tmp_path_factory.mktemp("ranked")
-    (ranked / f"{topic}.tsv").write_bytes(data)
-    result = _invoke(CliRunner(), ["--output", "json", "eval", str(gold_path),
-                                   str(ranked)])
+    topic=st.sampled_from(["T1", "T2"]),
+    gold_id=st.sampled_from(["T2", "../outside", *_GOLD_IDS]), as_dir=st.booleans())
+@example(data=b"rank\tpmid\n1\t2201\n", topic="T1", gold_id="../outside",
+         as_dir=False)
+@example(data=b"", topic="T1", gold_id="T2", as_dir=True)
+def test_any_ranked_tsv_exits_cleanly(gold_path, tmp_path_factory, data, topic,
+                                      gold_id, as_dir):
+    """Gold ids include path-like ones, and ``outside.tsv`` lies beside the
+    ranked directory; a topic's ranked file may be a directory."""
+    base = tmp_path_factory.mktemp("ranked")
+    ranked, gold = base / "ranked", base / "gold.tsv"
+    ranked.mkdir()
+    gold_id = gold_id.replace("{abs}", str(base / "abs"))
+    gold.write_text(gold_path.read_text().replace("T2\t", f"{gold_id}\t", 1))
+    (base / "outside.tsv").write_bytes(data)
+    if as_dir:
+        (ranked / f"{topic}.tsv").mkdir()
+    else:
+        (ranked / f"{topic}.tsv").write_bytes(data)
+    result = _invoke(CliRunner(), ["--output", "json", "eval", str(gold), str(ranked)])
     _clean_exit(result)
+    stripped = gold_id.strip()
+    if (as_dir and topic in ("T1", stripped) or stripped in ("", ".", "..")
+            or "/" in stripped or "\\" in stripped):
+        assert result.exit_code == 1, result.output
 
 
 # --------------------------------------------------------------------------

@@ -140,6 +140,150 @@ class TestCitationXml:
         assert Citation.from_dict(json.loads(c.to_json())) == c
 
 
+def _reference_to_dict(c: Citation) -> dict:
+    """The JSON form of a citation, each field written out by hand."""
+    return {
+        "pmid": c.pmid,
+        "title": c.title,
+        "abstract": list(c.abstract),
+        "abstract_is_structured": c.abstract_is_structured,
+        "section_labels": ({str(k): v for k, v in c.section_labels.items()}
+                           if c.section_labels is not None else None),
+        "mesh_terms": [{"descriptor": m.descriptor, "qualifier": m.qualifier,
+                        "is_major_topic": m.is_major_topic} for m in c.mesh_terms],
+        "publication_types": list(c.publication_types),
+        "journal": c.journal,
+        "year": c.year,
+    }
+
+
+def _reference_from_dict(d) -> Citation:
+    """``Citation.from_dict`` with each field and default written out by hand."""
+    if not isinstance(d, dict):
+        raise TypeError(f"a citation record must be an object, not {d!r}")
+    unknown = sorted(set(d) - set(_reference_to_dict(Citation(1, ""))))
+    if unknown:
+        raise TypeError(f"unknown field {unknown[0]!r}")
+    for key in ("title", "journal"):
+        if not isinstance(d.get(key, ""), str):
+            raise TypeError(key)
+    for key in ("abstract", "publication_types"):
+        value = d.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise TypeError(key)
+    for key in ("pmid", "year"):
+        if key in d and type(d[key]) is not int:
+            raise TypeError(key)
+    if not isinstance(d.get("abstract_is_structured", False), bool):
+        raise TypeError("abstract_is_structured")
+    labels = d.get("section_labels")
+    if labels is not None and not (
+        isinstance(labels, dict) and all(isinstance(v, str) for v in labels.values())
+    ):
+        raise TypeError("section_labels")
+    mesh = d.get("mesh_terms", [])
+    if not isinstance(mesh, list) or not all(map(corpus._is_mesh_term, mesh)):
+        raise TypeError("mesh_terms")
+    return Citation(
+        pmid=d["pmid"],
+        title=d["title"],
+        abstract=tuple(d.get("abstract", ())),
+        abstract_is_structured=d.get("abstract_is_structured", False),
+        section_labels=({int(k): v for k, v in labels.items()}
+                        if labels is not None else None),
+        mesh_terms=tuple(
+            MeshTerm(m["descriptor"], m.get("qualifier"), m.get("is_major_topic", False))
+            for m in mesh
+        ),
+        publication_types=tuple(d.get("publication_types", ())),
+        journal=d.get("journal", ""),
+        year=d.get("year", 0),
+    )
+
+
+_TEXT = st.text(max_size=8)
+
+
+@st.composite
+def _citations(draw):
+    """Citations with up to 14 sentences, often all of them labelled, and
+    ``None`` or empty labels, ``None`` qualifiers and empty fields."""
+    abstract = draw(st.lists(_TEXT, max_size=14))
+    labels = draw(st.sampled_from(["none", "empty", "all", "some"]))
+    if labels == "none":
+        section_labels = None
+    elif labels == "empty":
+        section_labels = {}
+    else:
+        chosen = range(len(abstract)) if labels == "all" else draw(
+            st.sets(st.integers(0, len(abstract) - 1)) if abstract else st.just(()))
+        section_labels = {i: draw(_TEXT) for i in chosen}
+    mesh = draw(st.lists(st.builds(MeshTerm, st.text(min_size=1, max_size=8),
+                                   st.none() | _TEXT, st.booleans()), max_size=3))
+    return Citation(
+        pmid=draw(st.integers(1, 2 ** 40)), title=draw(_TEXT), abstract=tuple(abstract),
+        abstract_is_structured=draw(st.booleans()), section_labels=section_labels,
+        mesh_terms=tuple(mesh),
+        publication_types=tuple(draw(st.lists(_TEXT, max_size=3))),
+        journal=draw(_TEXT), year=draw(st.integers(0, 3000)))
+
+
+#: Values a field of a record may not take, or that a citation rejects.
+_BAD_VALUES = {
+    "pmid": [0, -3, True, 1.5, "7", None],
+    "title": [5, None, ["x"]],
+    "abstract": ["x", [1], None, {}],
+    "abstract_is_structured": [1, "no", None],
+    "section_labels": [[], {"x": "A"}, {"0": 5}, {"99": "A"}, {"-1": "A"}, "A"],
+    "mesh_terms": ["x", [5], [{"descriptor": 5}], [{"descriptor": ""}],
+                   [{"descriptor": "a", "qualifier": 7}], [{"qualifier": "q"}],
+                   [{"descriptor": "a", "extra": 1}],
+                   [{"descriptor": "a", "is_major_topic": 1}]],
+    "publication_types": ["x", [None], None],
+    "journal": [None, 5],
+    "year": [True, "2010", 1.5, None],
+    "unknown": [1],
+}
+
+
+class TestCitationJson:
+    """``to_json`` and ``from_dict`` against hand-written copies of each field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(citation=_citations())
+    def test_to_json_matches_hand_written_form(self, citation):
+        text = citation.to_json()
+        assert text == json.dumps(_reference_to_dict(citation), sort_keys=True)
+        record = json.loads(text)
+        assert Citation.from_dict(record) == _reference_from_dict(record) == citation
+
+    def test_ten_or_more_labels_sort_as_strings(self):
+        citation = Citation(1, "t", tuple(f"s{i}." for i in range(12)), True,
+                            {i: "L" for i in range(12)})
+        text = citation.to_json()
+        assert text == json.dumps(_reference_to_dict(citation), sort_keys=True)
+        assert '"1": "L", "10": "L", "11": "L", "2": "L"' in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(citation=_citations(), data=st.data(),
+           dropped=st.sets(st.sampled_from(sorted(_BAD_VALUES)), max_size=3))
+    def test_from_dict_accepts_and_rejects_as_hand_written(self, citation, data,
+                                                            dropped):
+        """Records with optional keys left out, or with one bad value."""
+        record = {k: v for k, v in json.loads(citation.to_json()).items()
+                  if k not in dropped}
+        if data.draw(st.booleans()):
+            field = data.draw(st.sampled_from(sorted(_BAD_VALUES)))
+            record[field] = data.draw(st.sampled_from(_BAD_VALUES[field]))
+        try:
+            expected = _reference_from_dict(record)
+        except (KeyError, TypeError, ValueError):
+            with pytest.raises((TypeError, ValueError)):
+                Citation.from_dict(record)
+        else:
+            assert Citation.from_dict(record) == expected
+
+
 class TestCitationValidation:
     def test_pmid_must_be_positive(self):
         with pytest.raises(ValueError):
