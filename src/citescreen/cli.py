@@ -110,7 +110,7 @@ def _load_citations_jsonl(path: str) -> list[Citation]:
 @click.option("--top-k", type=click.IntRange(min=1), default=None,
               help="Keep only the top K ranked citations.")
 @click.option("--gold-k", type=click.IntRange(min=1), default=None,
-              help="Also report precision at this cutoff during eval.")
+              help="Also report P/R/F at this cutoff in eval and pipeline.")
 @click.option("--output", type=click.Choice(["tsv", "json"]), default="tsv",
               help="Output format.")
 @click.pass_context
@@ -277,7 +277,7 @@ def _score(ctx, topics: list[ClinicalTopic], ranked_pmids) -> None:
 
 def _report_tsv(report: dict) -> str:
     rows = [*report["topics"].items(),
-            *((key, report[key]) for key in ("overall_micro", "overall_macro"))]
+            *((key, entry) for key, entry in report.items() if key.startswith("overall_"))]
     lines = ["topic\tprecision\trecall\tf_score"]
     for name, entry in rows:
         lines.append(

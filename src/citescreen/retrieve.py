@@ -5,9 +5,9 @@ MeSH-tagged concept terms, journal names, a publication-year floor and
 the allowed publication types.  Fetching sends that string to an
 E-Utilities-compatible HTTP endpoint, or evaluates it hermetically over
 a local XML fixture directory: ``parse_query`` turns it into a tree,
-rejecting unknown fields, the fixture's postings narrow the citations
-the tree can match, and ``evaluate_query`` tests each of those
-citations' kept ``QueryFields`` against the tree.
+rejecting unknown fields, ``evaluate_query`` decides which citations'
+kept ``QueryFields`` match each term, and the tree's ANDs and ORs
+intersect and unite those sets.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ _YEAR_RE = re.compile(r"(\d+):\[Year\]")
 _FIELDS = ("mesh", "journal", "year", "pubtype")
 #: Deepest parenthesis nesting ``parse_query`` accepts.  ``build_query``
 #: emits one level; the bound keeps the recursive descent here, in
-#: ``evaluate_query`` and in ``FixtureCorpus``'s postings walk far below
+#: ``evaluate_query`` and in ``FixtureCorpus``'s set walk far below
 #: Python's recursion limit.
 MAX_QUERY_DEPTH = 100
 
@@ -488,12 +488,11 @@ class FixtureCorpus:
     postings from each key a query term tests to the records holding it.
 
     All are computed once, here.  Records are kept in PMID order, stably,
-    so records that share a PMID keep their file order.  A search walks
-    its query tree over the postings for a superset of the matches, and
-    ``evaluate_query`` decides each record of that superset.  The corpus
-    also keeps each query token's parsed term, so the terms that queries
-    share (journals, publication types, a year floor, common diseases)
-    are parsed once.
+    so records that share a PMID keep their file order.  The corpus also
+    keeps each query token's parsed term and each term's set of matching
+    records, so the terms that queries share (journals, publication
+    types, a year floor, common diseases) are parsed and decided once.
+    A search intersects its terms' sets for AND and unites them for OR.
     """
 
     def __init__(self, fixture_dir: str):
@@ -511,40 +510,40 @@ class FixtureCorpus:
                 postings.setdefault(key, set()).add(i)
         self._postings = {key: frozenset(ids) for key, ids in postings.items()}
         self._terms: dict[str, _Term] = {}  # query token -> its term
+        self._matches: dict[_Term, frozenset[int]] = {}  # term -> its records
 
     def _posting(self, fieldname: str, key: str) -> frozenset[int]:
         return self._postings.get((fieldname, key), frozenset())
 
-    def _term_posting(self, term: _Term) -> frozenset[int]:
-        if term.fieldname != "mesh":
-            return self._posting(term.fieldname, term.norm)
-        in_title = frozenset.intersection(
-            *(self._posting("title", w) for w in term.norm.split()))
-        return in_title | self._posting("mesh", term.norm)
+    def _matching(self, node: _Term | _Bool) -> frozenset[int]:
+        """Indices of the records ``node`` matches.
 
-    def _candidates(self, node: _Term | _Bool) -> frozenset[int] | None:
-        """Indices of the records that can match ``node``; None for all.
-
-        The result holds every record ``evaluate_query`` accepts.  A MeSH
-        term matches its descriptor or its words in the title, so its
-        title records hold all of its words.  Years are not indexed.
+        A term's set is decided once per run: ``evaluate_query`` tests
+        its candidates, which for a MeSH term are its descriptor's records
+        and those whose title holds all its words, for a year every
+        record, and for any other term its posting.
         """
-        if isinstance(node, _Term):
-            return None if node.fieldname == "year" else self._term_posting(node)
-        parts = [self._candidates(o) for o in node.operands]
-        if node.op == "AND":
-            bounded = [p for p in parts if p is not None]
-            return frozenset.intersection(*bounded) if bounded else None
-        if any(p is None for p in parts):
-            return None
-        return frozenset.union(*parts)
+        if isinstance(node, _Bool):
+            parts = [self._matching(o) for o in node.operands]
+            if node.op == "AND":
+                return frozenset.intersection(*parts)
+            return frozenset.union(*parts)
+        matches = self._matches.get(node)
+        if matches is None:
+            if node.fieldname == "mesh":
+                candidates = self._posting("mesh", node.norm) | frozenset.intersection(
+                    *(self._posting("title", w) for w in node.norm.split()))
+            elif node.fieldname == "year":
+                candidates = range(len(self.records))
+            else:
+                candidates = self._posting(node.fieldname, node.norm)
+            matches = self._matches[node] = frozenset(
+                i for i in candidates if evaluate_query(node, self.records[i][1]))
+        return matches
 
     def search(self, query: str) -> list[Citation]:
         tree = parse_query(query, self._terms)
-        candidates = self._candidates(tree)
-        ids = range(len(self.records)) if candidates is None else sorted(candidates)
-        return [self.records[i][0] for i in ids
-                if evaluate_query(tree, self.records[i][1])]
+        return [self.records[i][0] for i in sorted(self._matching(tree))]
 
 
 def fetch_citations(query: str, config: EndpointConfig,

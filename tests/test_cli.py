@@ -511,6 +511,24 @@ class TestPipelineAndEval:
         report = json.loads(result.output)
         assert "overall_gold_k_micro" in report
 
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_gold_k_row_in_tsv(self, runner, fixture_corpus_dir, gold_path,
+                               expected_dir, command):
+        """``--gold-k`` adds one overall row to the TSV report, holding the
+        JSON report's ``overall_gold_k_micro``; the other rows are unchanged."""
+        args = {"eval": ["eval", str(gold_path), str(expected_dir)],
+                "pipeline": ["pipeline", str(gold_path)]}[command]
+        base = ["--fixture-dir", str(fixture_corpus_dir)]
+        plain = _invoke(runner, [*base, *args])
+        with_k = _invoke(runner, [*base, "--gold-k", "2", *args])
+        report = json.loads(
+            _invoke(runner, [*base, "--gold-k", "2", "--output", "json", *args]).output)
+        assert plain.exit_code == with_k.exit_code == 0
+        entry = report["overall_gold_k_micro"]
+        assert with_k.output == plain.output + (
+            f"overall_gold_k_micro\t{entry['precision']}\t{entry['recall']}"
+            f"\t{entry['f_score']}\n")
+
     @pytest.mark.parametrize("case", ["out-dir-is-a-file", "topic-id-with-slash"])
     def test_unwritable_out_dir_is_named(self, runner, fixture_corpus_dir,
                                          gold_path, tmp_path, case):
@@ -1415,4 +1433,4 @@ def _self_calling_functions(path):
 def test_only_query_tree_walks_recurse():
     package = Path(citescreen.__file__).parent
     recursive = set().union(*map(_self_calling_functions, package.glob("*.py")))
-    assert recursive == {"retrieve.evaluate_query", "retrieve.FixtureCorpus._candidates"}
+    assert recursive == {"retrieve.evaluate_query", "retrieve.FixtureCorpus._matching"}

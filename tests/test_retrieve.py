@@ -266,37 +266,46 @@ class TestFixtureFetch:
             _fetch('"x"[MeSH]', EndpointConfig(), "/no/such")
 
 
-    def test_search_decides_only_candidates(self, fixture_corpus_dir, gold_path,
-                                            monkeypatch):
-        """Each gold topic's fetch calls ``evaluate_query`` on fewer records
-        than the corpus holds and returns the PMIDs a scan of every record
-        returned."""
+    def test_search_decides_each_term_and_record_once(self, fixture_corpus_dir,
+                                                      gold_path, monkeypatch):
+        """A search calls ``evaluate_query`` on single terms only, on each
+        (term, record) pair at most once per corpus, and not at all for
+        terms an earlier search decided, so a year-only query scans the
+        corpus once however often it is searched; the gold topics' PMIDs
+        are those a scan of every record returned."""
         fixture = str(fixture_corpus_dir)
         records = len(load_fixture_corpus(fixture))
         res = Resources.bundled(fixture_dir=fixture)
         decided = []
-        depth = 0
 
-        def outermost_counted(node, fields):
-            nonlocal depth
-            if depth == 0:
-                decided.append(fields)
-            depth += 1
-            try:
-                return evaluate_query(node, fields)
-            finally:
-                depth -= 1
+        def recorded(node, fields):
+            decided.append((node, id(fields)))
+            return evaluate_query(node, fields)
 
-        monkeypatch.setattr(retrieve, "evaluate_query", outermost_counted)
+        monkeypatch.setattr(retrieve, "evaluate_query", recorded)
         expected = {"T1": list(range(1101, 1108)), "T2": list(range(2201, 2208)),
                     "T3": list(range(3301, 3308))}
-        for topic in load_gold_standard(str(gold_path)):
-            query = build_query(topic, topic_concepts(topic, res), res.hyponyms,
-                                res.journal_whitelist, res.min_year)
-            decided.clear()
-            pmids = _pmids(res.fetch(query))
-            assert len(pmids) <= len(decided) < records
-            assert pmids == expected[topic.topic_id]
+        queries = {
+            topic.topic_id: build_query(topic, topic_concepts(topic, res), res.hyponyms,
+                                        res.journal_whitelist, res.min_year)
+            for topic in load_gold_standard(str(gold_path))
+        }
+        for topic_id, query in queries.items():
+            assert _pmids(res.fetch(query)) == expected[topic_id]
+        assert decided
+        assert all(isinstance(node, retrieve._Term) for node, _ in decided)
+        assert len(set(decided)) == len(decided)
+
+        decided.clear()
+        for topic_id, query in queries.items():
+            assert _pmids(res.fetch(query)) == expected[topic_id]
+        assert decided == []
+
+        # a fresh corpus, whose year floor no gold query has decided yet
+        res = Resources.bundled(fixture_dir=fixture)
+        first, second = res.fetch("1974:[Year]"), res.fetch("1974:[Year]")
+        assert first == second
+        assert len(set(decided)) == len(decided) == records
 
 
 # --------------------------------------------------------------------------
