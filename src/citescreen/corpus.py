@@ -232,18 +232,20 @@ def _text(el: ET.Element | None) -> str:
     return "".join(el.itertext()).strip() if el is not None else ""
 
 
-def parse_citation_xml(xml_document: str) -> list[Citation]:
+def parse_citation_xml(xml_document: str | bytes) -> list[Citation]:
     """Parse the MEDLINE citation subset into Citation objects.
 
     A record's PMID is its own direct ``<PMID>`` child, never one nested
     deeper (such as a ``CommentsCorrections`` reference).  Records whose
     PMID is missing, non-numeric or zero are rejected with a warning; the
     remaining records are still returned.  Malformed XML or a non-numeric
-    Year raises FormatError; a missing or empty Year reads as 0.
+    Year raises FormatError; a missing or empty Year reads as 0.  Bytes
+    decode by the document's XML declaration, as UTF-8 without one, and a
+    declared encoding the parser cannot read raises FormatError too.
     """
     try:
         root = ET.fromstring(xml_document)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise FormatError(f"malformed XML: {exc}") from exc
 
     records = [root] if root.tag == "MedlineCitation" else root.iter("MedlineCitation")

@@ -20,6 +20,7 @@ import re
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from citescreen import preprocess
 from citescreen.corpus import (
@@ -37,6 +38,9 @@ from citescreen.errors import (
     TransportError,
 )
 from citescreen.extract import ConceptSet
+
+if TYPE_CHECKING:
+    from email.message import Message
 
 log = logging.getLogger(__name__)
 
@@ -347,7 +351,7 @@ class EndpointConfig:
     def __post_init__(self):
         for name in ("endpoint_base_url", "api_key"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, (str, os.PathLike)):
+            if value is not None and not isinstance(value, str):
                 raise ConfigError(f"endpoint {name} must be a string, not {value!r}")
         for name, least in (("rate_limit_ms", 0), ("max_retries", 0), ("page_size", 1)):
             value = getattr(self, name)
@@ -375,43 +379,87 @@ class _RateLimiter:
         self._last = time.monotonic()
 
 
-def _retry_after_s(resp, backoff_s: float) -> float:
+def _retry_after_s(headers, backoff_s: float) -> float:
     """The integer ``Retry-After`` of a 429 response, else ``backoff_s``."""
-    value = resp.headers.get("Retry-After", "").strip()
+    value = headers.get("Retry-After", "").strip()
     return int(value) if value.isdecimal() else backoff_s
 
 
+def _http_get(url: str, params: dict, timeout: float) -> tuple[int, Message, bytes]:
+    """GET ``url`` with ``params`` as its query string: status, headers, body.
+
+    Every status is returned, not raised.  Connection failures and
+    timeouts raise ``OSError``; a garbled reply raises
+    ``http.client.HTTPException``.
+    """
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(f"{url}?{urllib.parse.urlencode(params)}",
+                                    timeout=timeout) as resp:
+            return resp.status, resp.headers, resp.read()
+    except urllib.error.HTTPError as err:
+        # an OSError too, so it is read here before any caller sees it
+        with err:
+            return err.code, err.headers, err.read()
+
+
 def _request_with_retries(url: str, params: dict, config: EndpointConfig,
-                          limiter: _RateLimiter) -> str:
-    """GET ``url``; connection failures, 429 and 5xx are retried.
+                          limiter: _RateLimiter) -> bytes:
+    """GET ``url`` and return the body; connection failures, 429 and 5xx
+    are retried.
 
     A 429 also waits for its ``Retry-After`` seconds, or for the rate
     interval doubled at each retry.
     """
-    import requests
+    import http.client
 
     last_exc: Exception | None = None
     for attempt in range(config.max_retries + 1):
         limiter.wait(config.rate_limit_ms)
         try:
-            resp = requests.get(url, params=params, timeout=config.timeout_s)
-        except requests.RequestException as exc:
+            status, headers, body = _http_get(url, params, config.timeout_s)
+        except (OSError, http.client.HTTPException) as exc:
             last_exc = exc
             log.warning("request failed (attempt %d): %s", attempt + 1, exc)
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_exc = StatusError(resp.status_code, resp.text)
-            log.warning("HTTP %d (attempt %d)", resp.status_code, attempt + 1)
-            if resp.status_code == 429 and attempt < config.max_retries:
-                time.sleep(_retry_after_s(
-                    resp, config.rate_limit_ms / 1000.0 * 2 ** attempt))
-            continue
-        if resp.status_code != 200:
-            raise StatusError(resp.status_code, resp.text)
-        return resp.text
+        if status == 200:
+            return body
+        last_exc = StatusError(status, body.decode("utf-8", "replace"))
+        if status != 429 and status < 500:
+            raise last_exc
+        log.warning("HTTP %d (attempt %d)", status, attempt + 1)
+        if status == 429 and attempt < config.max_retries:
+            time.sleep(_retry_after_s(
+                headers, config.rate_limit_ms / 1000.0 * 2 ** attempt))
     if isinstance(last_exc, StatusError):
         raise last_exc
     raise TransportError(f"request failed after retries: {last_exc}")
+
+
+def _endpoint_base(url: str | None) -> str:
+    """``url`` without trailing slashes, once urllib can send a request to it.
+
+    That takes printable ASCII, an http or https scheme, a host with no
+    percent escape (urllib unquotes the host), no user info, a port in
+    range if any, and no query or fragment, since each request appends
+    its own query string.
+    """
+    import urllib.parse
+
+    base = (url or "").rstrip("/")
+    try:
+        parts = urllib.parse.urlsplit(base)
+        parts.port  # raises ValueError unless a number in range
+    except ValueError:
+        parts = None
+    if (parts is None or not re.fullmatch(r"https?://[!-~]+", base)
+            or re.search("[?#]", base) or not parts.hostname
+            or "%" in parts.netloc or parts.username is not None):
+        raise ConfigError(f"malformed endpoint URL: {url!r}")
+    return base
 
 
 def _fetch_live(query: str, config: EndpointConfig,
@@ -423,24 +471,22 @@ def _fetch_live(query: str, config: EndpointConfig,
     the error a server sends for an expired ``WebEnv``, is a transport
     error rather than a silently shorter result.
     """
-    base = (config.endpoint_base_url or "").rstrip("/")
-    if not base.startswith(("http://", "https://")):
-        raise ConfigError(f"malformed endpoint URL: {config.endpoint_base_url!r}")
+    base = _endpoint_base(config.endpoint_base_url)
     common = {"db": "pubmed"}
     if config.api_key:
         common["api_key"] = config.api_key
 
-    text = _request_with_retries(
+    body = _request_with_retries(
         f"{base}/esearch.fcgi",
         {**common, "term": query, "usehistory": "y", "retmax": 0},
         config, limiter,
     )
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(body)
         count = int(root.findtext("Count", ""))
         if count < 0:
             raise ValueError(f"negative Count {count}")
-    except (ET.ParseError, ValueError) as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise TransportError(f"malformed search response: {exc}") from exc
     if count == 0:
         return []
@@ -451,14 +497,14 @@ def _fetch_live(query: str, config: EndpointConfig,
 
     by_pmid: dict[int, Citation] = {}
     for start in range(0, count, config.page_size):
-        text = _request_with_retries(
+        body = _request_with_retries(
             f"{base}/efetch.fcgi",
             {**common, "WebEnv": webenv, "query_key": query_key,
              "retstart": start, "retmax": config.page_size, "retmode": "xml"},
             config, limiter,
         )
         try:
-            page = parse_citation_xml(text)
+            page = parse_citation_xml(body)
         except FormatError as exc:
             raise TransportError(f"malformed fetch response: {exc}") from exc
         if not page:

@@ -1,3 +1,4 @@
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from citescreen.pipeline import Resources, load_resources
 
 FIXTURES = Path(__file__).parent / "fixtures"
+STUB_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "stub.py"
 
 
 def pytest_configure(config):
@@ -83,3 +85,12 @@ def expected_dir() -> Path:
 @pytest.fixture(scope="session")
 def resources(fixture_corpus_dir) -> Resources:
     return load_resources(None, str(fixture_corpus_dir))
+
+
+@pytest.fixture(scope="session")
+def stub():
+    """``perfbench/stub.py``, the benchmark's local E-utilities server."""
+    spec = importlib.util.spec_from_file_location("perfbench_stub", STUB_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,21 +1,22 @@
 import ast
+import http.client
 import json
 import os
 import re
 import shutil
 import string
 import time
+import urllib.parse
+import urllib.request
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-import requests
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import citescreen
-from citescreen import corpus, pipeline
+from citescreen import corpus, pipeline, retrieve
 from citescreen.cli import main
 from citescreen.pipeline import RESOURCE_FILES, Resources, citation_concepts
 from citescreen.retrieve import (
@@ -194,9 +195,8 @@ class TestFetch:
         fixture = _invoke(runner, ["--output", "json", "--fixture-dir",
                                    str(fixture_corpus_dir), "fetch", query])
         assert json.loads(fixture.output)["source"] == "fixture"
-        monkeypatch.setattr(requests, "get", lambda *a, **k: SimpleNamespace(
-            status_code=200, headers={},
-            text="<eSearchResult><Count>0</Count></eSearchResult>"))
+        monkeypatch.setattr(retrieve, "_http_get", lambda *a, **k: (
+            200, {}, b"<eSearchResult><Count>0</Count></eSearchResult>"))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"endpoint": {
             "endpoint_base_url": "https://api.example/entrez", "rate_limit_ms": 0}}))
@@ -221,16 +221,11 @@ class TestFetch:
     def test_repeated_429_is_transport_error(self, runner, tmp_path, monkeypatch):
         attempts = []
 
-        class TooMany:
-            status_code = 429
-            text = "rate limited"
-            headers = {"Retry-After": "1"}
-
         def fake_get(url, params=None, timeout=None):
             attempts.append(url)
-            return TooMany()
+            return 429, {"Retry-After": "1"}, b"rate limited"
 
-        monkeypatch.setattr(requests, "get", fake_get)
+        monkeypatch.setattr(retrieve, "_http_get", fake_get)
         monkeypatch.setattr(time, "sleep", lambda seconds: None)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"endpoint": {
@@ -962,6 +957,55 @@ def test_any_config_exits_cleanly(path_files, parts):
     assert "Traceback" not in result.output
     if result.exit_code == 1:
         assert "error:" in result.output and f"config {path}" in result.output
+
+
+# --------------------------------------------------------------------------
+# Endpoint URLs, fuzzed: a live fetch either sends a request that urllib
+# can put on the wire, or ends with exit 1 and a malformed-URL error
+# before any request.  The transport is replaced, so nothing connects.
+# --------------------------------------------------------------------------
+
+_URL_PIECES = st.sampled_from([
+    "http://", "https://", "ftp://", "HTTP://", "127.0.0.1", "[::1]", "[::1",
+    "eutils", ".", ":80", ":", ":99999", ":x", "@", "u:p@", "/", "/entrez",
+    " ", "\t", "\x00", "\x7f", "é", "β", "?", "#", "%20",
+])
+_ENDPOINT_URLS = (st.lists(_URL_PIECES, max_size=6).map("".join)
+                  | st.text(max_size=12).map("http://".__add__))
+
+
+def _sendable(url, params, timeout):
+    """A transport that builds the request urllib would send, short of
+    connecting, and answers with no hits."""
+    request = urllib.request.Request(f"{url}?{urllib.parse.urlencode(params)}")
+    assert request.host
+    http.client.HTTPConnection(request.host).putrequest("GET", request.selector)
+    return 200, {}, b"<eSearchResult><Count>0</Count></eSearchResult>"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(url=_ENDPOINT_URLS)
+@example(url="http://eutils host/entrez")
+@example(url="http:///entrez")
+@example(url="http://127.0.0.1:80x/entrez")
+@example(url="http://%20/entrez")
+def test_any_endpoint_url_exits_cleanly(tmp_path_factory, url):
+    sent = []
+    config = tmp_path_factory.getbasetemp() / "endpoint-url.json"
+    config.write_text(json.dumps({"endpoint": {"endpoint_base_url": url,
+                                               "rate_limit_ms": 0}}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieve, "_http_get",
+                   lambda *args: sent.append(args) or _sendable(*args))
+        result = _invoke(CliRunner(), [
+            "--config", str(config), "fetch", '"heart failure"[MeSH]'])
+    assert "Traceback" not in result.output
+    if sent:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 1, result.output
+        assert "malformed endpoint URL" in result.output
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,8 @@ one rate limiter spaces its live requests.
 
 import re
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
-import requests
 
 from citescreen import pipeline, preprocess, retrieve
 from citescreen.corpus import Citation, ClinicalTopic, load_gold_standard
@@ -193,12 +191,11 @@ def test_one_rate_limiter_spaces_requests_across_fetches(monkeypatch):
 
     def fake_get(url, params=None, timeout=None):
         sent.append(clock[0])
-        return SimpleNamespace(status_code=200, headers={},
-                               text="<eSearchResult><Count>0</Count></eSearchResult>")
+        return 200, {}, b"<eSearchResult><Count>0</Count></eSearchResult>"
 
     monkeypatch.setattr(retrieve.time, "monotonic", lambda: clock[0])
     monkeypatch.setattr(retrieve.time, "sleep", sleep)
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(retrieve, "_http_get", fake_get)
     res = Resources.bundled(endpoint=retrieve.EndpointConfig(
         endpoint_base_url="https://api.example/entrez", rate_limit_ms=100))
     res.fetch('"heart failure"[MeSH]')
