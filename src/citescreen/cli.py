@@ -58,11 +58,12 @@ def _emit(ctx, tsv_text: str, json_text: str):
         click.echo()
 
 
-def _read_input(path: str) -> str:
-    """The text of the input file ``path``; one that cannot be read, such
-    as a directory, or is not UTF-8 is a FormatError."""
+def _read_input(path: str, encoding: str | None = "utf-8") -> str | bytes:
+    """The text of the input file ``path``, or its bytes for no
+    ``encoding``; one that cannot be read, such as a directory, or does
+    not decode is a FormatError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "r" if encoding else "rb", encoding=encoding) as fh:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
@@ -136,7 +137,11 @@ def ingest(ctx, xml_files, out):
     """Parse citation XML files into one JSON record per line."""
     citations: list[Citation] = []
     for path in xml_files:
-        citations.extend(corpus.parse_citation_xml(_read_input(path)))
+        document = _read_input(path, encoding=None)  # decoded by its XML declaration
+        try:
+            citations.extend(corpus.parse_citation_xml(document))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     lines = "".join(c.to_json() + "\n" for c in citations)
     if out:
         _write_output(out, lines)

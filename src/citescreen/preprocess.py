@@ -102,6 +102,9 @@ def _find_long_form(abbr: str, preceding: str) -> str | None:
 
 
 def _replace_standalone(text: str, short: str, long: str) -> str:
+    # The pattern matches ``short`` literally, so text without it is kept.
+    if short not in text:
+        return text
     # A function replacement keeps backslashes in ``long`` literal.
     return re.sub(r"(?<![\w])%s(?![\w])" % re.escape(short), lambda _: long, text)
 
@@ -115,37 +118,30 @@ def expand_abbreviations(
     at least one upper-case letter.  On success the declaration is
     removed and every later standalone occurrence of the short form
     (word-boundary, case-sensitive) is replaced with the long form.
-    Candidates with no valid long form are left untouched.
+    Candidates with no valid long form are left untouched.  Each sentence
+    takes the declarations accepted before it, in order, before it is
+    scanned for its own.
     """
-    out = list(sentences)
+    out: list[str] = []
     entries: list[AbbreviationEntry] = []
-    i = 0
-    while i < len(out):
-        sentence = out[i]
+    for sentence in sentences:
+        for entry in entries:
+            sentence = _replace_standalone(sentence, entry.short_form, entry.long_form)
         pos = 0
-        while True:
-            m = _PAREN_CANDIDATE.search(sentence, pos)
-            if m is None:
-                break
+        while m := _PAREN_CANDIDATE.search(sentence, pos):
             abbr = m.group(1)
-            if not any(c.isupper() for c in abbr):
-                pos = m.end()
-                continue
-            long_form = _find_long_form(abbr, sentence[: m.start()])
+            pos = m.end()
+            long_form = (_find_long_form(abbr, sentence[: m.start()])
+                         if any(c.isupper() for c in abbr) else None)
             if long_form is None:
-                pos = m.end()
                 continue
             entries.append(AbbreviationEntry(abbr, long_form))
             head = sentence[: m.start()].rstrip()
-            tail = sentence[m.end():]
-            tail = _replace_standalone(tail, abbr, long_form)
+            tail = _replace_standalone(sentence[m.end():], abbr, long_form)
             sentence = (head + tail) if tail.startswith((".", ",", ";", ":", ")")) \
                 else (head + " " + tail.lstrip() if tail.strip() else head)
             pos = len(head)
-            for j in range(i + 1, len(out)):
-                out[j] = _replace_standalone(out[j], abbr, long_form)
-        out[i] = sentence
-        i += 1
+        out.append(sentence)
     return out, entries
 
 

@@ -379,31 +379,47 @@ class _RateLimiter:
         self._last = time.monotonic()
 
 
-def _retry_after_s(headers, backoff_s: float) -> float:
-    """The integer ``Retry-After`` of a 429 response, else ``backoff_s``."""
+def _retry_after_s(headers, backoff_s: float, timeout_s: float) -> float | None:
+    """The integer ``Retry-After`` of a 429 response, else ``backoff_s``;
+    None for a ``Retry-After`` longer than ``timeout_s``, a wait the run
+    should not sit through."""
     value = headers.get("Retry-After", "").strip()
-    return int(value) if value.isdecimal() else backoff_s
+    if not value.isdecimal():
+        return backoff_s
+    return int(value) if int(value) <= timeout_s else None
 
 
 def _http_get(url: str, params: dict, timeout: float) -> tuple[int, Message, bytes]:
     """GET ``url`` with ``params`` as its query string: status, headers, body.
 
-    Every status is returned, not raised.  Connection failures and
-    timeouts raise ``OSError``; a garbled reply raises
-    ``http.client.HTTPException``.
+    Every status is returned, not raised.  A gzip reply is asked for and
+    its body inflated.  Connection failures and timeouts raise
+    ``OSError``; a garbled reply, a corrupt gzip stream among them,
+    raises ``http.client.HTTPException``.
     """
     import urllib.error
     import urllib.parse
     import urllib.request
 
+    request = urllib.request.Request(f"{url}?{urllib.parse.urlencode(params)}",
+                                     headers={"Accept-Encoding": "gzip"})
     try:
-        with urllib.request.urlopen(f"{url}?{urllib.parse.urlencode(params)}",
-                                    timeout=timeout) as resp:
-            return resp.status, resp.headers, resp.read()
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, headers, body = resp.status, resp.headers, resp.read()
     except urllib.error.HTTPError as err:
         # an OSError too, so it is read here before any caller sees it
         with err:
-            return err.code, err.headers, err.read()
+            status, headers, body = err.code, err.headers, err.read()
+    if headers.get("Content-Encoding", "").strip().lower() == "gzip":
+        import gzip
+        import http.client
+        import zlib
+
+        try:
+            body = gzip.decompress(body)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise http.client.HTTPException(f"corrupt gzip body: {exc}") from exc
+    return status, headers, body
 
 
 def _request_with_retries(url: str, params: dict, config: EndpointConfig,
@@ -412,7 +428,8 @@ def _request_with_retries(url: str, params: dict, config: EndpointConfig,
     are retried.
 
     A 429 also waits for its ``Retry-After`` seconds, or for the rate
-    interval doubled at each retry.
+    interval doubled at each retry; a ``Retry-After`` longer than the
+    request timeout ends the retries with that 429's ``StatusError``.
     """
     import http.client
 
@@ -432,8 +449,11 @@ def _request_with_retries(url: str, params: dict, config: EndpointConfig,
             raise last_exc
         log.warning("HTTP %d (attempt %d)", status, attempt + 1)
         if status == 429 and attempt < config.max_retries:
-            time.sleep(_retry_after_s(
-                headers, config.rate_limit_ms / 1000.0 * 2 ** attempt))
+            backoff_s = config.rate_limit_ms / 1000.0 * 2 ** attempt
+            wait_s = _retry_after_s(headers, backoff_s, config.timeout_s)
+            if wait_s is None:
+                raise last_exc
+            time.sleep(wait_s)
     if isinstance(last_exc, StatusError):
         raise last_exc
     raise TransportError(f"request failed after retries: {last_exc}")
@@ -522,9 +542,9 @@ def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
     citations: list[Citation] = []
     for path in sorted(glob.glob(os.path.join(fixture_dir, "*.xml"))):
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 citations.extend(parse_citation_xml(fh.read()))
-        except (FormatError, OSError, UnicodeDecodeError) as exc:
+        except (FormatError, OSError) as exc:
             raise FormatError(f"fixture file {path}: {exc}") from exc
     return citations
 

@@ -3,11 +3,19 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from citescreen.pipeline import Resources, load_resources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 STUB_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "stub.py"
+
+# Hypothesis's per-example deadline is wall-clock time, so a stall of the
+# host (a 0.4 s SIGSTOP does it) fails whichever property runs then;
+# no property here is a timing test.  Loaded before any test module, so
+# ``@settings`` without a deadline inherit it.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 
 def pytest_configure(config):

@@ -92,6 +92,30 @@ class TestIngest:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_malformed_file_is_named(self, runner, fixture_corpus_dir, tmp_path):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<MedlineCitationSet><MedlineCitation><PMID>7</PMID>")
+        result = _invoke(runner, ["ingest", str(fixture_corpus_dir / "stroke.xml"),
+                                  str(bad)])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {bad}: malformed XML: ")
+
+    def test_file_decodes_by_its_xml_declaration(self, runner, tmp_path):
+        """As a live reply does: ingest and a fixture fetch read the same
+        ISO-8859-1 bytes alike."""
+        (tmp_path / "latin.xml").write_bytes(
+            '<?xml version="1.0" encoding="ISO-8859-1"?>\n<MedlineCitationSet>'
+            '<MedlineCitation><PMID>7</PMID><Article><ArticleTitle>Sjögren '
+            'syndrome and café-au-lait spots</ArticleTitle></Article>'
+            '</MedlineCitation></MedlineCitationSet>'.encode("iso-8859-1"))
+        ingested = _invoke(runner, ["ingest", str(tmp_path / "latin.xml")])
+        assert ingested.exit_code == 0, ingested.output
+        assert json.loads(ingested.output)["title"] == (
+            "Sjögren syndrome and café-au-lait spots")
+        fetched = _invoke(runner, ["--fixture-dir", str(tmp_path), "fetch",
+                                   '"Sjögren syndrome"[MeSH]'])
+        assert (fetched.exit_code, fetched.output) == (0, "pmid\n7\n")
+
     def test_non_numeric_year_is_validation_error(self, runner, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<MedlineCitation><PMID>7</PMID><Article><Journal>"
@@ -238,6 +262,23 @@ class TestFetch:
         assert result.exit_code == 2
         assert "HTTP 429" in result.output
         assert len(attempts) == 3
+
+    def test_retry_after_past_the_timeout_is_status_error(self, runner, tmp_path,
+                                                          monkeypatch):
+        """A wait no sleep can take, or one of days, is not sat through."""
+        attempts = []
+        monkeypatch.setattr(retrieve, "_http_get", lambda *a, **k: (
+            attempts.append(a) or (429, {"Retry-After": "99999999999999999999"},
+                                   b"rate limited")))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": {
+            "endpoint_base_url": "https://api.example/entrez", "rate_limit_ms": 0}}))
+        result = _invoke(runner, [
+            "--config", str(config), "fetch", '"heart failure"[MeSH]',
+        ])
+        assert result.exit_code == 2
+        assert "HTTP 429" in result.output and "Traceback" not in result.output
+        assert len(attempts) == 1
 
     def test_malformed_query_is_validation_error(self, runner,
                                                  fixture_corpus_dir):

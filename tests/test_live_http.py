@@ -4,9 +4,11 @@ run imports.
 ``perfbench/stub.py``'s ``Eutils`` serves E-utilities behind
 ``http.server`` on a free local port.  Replies scripted per route go out
 ahead of the stub's own, to inject a rate limit, server and client
-errors, and bodies under other content types and encodings.
+errors, and bodies under other content types and encodings, gzipped
+or not.
 """
 
+import gzip
 import json
 import socket
 import subprocess
@@ -21,7 +23,7 @@ from click.testing import CliRunner
 
 from citescreen import retrieve
 from citescreen.cli import main
-from citescreen.errors import StatusError
+from citescreen.errors import StatusError, TransportError
 from citescreen.pipeline import Resources
 from citescreen.retrieve import EndpointConfig
 
@@ -42,9 +44,11 @@ class _Server:
 
     def __init__(self, eutils, handler):
         script = self.script = {}
+        accepted = self.accept_encodings = []
 
         class Scripted(handler):
             def do_GET(self):
+                accepted.append(self.headers.get("Accept-Encoding"))
                 replies = script.get(urlsplit(self.path).path.rsplit("/", 1)[-1])
                 if not replies:
                     return super().do_GET()
@@ -137,6 +141,46 @@ def test_body_decodes_by_its_xml_declaration(server, content_type, encoding):
     assert citation.title == TITLE
 
 
+def _efetch_reply(title=TITLE):
+    return (f"<PubmedArticleSet><PubmedArticle>{_record(SJOGREN, title)}"
+            f"</PubmedArticle></PubmedArticleSet>").encode()
+
+
+def test_gzip_reply_is_inflated(server):
+    server.script["efetch.fcgi"] = [
+        (200, {"Content-Encoding": "gzip"}, gzip.compress(_efetch_reply()))]
+    [citation] = _fetch(server.url, '"Sjogren syndrome"[MeSH]')
+    assert citation.title == TITLE
+    assert server.script["efetch.fcgi"] == []
+    assert server.accept_encodings == ["gzip", "gzip"]
+
+
+_GZIPPED = gzip.compress(_efetch_reply("A corrupt reply"))
+
+
+@pytest.mark.parametrize("body", [
+    _GZIPPED[:-12],
+    _GZIPPED[:20] + bytes(b ^ 0xFF for b in _GZIPPED[20:30]) + _GZIPPED[30:],
+    _GZIPPED[:-8] + b"\0" * 8,
+    b"not gzip at all",
+], ids=["truncated", "corrupt-deflate", "bad-crc", "not-gzip"])
+def test_corrupt_gzip_is_retried(server, body):
+    """A gzip stream that does not inflate is a transport failure, retried."""
+    server.script["efetch.fcgi"] = [(200, {"Content-Encoding": "gzip"}, body)]
+    [citation] = _fetch(server.url, '"Sjogren syndrome"[MeSH]')
+    assert citation.title == TITLE
+    assert server.script["efetch.fcgi"] == []
+    assert server.eutils.requests == {"esearch.fcgi": 1, "efetch.fcgi": 1}
+
+
+def test_corrupt_gzip_exhausts_to_transport_error(server):
+    server.script["esearch.fcgi"] = [
+        (200, {"Content-Encoding": "gzip"}, b"not gzip")] * 2
+    with pytest.raises(TransportError, match="corrupt gzip body"):
+        _fetch(server.url, max_retries=1)
+    assert server.eutils.requests == {}
+
+
 def _config(tmp_path, url):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"endpoint": {
@@ -165,8 +209,8 @@ from citescreen.cli import main
 try:
     main(sys.argv[2:], prog_name="citescreen")
 finally:
-    print(json.dumps(sorted(m for m in ("urllib.request", "http.client", "requests")
-                            if m in sys.modules)), file=sys.stderr)
+    print(json.dumps(sorted(m for m in ("urllib.request", "http.client", "requests",
+                                        "gzip") if m in sys.modules)), file=sys.stderr)
 """
 
 
@@ -184,6 +228,7 @@ def test_fixture_run_imports_no_http_module(fixture_corpus_dir, gold_path, tmp_p
 
 
 def test_live_run_never_imports_requests(server, tmp_path):
+    """Nor ``gzip``, while no reply is compressed."""
     stdout, imported = _imports("--config", _config(tmp_path, server.url),
                                 "fetch", '"heart failure"[MeSH]')
     assert stdout.split() == ["pmid", *map(str, HEART_FAILURE)]

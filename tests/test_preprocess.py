@@ -128,6 +128,88 @@ def _abbreviation_sentences(draw):
             for words in sentences]
 
 
+def _expand_abbreviations_eagerly(sentences):
+    """The earlier ``expand_abbreviations``: at each declaration it
+    rewrote every later sentence at once, so it took time proportional to
+    declarations x sentences."""
+    def replace(text, short, long):
+        return re.sub(r"(?<![\w])%s(?![\w])" % re.escape(short), lambda _: long, text)
+
+    out = list(sentences)
+    entries = []
+    i = 0
+    while i < len(out):
+        sentence = out[i]
+        pos = 0
+        while True:
+            m = preprocess._PAREN_CANDIDATE.search(sentence, pos)
+            if m is None:
+                break
+            abbr = m.group(1)
+            if not any(c.isupper() for c in abbr):
+                pos = m.end()
+                continue
+            long_form = preprocess._find_long_form(abbr, sentence[: m.start()])
+            if long_form is None:
+                pos = m.end()
+                continue
+            entries.append(preprocess.AbbreviationEntry(abbr, long_form))
+            head = sentence[: m.start()].rstrip()
+            tail = replace(sentence[m.end():], abbr, long_form)
+            sentence = (head + tail) if tail.startswith((".", ",", ";", ":", ")")) \
+                else (head + " " + tail.lstrip() if tail.strip() else head)
+            pos = len(head)
+            for j in range(i + 1, len(out)):
+                out[j] = replace(out[j], abbr, long_form)
+        out[i] = sentence
+        i += 1
+    return out, entries
+
+
+#: Short forms inside one another (HF, HF-REF, X-HF) and a long form
+#: holding another short form (HF clinic): a single alternation pattern
+#: over all declarations would expand these differently from one
+#: substitution per declaration in the order they were accepted.
+_OVERLAPPING = [
+    ("heart failure", "HF"),
+    ("heart failure-reduced ejection fraction", "HF-REF"),
+    ("x-linked heart failure", "X-HF"),
+    ("HF clinic", "HC"),
+    ("HC unit", "HU"),
+]
+
+
+@st.composite
+def _overlapping_sentences(draw):
+    """Sentences declaring and using short forms that overlap."""
+    pieces = st.one_of(
+        st.sampled_from([f"{long} ({short})" for long, short in _OVERLAPPING]),
+        st.sampled_from([short for _, short in _OVERLAPPING]),
+        st.sampled_from(["HF-REF-HF", "X-HF-REF", "(HF)", "HFs", "the", "in"]),
+    )
+    sentences = draw(st.lists(st.lists(pieces, min_size=1, max_size=6),
+                              min_size=1, max_size=5))
+    return [" ".join(words) + draw(st.sampled_from([".", ",", ""]))
+            for words in sentences]
+
+
+def _stress_sentences(declarations):
+    """``declarations`` sentences that each declare a new short form, each
+    followed by one that uses it and the short form declared half as far
+    in."""
+    def short(k):
+        return "Z" + "".join(chr(65 + k // 26 ** p % 26) for p in range(3))
+
+    def long(k):
+        return " ".join(f"{c.lower()}ord" for c in short(k))
+
+    sentences = []
+    for k in range(declarations):
+        sentences.append(f"Patients with {long(k)} ({short(k)}) were enrolled.")
+        sentences.append(f"Both {short(k)} and {short(k // 2)} recurred.")
+    return sentences
+
+
 class TestAbbreviationExpansion:
     def test_afib_declaration(self):
         sentences = [
@@ -225,6 +307,41 @@ class TestAbbreviationExpansion:
         twice, again = expand_abbreviations(once)
         assert twice == once
         assert again == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(_abbreviation_sentences() | _overlapping_sentences())
+    @example(["heart failure (HF) and HF-REF.",
+              "heart failure-reduced ejection fraction (HF-REF) in X-HF.",
+              "HF-REF, X-HF and HF."])
+    @example(["HF clinic (HC) staff.", "heart failure (HF) and HC.", "HC unit (HU).",
+              "HU, HC and HF."])
+    def test_matches_the_eager_expansion(self, sentences):
+        expected = _expand_abbreviations_eagerly(sentences)
+        assert expand_abbreviations(sentences) == expected
+
+    def test_matches_the_eager_expansion_on_many_declarations(self):
+        sentences = _stress_sentences(150)
+        out, entries = expand_abbreviations(sentences)
+        assert (out, entries) == _expand_abbreviations_eagerly(sentences)
+        assert len(entries) == 150
+        assert out[3] == "Both zord bord aord aord and zord aord aord aord recurred."
+
+    def test_substitutes_only_where_the_short_form_occurs(self, monkeypatch):
+        """With 800 declarations over 1,600 sentences, ``re.sub`` runs once
+        per sentence and earlier declaration whose short form the sentence
+        holds, not once per declaration for every later sentence."""
+        sentences = _stress_sentences(800)
+        subs = []
+        real_sub = re.sub
+        monkeypatch.setattr(preprocess.re, "sub",
+                            lambda *a, **k: subs.append(a[0]) or real_sub(*a, **k))
+        out, entries = expand_abbreviations(sentences)
+        monkeypatch.undo()
+        assert len(entries) == 800
+        holding = sum(e.short_form in sentence
+                      for i, sentence in enumerate(sentences)
+                      for e in entries[: (i + 1) // 2])
+        assert len(subs) == holding == 2 * 800 - 1
 
 
 class TestNormalization:

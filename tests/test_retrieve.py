@@ -562,6 +562,29 @@ class TestLiveFetch:
         assert _fetch('"x"[MeSH]', self._config()) == []
         assert slept == [3]
 
+    @pytest.mark.parametrize("retry_after,slept", [
+        ("30", [30]), ("31", []), ("100000", []), ("99999999999999999999", []),
+    ])
+    def test_429_retry_after_past_the_timeout_ends_the_retries(
+            self, monkeypatch, retry_after, slept):
+        """A ``Retry-After`` longer than the 30 s request timeout ends the
+        retries with that 429 before any sleep; up to it, it is waited for."""
+        replies = [_reply(429, "slow down", {"Retry-After": retry_after}),
+                   _reply(200, "<eSearchResult><Count>0</Count></eSearchResult>")]
+        waits = []
+        monkeypatch.setattr(retrieve, "_http_get", lambda *a, **k: replies.pop(0))
+        monkeypatch.setattr(time, "sleep", waits.append)
+        config = self._config()
+        assert config.timeout_s == 30
+        if slept:
+            assert _fetch('"x"[MeSH]', config) == []
+        else:
+            with pytest.raises(StatusError) as err:
+                _fetch('"x"[MeSH]', config)
+            assert err.value.status_code == 429
+            assert len(replies) == 1
+        assert waits == slept
+
     def test_429_backs_off_by_doubling_the_rate_interval(self, monkeypatch):
         replies = [_reply(429, "slow down"), _reply(429, "slow down", {"Retry-After": "soon"}),
                    _reply(200, "<eSearchResult><Count>0</Count></eSearchResult>")]
