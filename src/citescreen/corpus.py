@@ -339,6 +339,10 @@ def load_lexicon(path: str) -> ConceptLexicon:
         if not norm:
             log.warning("lexicon line %d rejected: empty surface form", lineno)
             continue
+        if '"' in norm:  # a query term cannot hold one
+            log.warning("lexicon line %d rejected: %r holds a double quote",
+                        lineno, surface)
+            continue
         key = (norm, group)
         if key in seen:
             log.warning("lexicon line %d: duplicate (%s, %s), last row wins",
@@ -351,8 +355,9 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
     """Load the tab-indented class/class/class/drug hierarchy.
 
     Indent 0-2 are the three class levels; indent 3 holds drugs.  Any
-    deeper indentation or a skipped level is a load error naming the
-    offending line.
+    deeper indentation, a skipped level, or a name whose normal form
+    holds a double quote, which no query term can, is a load error
+    naming the offending line.
     """
     parents: dict[str, str | None] = {}
     names: dict[str, str] = {}
@@ -374,6 +379,8 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
             norm = preprocess.normalize_token(name)
             if not norm:
                 raise FormatError(f"line {lineno}: empty node name")
+            if '"' in norm:
+                raise FormatError(f"line {lineno}: name {name!r} holds a double quote")
             if norm in names:
                 raise FormatError(f"line {lineno}: duplicate name {name!r}")
             names[norm] = name

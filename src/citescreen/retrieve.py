@@ -127,16 +127,15 @@ def build_query(
 # Boolean query parsing and fixture evaluation
 # ---------------------------------------------------------------------------
 
+#: One query token (group 1): an operator or parenthesis (2), a quoted
+#: value and its field (3, 4), or a year floor (5).
 _TOKEN_RE = re.compile(
-    r'\s*(\(|\)|AND\b|OR\b|"[^"]*"\[\w+\]|\d+:\[Year\])'
+    r'\s*(([()]|AND\b|OR\b)|"([^"]*)"\[(\w+)\]|(\d+):\[Year\])'
 )
-_TERM_RE = re.compile(r'"([^"]*)"\[(\w+)\]')
-_YEAR_RE = re.compile(r"(\d+):\[Year\]")
 _FIELDS = ("mesh", "journal", "year", "pubtype")
 #: Deepest parenthesis nesting ``parse_query`` accepts.  ``build_query``
-#: emits one level; the bound keeps the recursive descent here, in
-#: ``evaluate_query`` and in ``FixtureCorpus``'s set walk far below
-#: Python's recursion limit.
+#: emits one level; the bound keeps the tree walks of ``evaluate_query``
+#: and ``FixtureCorpus._matching`` far below Python's recursion limit.
 MAX_QUERY_DEPTH = 100
 
 
@@ -156,17 +155,15 @@ class _Bool:
     operands: list
 
 
-def _parse_term(tok: str) -> _Term:
-    """The term one query token spells; an error if it spells none."""
-    ym = _YEAR_RE.fullmatch(tok)
-    if ym:
-        return _Term(ym.group(1), "year")
-    tm = _TERM_RE.fullmatch(tok)
-    if tm is None:
-        raise QueryParseError(f"bad term {tok!r}")
-    value, fieldname = tm.group(1), tm.group(2).lower()
+def _parse_term(token: re.Match) -> _Term:
+    """The term a quoted or year ``_TOKEN_RE`` match spells; an error for a
+    field or value no term may have."""
+    _, _, value, tag, year = token.groups()
+    if year is not None:
+        return _Term(year, "year")
+    fieldname = tag.lower()
     if fieldname not in _FIELDS:
-        raise QueryParseError(f"unknown field {tm.group(2)!r}")
+        raise QueryParseError(f"unknown field {tag!r}")
     if fieldname == "year":
         try:
             int(value)
@@ -174,8 +171,15 @@ def _parse_term(tok: str) -> _Term:
             raise QueryParseError(f"year {value!r} is not a number") from None
     term = _Term(value, fieldname)
     if not term.norm:
-        raise QueryParseError(f"{tm.group(2)} value {value!r} has no words")
+        raise QueryParseError(f"{tag} value {value!r} has no words")
     return term
+
+
+def _group_node(group: list[list]) -> _Term | _Bool:
+    """The tree of a closed group, a list of OR operands that are each a
+    list of AND operands; an operator with one operand is that operand."""
+    ors = [ands[0] if len(ands) == 1 else _Bool("AND", ands) for ands in group]
+    return ors[0] if len(ors) == 1 else _Bool("OR", ors)
 
 
 def parse_query(query: str, _terms: dict[str, _Term] | None = None) -> _Term | _Bool:
@@ -184,10 +188,11 @@ def parse_query(query: str, _terms: dict[str, _Term] | None = None) -> _Term | _
     Field names match case-insensitively; one other than MeSH, Journal,
     Year or PubType, a Year value that is not a number, any other value
     that normalizes to no word, or parentheses nested deeper than
-    ``MAX_QUERY_DEPTH`` are an error.  ``_terms`` maps each token already
-    parsed to its term: a token found there is not parsed again, and each
-    token that parses is added.  A token's term does not depend on the
-    query around it, so the table may serve every query of a run.
+    ``MAX_QUERY_DEPTH`` are an error.  AND binds tighter than OR.
+    ``_terms`` maps each token already parsed to its term: a token found
+    there is not parsed again, and each token that parses is added.  A
+    token's term does not depend on the query around it, so the table
+    may serve every query of a run.
     """
     terms = {} if _terms is None else _terms
     tokens = []
@@ -198,62 +203,47 @@ def parse_query(query: str, _terms: dict[str, _Term] | None = None) -> _Term | _
             if query[pos:].strip():
                 raise QueryParseError(f"unparseable query near: {query[pos:pos+40]!r}")
             break
-        tokens.append(m.group(1))
+        tokens.append(m)
         pos = m.end()
     if not tokens:
         raise QueryParseError("empty query")
 
-    idx = depth = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def parse_atom() -> _Term | _Bool:
-        nonlocal idx, depth
-        tok = peek()
-        if tok == "(":
-            depth += 1
-            if depth > MAX_QUERY_DEPTH:
-                raise QueryParseError(
-                    f"parentheses nested deeper than {MAX_QUERY_DEPTH} levels"
-                )
-            idx += 1
-            node = parse_or()
-            if peek() != ")":
-                raise QueryParseError("missing closing parenthesis")
-            idx += 1
-            depth -= 1
-            return node
-        if tok is None:
-            raise QueryParseError("unexpected end of query")
-        if tok in (")", "AND", "OR"):
-            raise QueryParseError(f"unexpected token {tok!r}")
-        idx += 1
-        term = terms.get(tok)
-        if term is None:
-            term = terms[tok] = _parse_term(tok)
-        return term
-
-    def parse_and() -> _Term | _Bool:
-        nonlocal idx
-        operands = [parse_atom()]
-        while peek() == "AND":
-            idx += 1
-            operands.append(parse_atom())
-        return operands[0] if len(operands) == 1 else _Bool("AND", operands)
-
-    def parse_or() -> _Term | _Bool:
-        nonlocal idx
-        operands = [parse_and()]
-        while peek() == "OR":
-            idx += 1
-            operands.append(parse_and())
-        return operands[0] if len(operands) == 1 else _Bool("OR", operands)
-
-    root = parse_or()
-    if idx != len(tokens):
-        raise QueryParseError("trailing tokens in query")
-    return root
+    # The open groups, outermost first, and whether an operand comes next.
+    stack: list[list[list]] = [[[]]]
+    want_operand = True
+    for m in tokens:
+        tok, op = m[1], m[2]
+        if want_operand:
+            if tok == "(":
+                if len(stack) > MAX_QUERY_DEPTH:
+                    raise QueryParseError(
+                        f"parentheses nested deeper than {MAX_QUERY_DEPTH} levels"
+                    )
+                stack.append([[]])
+                continue
+            if op:
+                raise QueryParseError(f"unexpected token {tok!r}")
+            term = terms.get(tok)
+            if term is None:
+                term = terms[tok] = _parse_term(m)
+            stack[-1][-1].append(term)
+            want_operand = False
+        elif tok == "AND":
+            want_operand = True
+        elif tok == "OR":
+            stack[-1].append([])
+            want_operand = True
+        elif tok == ")" and len(stack) > 1:
+            node = _group_node(stack.pop())
+            stack[-1][-1].append(node)
+        else:
+            raise QueryParseError("missing closing parenthesis" if len(stack) > 1
+                                  else "trailing tokens in query")
+    if want_operand:
+        raise QueryParseError("unexpected end of query")
+    if len(stack) > 1:
+        raise QueryParseError("missing closing parenthesis")
+    return _group_node(stack[0])
 
 
 @dataclass(frozen=True)
@@ -379,14 +369,17 @@ class _RateLimiter:
         self._last = time.monotonic()
 
 
-def _retry_after_s(headers, backoff_s: float, timeout_s: float) -> float | None:
-    """The integer ``Retry-After`` of a 429 response, else ``backoff_s``;
-    None for a ``Retry-After`` longer than ``timeout_s``, a wait the run
-    should not sit through."""
+def _retry_after_s(headers, rate_limit_ms: int, attempt: int) -> float:
+    """Seconds to wait before retrying a 429 response: its integer
+    ``Retry-After``, else the rate interval doubled ``attempt`` times;
+    infinite past the float range, for either."""
     value = headers.get("Retry-After", "").strip()
-    if not value.isdecimal():
-        return backoff_s
-    return int(value) if int(value) <= timeout_s else None
+    if value.isdecimal():
+        return float(value)
+    try:
+        return math.ldexp(rate_limit_ms / 1000.0, attempt)
+    except OverflowError:
+        return math.inf
 
 
 def _http_get(url: str, params: dict, timeout: float) -> tuple[int, Message, bytes]:
@@ -428,8 +421,8 @@ def _request_with_retries(url: str, params: dict, config: EndpointConfig,
     are retried.
 
     A 429 also waits for its ``Retry-After`` seconds, or for the rate
-    interval doubled at each retry; a ``Retry-After`` longer than the
-    request timeout ends the retries with that 429's ``StatusError``.
+    interval doubled at each retry; a wait longer than the request
+    timeout ends the retries with that 429's ``StatusError``.
     """
     import http.client
 
@@ -449,9 +442,8 @@ def _request_with_retries(url: str, params: dict, config: EndpointConfig,
             raise last_exc
         log.warning("HTTP %d (attempt %d)", status, attempt + 1)
         if status == 429 and attempt < config.max_retries:
-            backoff_s = config.rate_limit_ms / 1000.0 * 2 ** attempt
-            wait_s = _retry_after_s(headers, backoff_s, config.timeout_s)
-            if wait_s is None:
+            wait_s = _retry_after_s(headers, config.rate_limit_ms, attempt)
+            if wait_s > config.timeout_s:
                 raise last_exc
             time.sleep(wait_s)
     if isinstance(last_exc, StatusError):

@@ -735,6 +735,22 @@ class TestPipelineAndEval:
         assert json.loads(result.output) == json.loads(
             (expected_dir / "report.json").read_text())
 
+    def test_quoted_lexicon_surface_is_skipped(self, runner, tmp_path, caplog):
+        """A lexicon surface whose normal form holds a double quote is left
+        out with a warning, so the query it would break is not built."""
+        bundled = Path(corpus.bundled_path("lexicon.tsv")).read_text(encoding="utf-8")
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(bundled + 'rock"n"roll syndrome\tX1\tdisorder\n',
+                           encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"lexicon": str(lexicon)}}))
+        title = ["--title", 'rock"n"roll syndrome treated with furosemide']
+        result = _invoke(runner, ["--config", str(config), "query", *title])
+        assert result.exit_code == 0, result.output
+        assert result.output == _invoke(runner, ["query", *title]).output
+        parse_query(result.output.strip())
+        assert "holds a double quote" in caplog.text
+
     @pytest.mark.parametrize("key", UNKNOWN_KEYS)
     def test_unknown_config_key_is_named(self, runner, tmp_path, key):
         config = tmp_path / "config.json"
@@ -817,7 +833,9 @@ class TestPipelineAndEval:
         ("drug_hierarchy", "Diuretics\nDiuretics\n", "duplicate name 'Diuretics'"),
         ("hyponyms", "heart failure\tcardiac failure, heart failure\n",
          "its own hyponym"),
-    ], ids=["drug_hierarchy", "hyponyms"])
+        ("drug_hierarchy", 'Diuretics\n\tRock"n"roll diuretics\n',
+         """line 2: name 'Rock"n"roll diuretics' holds a double quote"""),
+    ], ids=["drug_hierarchy", "hyponyms", "drug_hierarchy-quote"])
     def test_malformed_resource_file_is_named(self, runner, tmp_path, key,
                                               content, message):
         resource = tmp_path / "resource.txt"
@@ -1483,39 +1501,76 @@ def test_any_ranked_tsv_exits_cleanly(gold_path, tmp_path_factory, data, topic,
 
 
 # --------------------------------------------------------------------------
-# Recursion: the only functions that call themselves walk a parsed query
-# tree, whose depth ``parse_query`` bounds by ``MAX_QUERY_DEPTH``.
+# Recursion: the only functions that lie on a call cycle walk a parsed
+# query tree, whose depth ``parse_query`` bounds by ``MAX_QUERY_DEPTH``.
 # --------------------------------------------------------------------------
 
-def _self_calling_functions(path):
-    """``module.function`` (or ``module.Class.method``) of each function in
-    the file ``path`` whose body calls it by its own name (a method through
-    ``self`` or ``cls``)."""
-    found = set()
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, [*scope, child.name])
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = child.name
-                for call in ast.walk(child):
-                    if isinstance(call, ast.Call) and (
-                        (isinstance(call.func, ast.Name) and call.func.id == name)
-                        or (isinstance(call.func, ast.Attribute)
-                            and call.func.attr == name
-                            and isinstance(call.func.value, ast.Name)
-                            and call.func.value.id in ("self", "cls"))):
-                        found.add(".".join([*scope, name]))
-                visit(child, [*scope, name])
-            else:
-                visit(child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
-    return found
+def _own_nodes(node):
+    """The nodes of ``node`` that lie outside any function or class it defines."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (*_DEFS, ast.ClassDef)):
+            yield from _own_nodes(child)
+
+
+def _call_graph(path):
+    """Each function of the file ``path`` by its qualified name
+    (``module.function``, ``module.Class.method``, ``module.function.inner``),
+    mapped to the functions of the file it calls: a bare name as the
+    enclosing functions and the module define it, a method through
+    ``self`` or ``cls``."""
+    graph = {}
+
+    def scan(node, qualname, visible, methods):
+        own = list(_own_nodes(node))
+        local = {d.name: f"{qualname}.{d.name}" for d in own if isinstance(d, _DEFS)}
+        if isinstance(node, ast.ClassDef):
+            methods = local
+        else:
+            visible = {**visible, **local}
+        if isinstance(node, _DEFS):
+            graph[qualname] = set()
+            for call in own:
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Name) and func.id in visible:
+                    graph[qualname].add(visible[func.id])
+                elif (isinstance(func, ast.Attribute) and func.attr in methods
+                      and isinstance(func.value, ast.Name)
+                      and func.value.id in ("self", "cls")):
+                    graph[qualname].add(methods[func.attr])
+        for child in own:
+            if isinstance(child, (*_DEFS, ast.ClassDef)):
+                scan(child, f"{qualname}.{child.name}", visible, methods)
+
+    scan(ast.parse(path.read_text(encoding="utf-8")), path.stem, {}, {})
+    return graph
+
+
+def _functions_on_call_cycles(path):
+    """The qualified names of the functions of the file ``path`` that can
+    reach themselves through ``_call_graph``'s calls."""
+    graph = _call_graph(path)
+
+    def reaches_itself(start):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph.get(name, ()))
+        return False
+
+    return set(filter(reaches_itself, graph))
 
 
 def test_only_query_tree_walks_recurse():
     package = Path(citescreen.__file__).parent
-    recursive = set().union(*map(_self_calling_functions, package.glob("*.py")))
+    recursive = set().union(*map(_functions_on_call_cycles, package.glob("*.py")))
     assert recursive == {"retrieve.evaluate_query", "retrieve.FixtureCorpus._matching"}

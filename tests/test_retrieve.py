@@ -1,13 +1,15 @@
 import http.client
+import math
 import random
 import re
+import sys
 import tempfile
 import time
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citescreen import retrieve
@@ -28,6 +30,7 @@ from citescreen.extract import ConceptSet
 from citescreen.pipeline import Resources, topic_concepts
 from citescreen.preprocess import normalize_token
 from citescreen.retrieve import (
+    MAX_QUERY_DEPTH,
     EndpointConfig,
     FixtureCorpus,
     PUBLICATION_TYPES,
@@ -422,6 +425,150 @@ def test_one_corpus_searches_as_fresh_parses_do(records, valid, broken, after):
         assert corpus.search(query) == expected, query
 
 
+# --------------------------------------------------------------------------
+# The one-loop query parser against a recursive-descent reference, with
+# one function per precedence level.
+# --------------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(r'\s*(\(|\)|AND\b|OR\b|"[^"]*"\[\w+\]|\d+:\[Year\])')
+_REF_TERM_RE = re.compile(r'"([^"]*)"\[(\w+)\]')
+_REF_YEAR_RE = re.compile(r"(\d+):\[Year\]")
+
+
+def _reference_term(tok):
+    ym = _REF_YEAR_RE.fullmatch(tok)
+    if ym:
+        return retrieve._Term(ym.group(1), "year")
+    tm = _REF_TERM_RE.fullmatch(tok)
+    if tm is None:
+        raise QueryParseError(f"bad term {tok!r}")
+    value, fieldname = tm.group(1), tm.group(2).lower()
+    if fieldname not in retrieve._FIELDS:
+        raise QueryParseError(f"unknown field {tm.group(2)!r}")
+    if fieldname == "year":
+        try:
+            int(value)
+        except ValueError:
+            raise QueryParseError(f"year {value!r} is not a number") from None
+    term = retrieve._Term(value, fieldname)
+    if not term.norm:
+        raise QueryParseError(f"{tm.group(2)} value {value!r} has no words")
+    return term
+
+
+def _reference_parse_query(query, terms):
+    tokens = []
+    pos = 0
+    while pos < len(query):
+        m = _REF_TOKEN_RE.match(query, pos)
+        if m is None:
+            if query[pos:].strip():
+                raise QueryParseError(f"unparseable query near: {query[pos:pos+40]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    if not tokens:
+        raise QueryParseError("empty query")
+    idx = depth = 0
+
+    def peek():
+        return tokens[idx] if idx < len(tokens) else None
+
+    def parse_atom():
+        nonlocal idx, depth
+        tok = peek()
+        if tok == "(":
+            depth += 1
+            if depth > MAX_QUERY_DEPTH:
+                raise QueryParseError(
+                    f"parentheses nested deeper than {MAX_QUERY_DEPTH} levels")
+            idx += 1
+            node = parse_or()
+            if peek() != ")":
+                raise QueryParseError("missing closing parenthesis")
+            idx += 1
+            depth -= 1
+            return node
+        if tok is None:
+            raise QueryParseError("unexpected end of query")
+        if tok in (")", "AND", "OR"):
+            raise QueryParseError(f"unexpected token {tok!r}")
+        idx += 1
+        term = terms.get(tok)
+        if term is None:
+            term = terms[tok] = _reference_term(tok)
+        return term
+
+    def parse_and():
+        nonlocal idx
+        operands = [parse_atom()]
+        while peek() == "AND":
+            idx += 1
+            operands.append(parse_atom())
+        return operands[0] if len(operands) == 1 else retrieve._Bool("AND", operands)
+
+    def parse_or():
+        nonlocal idx
+        operands = [parse_and()]
+        while peek() == "OR":
+            idx += 1
+            operands.append(parse_and())
+        return operands[0] if len(operands) == 1 else retrieve._Bool("OR", operands)
+
+    root = parse_or()
+    if idx != len(tokens):
+        raise QueryParseError("trailing tokens in query")
+    return root
+
+
+_PARSER_TOKENS = (
+    st.sampled_from([
+        "(", ")", "AND", "OR", "ANDOR", "and", '"heart failure"[MeSH]',
+        '"Heart-Failure"[mesh]', '"Circulation"[Journal]', '"cohort"[PubType]',
+        "1974:[Year]", "2021:[Year]", '"2001"[year]', '" 7 "[Year]', '"abc"[Year]',
+        '"x"[Mystery]', '""[MeSH]', '"--"[Journal]', '"heart failure"', "bogus",
+        "1974:[year]", '"a"[MeSH', "",
+    ])
+    | st.tuples(st.sampled_from("()"),
+                st.sampled_from([2, 3, MAX_QUERY_DEPTH, MAX_QUERY_DEPTH + 1]))
+    .map(lambda paren_count: paren_count[0] * paren_count[1])
+)
+#: Generated token sequences, the valid queries of the search tests, and
+#: those queries broken in each way of ``_BREAKS``.
+_PARSER_INPUTS = (
+    st.lists(st.tuples(st.sampled_from(["", " ", "  \t"]), _PARSER_TOKENS), max_size=14)
+    .map(lambda parts: "".join(gap + token for gap, token in parts))
+    | _QUERIES
+    | st.tuples(st.sampled_from(_BREAKS), _QUERIES).map(lambda bq: bq[0](bq[1]))
+)
+_DEEP = '"heart failure"[MeSH] AND "cohort"[PubType] OR "BMJ"[Journal]'
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(queries=st.lists(_PARSER_INPUTS, min_size=1, max_size=6))
+@example(queries=["(" * depth + _DEEP + ")" * closing
+                  for depth in (MAX_QUERY_DEPTH, MAX_QUERY_DEPTH + 1)
+                  for closing in (depth - 1, depth, depth + 1)])
+@example(queries=[f"({_DEEP} OR ({_DEEP}) AND {_DEEP}) AND (({_DEEP}))",
+                  '"x"[Mystery] bogus', '"abc"[Year] AND', '(("a"[MeSH]) "b"[MeSH]'])
+def test_parse_query_equals_the_recursive_descent_reference(queries):
+    """Equal trees or the same error for each query, and, across the
+    queries, the same tokens added to each parser's term table in the
+    same order."""
+    terms, reference_terms = {}, {}
+    for query in queries:
+        try:
+            expected = _reference_parse_query(query, reference_terms)
+        except QueryParseError as exc:
+            with pytest.raises(QueryParseError) as raised:
+                parse_query(query, terms)
+            assert str(raised.value) == str(exc), query
+        else:
+            assert parse_query(query, terms) == expected, query
+        assert list(terms.items()) == list(reference_terms.items()), query
+
+
 def _efetch_body(pmids, start=0):
     records = "".join(
         f"<MedlineCitation><PMID>{p}</PMID>"
@@ -564,6 +711,7 @@ class TestLiveFetch:
 
     @pytest.mark.parametrize("retry_after,slept", [
         ("30", [30]), ("31", []), ("100000", []), ("99999999999999999999", []),
+        pytest.param("9" * 5000, [], id="5000-digits"),
     ])
     def test_429_retry_after_past_the_timeout_ends_the_retries(
             self, monkeypatch, retry_after, slept):
@@ -602,6 +750,30 @@ class TestLiveFetch:
         config.rate_limit_ms = 100
         assert _fetch('"x"[MeSH]', config) == []
         assert slept == pytest.approx([0.1, 0.2])
+
+    @pytest.mark.parametrize("timeout_s,sleeps", [(30, 7), (sys.float_info.max, 1026)])
+    def test_unanswered_429s_back_off_until_the_wait_passes_the_timeout(
+            self, monkeypatch, timeout_s, sleeps):
+        """Bare 429s with 1,100 retries: the rate interval, doubled at each
+        retry, is waited for until it would pass the request timeout, and
+        then that 429 ends the retries; the doubling cannot overflow."""
+        attempts, slept, clock = [], [], [1000.0]
+
+        def monotonic():  # a second per reading, so the rate limiter never waits
+            clock[0] += 1
+            return clock[0]
+
+        monkeypatch.setattr(retrieve, "_http_get",
+                            lambda *a, **k: attempts.append(a) or _reply(429, "slow down"))
+        monkeypatch.setattr(time, "monotonic", monotonic)
+        monkeypatch.setattr(time, "sleep", slept.append)
+        config = EndpointConfig(endpoint_base_url="https://api.example/entrez",
+                                rate_limit_ms=350, max_retries=1100, timeout_s=timeout_s)
+        with pytest.raises(StatusError) as err:
+            _fetch('"x"[MeSH]', config)
+        assert err.value.status_code == 429
+        assert slept == [math.ldexp(0.35, k) for k in range(sleeps)]
+        assert len(attempts) == sleeps + 1
 
     def test_server_errors_retried(self, monkeypatch):
         attempts = []
