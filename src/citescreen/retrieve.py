@@ -329,12 +329,18 @@ def infer_publication_type(citation: Citation) -> list[str]:
 # Fetching
 # ---------------------------------------------------------------------------
 
+#: The longest request timeout and rate interval an endpoint may set: one
+#: day, far past any useful value and well inside what ``time.sleep`` and
+#: ``socket.settimeout`` accept.
+MAX_WAIT_S = 86_400
+
+
 @dataclass
 class EndpointConfig:
     endpoint_base_url: str | None = None
     rate_limit_ms: int = 350
     max_retries: int = 3
-    page_size: int = 100
+    page_size: int = 500  # records per efetch; E-utilities serves up to 10,000
     api_key: str | None = None
     timeout_s: float = 30.0
 
@@ -348,9 +354,12 @@ class EndpointConfig:
             if type(value) is not int or value < least:
                 raise ConfigError(f"endpoint {name} must be an integer >= {least}, "
                                   f"not {value!r}")
-        if type(self.timeout_s) not in (int, float) or not 0 < self.timeout_s < math.inf:
-            raise ConfigError(f"endpoint timeout_s must be a positive number, "
-                              f"not {self.timeout_s!r}")
+        if self.rate_limit_ms > MAX_WAIT_S * 1000:
+            raise ConfigError(f"endpoint rate_limit_ms must be at most "
+                              f"{MAX_WAIT_S * 1000} (one day), not {self.rate_limit_ms!r}")
+        if type(self.timeout_s) not in (int, float) or not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise ConfigError(f"endpoint timeout_s must be a positive number of at "
+                              f"most {MAX_WAIT_S} (one day), not {self.timeout_s!r}")
 
 
 class _RateLimiter:
@@ -358,7 +367,7 @@ class _RateLimiter:
     to ``wait`` apart, across every query that shares the limiter."""
 
     def __init__(self):
-        self._last = 0.0
+        self._last = -math.inf  # the first request never waits
 
     def wait(self, interval_ms: int):
         interval = interval_ms / 1000.0

@@ -1,9 +1,11 @@
 import ast
 import http.client
 import json
+import math
 import os
 import re
 import shutil
+import socket
 import string
 import time
 import urllib.parse
@@ -279,6 +281,43 @@ class TestFetch:
         assert result.exit_code == 2
         assert "HTTP 429" in result.output and "Traceback" not in result.output
         assert len(attempts) == 1
+
+    @pytest.mark.parametrize("key,value,accepted", [
+        ("timeout_s", 86_400, True),
+        ("timeout_s", math.nextafter(86_400, math.inf), False),
+        ("timeout_s", 1e10, False),
+        ("rate_limit_ms", 86_400_000, True),
+        ("rate_limit_ms", 86_400_001, False),
+        ("rate_limit_ms", 10 ** 13, False),
+    ], ids=["timeout-one-day", "timeout-past-a-day", "timeout-past-time_t",
+            "rate-one-day", "rate-past-a-day", "rate-past-time_t"])
+    def test_endpoint_waits_are_at_most_a_day(self, runner, tmp_path, monkeypatch,
+                                              key, value, accepted):
+        """Up to one day, the refused connection ends the run (exit 2) with
+        no wait before the first request; past it, the config is an error
+        (exit 1), where near 1e10 s ``socket.settimeout`` and
+        ``time.sleep`` would overflow."""
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": {
+            "endpoint_base_url": f"http://127.0.0.1:{port}/entrez",
+            "max_retries": 0, key: value}}))
+        result = _invoke(runner, [
+            "--config", str(config), "fetch", '"heart failure"[MeSH]',
+        ])
+        if accepted:
+            assert result.exit_code == 2
+            assert "error: request failed after retries" in result.output
+            assert slept == []
+        else:
+            assert result.exit_code == 1
+            assert result.output.startswith(
+                f"error: config {config}: endpoint {key} must be")
+            assert "(one day)" in result.output
 
     def test_malformed_query_is_validation_error(self, runner,
                                                  fixture_corpus_dir):

@@ -14,9 +14,10 @@ import socket
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import HTTPServer
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 from click.testing import CliRunner
@@ -40,16 +41,21 @@ def _record(pmid, title):
 
 class _Server:
     """The stub on a local port; ``script[route]`` holds (status, headers,
-    body bytes) replies served, in order, before the stub answers."""
+    body bytes) replies served, in order, before the stub answers.
+    ``sent`` keeps each request's route and query parameters."""
 
     def __init__(self, eutils, handler):
         script = self.script = {}
         accepted = self.accept_encodings = []
+        sent = self.sent = []
 
         class Scripted(handler):
             def do_GET(self):
                 accepted.append(self.headers.get("Accept-Encoding"))
-                replies = script.get(urlsplit(self.path).path.rsplit("/", 1)[-1])
+                url = urlsplit(self.path)
+                route = url.path.rsplit("/", 1)[-1]
+                sent.append((route, dict(parse_qsl(url.query))))
+                replies = script.get(route)
                 if not replies:
                     return super().do_GET()
                 status, headers, body = replies.pop(0)
@@ -65,14 +71,10 @@ class _Server:
         self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}/entrez"
 
 
-@pytest.fixture
-def server(stub):
-    eutils = stub.Eutils({
-        "topics": {"P01": {"key": "heart failure", "pmids": HEART_FAILURE},
-                   "P02": {"key": "sjogren syndrome", "pmids": [SJOGREN]}},
-        "records": {**{str(p): _record(p, f"Record {p}") for p in HEART_FAILURE},
-                    str(SJOGREN): _record(SJOGREN, TITLE)},
-    })
+@contextmanager
+def _serving(stub, data):
+    """A ``_Server`` of the stub over ``data``, running while in the block."""
+    eutils = stub.Eutils(data)
     srv = _Server(eutils, stub.make_handler(eutils))
     thread = threading.Thread(target=srv.httpd.serve_forever)
     thread.start()
@@ -85,6 +87,17 @@ def server(stub):
     assert not thread.is_alive()
 
 
+@pytest.fixture
+def server(stub):
+    with _serving(stub, {
+        "topics": {"P01": {"key": "heart failure", "pmids": HEART_FAILURE},
+                   "P02": {"key": "sjogren syndrome", "pmids": [SJOGREN]}},
+        "records": {**{str(p): _record(p, f"Record {p}") for p in HEART_FAILURE},
+                    str(SJOGREN): _record(SJOGREN, TITLE)},
+    }) as srv:
+        yield srv
+
+
 def _fetch(url, query='"heart failure"[MeSH]', **endpoint):
     config = EndpointConfig(endpoint_base_url=url, rate_limit_ms=0, timeout_s=10,
                             **endpoint)
@@ -95,6 +108,22 @@ def test_paged_search_and_fetch(server):
     result = _fetch(server.url, page_size=2)
     assert [c.pmid for c in result] == HEART_FAILURE
     assert server.eutils.requests == {"esearch.fcgi": 1, "efetch.fcgi": 3}
+
+
+def test_default_page_size_fetches_1201_records_in_three_pages(stub):
+    """One esearch, then efetch pages of 500 records at retstart 0, 500
+    and 1000."""
+    planted = list(range(500001, 501202))
+    with _serving(stub, {
+        "topics": {"P01": {"key": "heart failure", "pmids": planted}},
+        "records": {str(p): _record(p, f"Record {p}") for p in planted},
+    }) as srv:
+        assert [c.pmid for c in _fetch(srv.url)] == planted
+    assert srv.eutils.requests == {"esearch.fcgi": 1, "efetch.fcgi": 3}
+    assert [(route, params.get("retstart"), params.get("retmax"))
+            for route, params in srv.sent] == [
+        ("esearch.fcgi", None, "0"), ("efetch.fcgi", "0", "500"),
+        ("efetch.fcgi", "500", "500"), ("efetch.fcgi", "1000", "500")]
 
 
 def test_429_waits_retry_after(server, monkeypatch):

@@ -678,8 +678,9 @@ class TestLiveFetch:
             _fetch('"x"[MeSH]', self._config())
         assert len(calls) == 1
 
-    def test_requests_of_the_benchmark_stub(self, monkeypatch, stub):
-        """1 esearch + ceil(240 / 100) efetch against ``perfbench/stub.py``."""
+    def _fetch_from_stub(self, monkeypatch, stub, **endpoint):
+        """240 planted PMIDs fetched from ``perfbench/stub.py``'s tables: the
+        PMIDs fetched and planted, and the requests the stub counted."""
         planted = random.Random(7).sample(range(400001, 401001), 240)
         eutils = stub.Eutils({
             "topics": {"P01": {"key": "heart failure", "pmids": planted}},
@@ -695,10 +696,21 @@ class TestLiveFetch:
 
         monkeypatch.setattr(retrieve, "_http_get", stub_get)
         config = EndpointConfig(endpoint_base_url="http://127.0.0.1:1/entrez",
-                                rate_limit_ms=0)
+                                rate_limit_ms=0, **endpoint)
         result = _fetch('("heart failure"[MeSH]) AND 1974:[Year]', config)
-        assert _pmids(result) == planted
-        assert eutils.requests == {"esearch.fcgi": 1, "efetch.fcgi": 3}
+        return _pmids(result), planted, eutils.requests
+
+    def test_requests_of_the_benchmark_stub(self, monkeypatch, stub):
+        """1 esearch + ceil(240 / 100) efetch at a page size of 100."""
+        pmids, planted, requests = self._fetch_from_stub(monkeypatch, stub, page_size=100)
+        assert pmids == planted
+        assert requests == {"esearch.fcgi": 1, "efetch.fcgi": 3}
+
+    def test_default_page_size_fetches_the_benchmark_stub_in_one_page(self, monkeypatch,
+                                                                      stub):
+        pmids, planted, requests = self._fetch_from_stub(monkeypatch, stub)
+        assert pmids == planted
+        assert requests == {"esearch.fcgi": 1, "efetch.fcgi": 1}
 
     def test_429_waits_retry_after_then_succeeds(self, monkeypatch):
         replies = [_reply(429, "slow down", {"Retry-After": "3"}),
@@ -768,7 +780,10 @@ class TestLiveFetch:
         monkeypatch.setattr(time, "monotonic", monotonic)
         monkeypatch.setattr(time, "sleep", slept.append)
         config = EndpointConfig(endpoint_base_url="https://api.example/entrez",
-                                rate_limit_ms=350, max_retries=1100, timeout_s=timeout_s)
+                                rate_limit_ms=350, max_retries=1100)
+        # set past the check: a config caps the timeout at a day, but the
+        # doubling must not overflow whatever timeout the loop is given
+        config.timeout_s = timeout_s
         with pytest.raises(StatusError) as err:
             _fetch('"x"[MeSH]', config)
         assert err.value.status_code == 429
@@ -837,3 +852,33 @@ class TestLiveFetch:
                 _fetch('"x"[MeSH]', EndpointConfig(endpoint_base_url=url))
         with pytest.raises(ConfigError, match="must be a string"):
             EndpointConfig(endpoint_base_url=Path("http://127.0.0.1/entrez"))
+
+
+def _history_fetch(ids, page_size):
+    """A live fetch from ``_history_server(ids)`` at ``page_size``: the
+    citations and the parameters of each request sent."""
+    calls = []
+    config = EndpointConfig(endpoint_base_url="https://api.example/entrez",
+                            rate_limit_ms=0, page_size=page_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieve, "_http_get", _history_server(ids, calls))
+        citations = retrieve.fetch_citations('"x"[MeSH]', config, None,
+                                             retrieve._RateLimiter())
+    return citations, [params for _, params in calls]
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(count=st.integers(0, 2000), page_size=st.integers(1, 600),
+       distinct=st.integers(1, 2000), rng=st.randoms(use_true_random=False))
+@example(count=1201, page_size=500, distinct=300, rng=random.Random(7))
+def test_any_page_size_fetches_what_pages_of_one_fetch(count, page_size, distinct, rng):
+    """The same citations in the same order at every page size, from one
+    esearch and one efetch per page stepping ``retstart`` by the page size;
+    the drawn PMIDs repeat within and across pages."""
+    ids = [rng.randint(1, distinct) for _ in range(count)]
+    citations, params = _history_fetch(ids, page_size)
+    assert citations == _history_fetch(ids, 1)[0]
+    assert _pmids(citations) == list(dict.fromkeys(ids))
+    assert len(params) == 1 + math.ceil(count / page_size)
+    assert [p["retstart"] for p in params[1:]] == list(range(0, count, page_size))
+    assert all(p["retmax"] == page_size for p in params[1:])
