@@ -174,32 +174,27 @@ class DrugDictionary:
     """Three-level hierarchy of drug classes with drugs under leaf classes.
 
     Level 1 is the broadest class, level 3 the most specific class, and
-    drugs hang off level-3 classes.  Its methods take normalized names
-    (keys); ``hierarchy`` returns keys, ``canonical_name`` and
-    ``name_without_numerals`` a display name.
+    drugs hang off level-3 classes.  Every name, taken and returned, is a
+    normalized name (a key).
     """
 
-    def __init__(self, parents: dict[str, str | None], names: dict[str, str]):
-        self._parents = parents   # normalized name -> normalized parent
-        self._names = names       # normalized name -> display name, in file order
-        self._by_stripped: dict[str, str] = {}  # numeral-free key -> first name
-        for key, name in names.items():
-            self._by_stripped.setdefault(_strip_numerals(key), name)
+    def __init__(self, parents: dict[str, str | None]):
+        self._parents = parents   # key -> parent key, in file order
+        self._by_stripped: dict[str, str] = {}  # numeral-free key -> first key
+        for key in parents:
+            self._by_stripped.setdefault(_strip_numerals(key), key)
 
-    def canonical_name(self, key: str) -> str | None:
-        return self._names.get(key)
+    def __contains__(self, key: str) -> bool:
+        return key in self._parents
 
     def name_without_numerals(self, key: str) -> str | None:
-        """The first name, in file order, whose key equals ``key`` once
-        the numerals one to five are dropped from both; None if none."""
+        """The first key, in file order, that equals ``key`` once the
+        numerals one to five are dropped from both; None if none."""
         return self._by_stripped.get(_strip_numerals(key))
-
-    def names(self) -> list[str]:
-        return list(self._names.values())
 
     def hierarchy(self, key: str) -> list[str]:
         """``key`` plus its class ancestors' keys, leaf-to-root; [] if unknown."""
-        if key not in self._names:
+        if key not in self._parents:
             return []
         chain = [key]
         while self._parents[key] is not None:
@@ -220,8 +215,9 @@ class HyponymTable:
             if term in hyps:
                 raise FormatError(f"term lists itself as its own hyponym: {term}")
 
-    def hyponyms(self, term: str) -> list[str]:
-        return list(self._table.get(preprocess.normalize_token(term), []))
+    def hyponyms(self, key: str) -> list[str]:
+        """The hyponyms of the normalized term ``key``."""
+        return list(self._table.get(key, []))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,7 @@ def parse_citation_xml(xml_document: str | bytes) -> list[Citation]:
 
 
 def _read_rows(path: str, n_cols: int):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -360,10 +356,9 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
     naming the offending line.
     """
     parents: dict[str, str | None] = {}
-    names: dict[str, str] = {}
     stack: list[str] = []  # normalized names of open ancestors
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
@@ -381,13 +376,12 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
                 raise FormatError(f"line {lineno}: empty node name")
             if '"' in norm:
                 raise FormatError(f"line {lineno}: name {name!r} holds a double quote")
-            if norm in names:
+            if norm in parents:
                 raise FormatError(f"line {lineno}: duplicate name {name!r}")
-            names[norm] = name
             parents[norm] = stack[indent - 1] if indent > 0 else None
             del stack[indent:]
             stack.append(norm)
-    return DrugDictionary(parents, names)
+    return DrugDictionary(parents)
 
 
 def load_gold_standard(path: str) -> list[ClinicalTopic]:
@@ -458,20 +452,21 @@ def load_hyponym_table(path: str) -> HyponymTable:
 
 
 def load_synonym_table(path: str) -> dict[str, str]:
-    """Load variant \\t canonical rows (equivalent drug-class names)."""
+    """Load variant \\t canonical rows (equivalent drug-class names), both
+    normalized."""
     table: dict[str, str] = {}
     for lineno, cols in _read_rows(path, 2):
         if len(cols) != 2:
             log.warning("synonym line %d rejected: expected 2 columns", lineno)
             continue
-        table[preprocess.normalize_token(cols[0])] = cols[1].strip()
+        table[preprocess.normalize_token(cols[0])] = preprocess.normalize_token(cols[1])
     return table
 
 
 def load_journal_whitelist(path: str) -> list[str]:
     """Load one journal title per line; blank lines are skipped, and so,
     with a warning, are titles with no words or with a double quote."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return [line.strip() for lineno, line in enumerate(fh, start=1)
                 if _is_query_term(line, "journal", lineno)]
 

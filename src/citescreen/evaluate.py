@@ -1,11 +1,8 @@
-"""Retrieval-quality metrics: P/R/F, precision@K, precision-recall curves."""
+"""Retrieval-quality metrics: P/R/F per topic and averaged over topics."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from citescreen.rank import RankedResult
 
 
 @dataclass(frozen=True)
@@ -24,13 +21,6 @@ class ConfusionCounts:
         )
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    cutoff_fraction: float
-    precision: float
-    recall: float
-
-
 def prf(counts: ConfusionCounts) -> tuple[float, float, float]:
     """Precision, recall and F-score; 0/0 is 0 by convention."""
     p = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
@@ -43,38 +33,6 @@ def confusion(retrieved: list[int], gold: set[int]) -> ConfusionCounts:
     retrieved_set = set(retrieved)
     tp = len(retrieved_set & gold)
     return ConfusionCounts(tp=tp, fp=len(retrieved_set) - tp, fn=len(gold) - tp)
-
-
-def precision_at_k(
-    ranked: list[RankedResult], gold: set[int], k: int
-) -> ConfusionCounts:
-    """Counts treating only the top-k ranked items as retrieved.
-
-    k larger than the list is truncated to the full list.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    top = [r.pmid for r in ranked[:k]]
-    return confusion(top, gold)
-
-
-def pr_curve(
-    ranked: list[RankedResult], gold: set[int], cutoffs: list[float]
-) -> list[CurvePoint]:
-    """One point per cutoff fraction, using ceil(fraction * length) items."""
-    points = []
-    n = len(ranked)
-    for fraction in sorted(cutoffs):
-        if not 0 < fraction <= 1:
-            raise ValueError(f"cutoff fraction out of (0, 1]: {fraction}")
-        k = max(1, math.ceil(fraction * n)) if n else 0
-        counts = (
-            confusion([r.pmid for r in ranked[:k]], gold) if n
-            else ConfusionCounts(fn=len(gold))
-        )
-        p, r, _ = prf(counts)
-        points.append(CurvePoint(fraction, p, r))
-    return points
 
 
 def aggregate_topics(

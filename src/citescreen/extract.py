@@ -166,42 +166,37 @@ _ARABIC_TO_ROMAN = {"1": "i", "2": "ii", "3": "iii", "4": "iv", "5": "v"}
 def _normalize_single(
     mention: str, drugs: DrugDictionary, synonyms: dict[str, str]
 ) -> str | None:
-    """Rules 1, 2, 4, 5 and 6 of the mapping cascade; None if no rule hits."""
+    """Rules 1, 2, 4, 5 and 6 of the mapping cascade: the dictionary key
+    they map ``mention`` to; None if no rule hits."""
     norm = preprocess.normalize_token(mention)
     if not norm:
         return None
     # Rule 1: case normalization (dictionary keys are normalized names).
-    hit = drugs.canonical_name(norm)
-    if hit:
-        return hit
+    if norm in drugs:
+        return norm
     # Rule 2: Arabic/Roman numeral variants.
     arabic_mapped = " ".join(_ARABIC_TO_ROMAN.get(w, w) for w in norm.split())
-    hit = drugs.canonical_name(arabic_mapped)
-    if hit:
-        return hit
+    if arabic_mapped in drugs:
+        return arabic_mapped
     hit = drugs.name_without_numerals(norm)
     if hit:
         return hit
     # Rule 4: removal of contents inside parenthesis.
     without_parens = re.sub(r"\([^)]*\)", " ", mention)
-    if without_parens != mention:
-        norm2 = preprocess.normalize_token(without_parens)
-        hit = drugs.canonical_name(norm2)
-        if hit:
-            return hit
+    norm2 = (norm if without_parens == mention
+             else preprocess.normalize_token(without_parens))
+    if norm2 in drugs:
+        return norm2
     # Rule 5: equivalent class names.
     canonical = synonyms.get(norm)
-    if canonical is None and without_parens != mention:
-        canonical = synonyms.get(preprocess.normalize_token(without_parens))
-    if canonical is not None:
-        hit = drugs.canonical_name(preprocess.normalize_token(canonical))
-        if hit:
-            return hit
+    if canonical is None:
+        canonical = synonyms.get(norm2)
+    if canonical in drugs:
+        return canonical
     # Rule 6: singular to plural for class names.
     for suffix in ("s", "es"):
-        hit = drugs.canonical_name(norm + suffix)
-        if hit:
-            return hit
+        if norm + suffix in drugs:
+            return norm + suffix
     return None
 
 
@@ -210,10 +205,10 @@ def normalize_drug_components(
     drugs: DrugDictionary,
     synonyms: dict[str, str],
 ) -> list[str]:
-    """Resolved dictionary names for a (possibly multi-drug) mention.
+    """Dictionary keys for a (possibly multi-drug) mention.
 
-    Returns the input unchanged (as a single component) when no rule
-    produces a dictionary match.
+    A part, or the whole mention, that no rule maps to a key comes back
+    as its own normal form.
     """
     single = _normalize_single(mention, drugs, synonyms)
     if single is not None:
@@ -223,28 +218,9 @@ def normalize_drug_components(
     if len(parts) > 1:
         resolved = [_normalize_single(p, drugs, synonyms) for p in parts]
         if any(r is not None for r in resolved):
-            return [r if r is not None else p for r, p in zip(resolved, parts)]
-    return [mention]
-
-
-def normalize_drug(
-    mention: str,
-    drugs: DrugDictionary,
-    synonyms: dict[str, str],
-) -> str:
-    """Dictionary-mapped form of a drug mention via the rule cascade.
-
-    Multi-drug mentions come back comma-separated; an unmatched mention
-    is returned unchanged.
-    """
-    return ", ".join(normalize_drug_components(mention, drugs, synonyms))
-
-
-def drug_hierarchy(name: str, drugs: DrugDictionary) -> list[str]:
-    """Display names of ``name`` and its class ancestors, leaf-to-root;
-    [] when unrecognized."""
-    return [drugs.canonical_name(key)
-            for key in drugs.hierarchy(preprocess.normalize_token(name))]
+            return [r if r is not None else preprocess.normalize_token(p)
+                    for r, p in zip(resolved, parts)]
+    return [preprocess.normalize_token(mention)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +253,7 @@ def build_concept_set(
         if group == "disorder":
             disease.append(normal)
         elif group == "chemical":
-            for name in normalize_drug_components(normal, drugs, synonyms):
-                key = preprocess.normalize_token(name)
+            for key in normalize_drug_components(normal, drugs, synonyms):
                 intervention.extend(drugs.hierarchy(key) or [key])
         elif group in ("procedure", "device"):
             intervention.append(normal)

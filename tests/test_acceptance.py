@@ -18,15 +18,14 @@ from click.testing import CliRunner
 
 from citescreen import preprocess
 from citescreen.cli import main
-from citescreen.corpus import load_gold_standard
-from citescreen.evaluate import confusion, pr_curve, precision_at_k, prf
-from citescreen.extract import drug_hierarchy, extract_population, normalize_drug, read
+from citescreen.extract import extract_population, normalize_drug_components, read
 from citescreen.pipeline import Resources
-from citescreen.rank import RankedResult, WeightConfig, rank_citations
+from citescreen.rank import WeightConfig, rank_citations
 from citescreen.screen import QUALIFIER_WHITELIST, screen_citation, screening_query
 from citescreen.tree import parse_bracketed_tree
 
 from population_cases import CASES
+from test_extract import _keys, bundled_drug_names
 from test_rank import _oracle, _random_concepts
 from test_screen import QUERY as SCREEN_QUERY, _fixture as screening_fixture
 
@@ -220,18 +219,15 @@ def test_c4_drug_normalization():
         ("Diuretic", "Diuretics"),
     ]
     for original, modified in rows:
-        assert normalize_drug(original, drugs, synonyms) == modified
-    for name in drugs.names():
-        assert normalize_drug(name, drugs, synonyms) == name
-    assert drug_hierarchy("furosemide", drugs) == [
-        "Furosemide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
-    ]
-    assert drug_hierarchy("bumetanide", drugs) == [
-        "Bumetanide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
-    ]
-    assert drug_hierarchy("diuretics", drugs) == [
-        "Diuretics", "Cardiovascular agents",
-    ]
+        assert normalize_drug_components(original, drugs, synonyms) == _keys(modified)
+    for name in bundled_drug_names():
+        key = preprocess.normalize_token(name)
+        assert normalize_drug_components(key, drugs, synonyms) == [key]
+    assert drugs.hierarchy("furosemide") == _keys(
+        "Furosemide, Loop diuretics, Diuretics, Cardiovascular agents")
+    assert drugs.hierarchy("bumetanide") == _keys(
+        "Bumetanide, Loop diuretics, Diuretics, Cardiovascular agents")
+    assert drugs.hierarchy("diuretics") == _keys("Diuretics, Cardiovascular agents")
 
 
 # --------------------------------------------------------------------------
@@ -305,29 +301,30 @@ def test_c7_pipeline_reproducibility(fixture_corpus_dir, gold_path,
 # Criterion 8: ranking-cutoff metric invariants on every fixture topic
 # --------------------------------------------------------------------------
 
-def _frozen_rankings(expected_dir):
-    rankings = {}
-    for topic_id in ("T1", "T2", "T3"):
-        results = []
-        lines = (expected_dir / f"{topic_id}.tsv").read_text().splitlines()
-        for line in lines[1:]:
-            _, pmid, pop, inter, dis, score = line.split("\t")
-            results.append(RankedResult(int(pmid), float(pop), float(inter),
-                                        float(dis), float(score)))
-        rankings[topic_id] = results
-    return rankings
+def _ranking_lengths(expected_dir):
+    """Each fixture topic's number of ranked citations in its frozen TSV."""
+    return {topic_id: len((expected_dir / f"{topic_id}.tsv").read_text().splitlines()) - 1
+            for topic_id in ("T1", "T2", "T3")}
 
 
 @pytest.mark.acceptance(8, "recall never decreases with cutoff depth and the "
                            "full cutoff matches plain P/R/F")
 def test_c8_cutoff_invariants(gold_path, expected_dir):
-    gold = {t.topic_id: set(t.gold_pmids) for t in load_gold_standard(gold_path)}
-    for topic_id, ranked in _frozen_rankings(expected_dir).items():
-        relevant = gold[topic_id]
-        recalls = [prf(precision_at_k(ranked, relevant, k))[1]
-                   for k in range(1, len(ranked) + 1)]
-        assert recalls == sorted(recalls), topic_id
-        (full,) = pr_curve(ranked, relevant, [1.0])
-        p, r, _ = prf(confusion([r.pmid for r in ranked], relevant))
-        assert full.precision == pytest.approx(p, abs=1e-12)
-        assert full.recall == pytest.approx(r, abs=1e-12)
+    """``eval --gold-k k`` over the frozen rankings, for every k up to the
+    longest ranking: no topic's top-k recall falls as k grows, and at k =
+    the ranking's length the top-k entry is the plain one."""
+    lengths = _ranking_lengths(expected_dir)
+    runner = CliRunner()
+    recalls = {topic_id: [] for topic_id in lengths}
+    for k in range(1, max(lengths.values()) + 1):
+        result = runner.invoke(main, ["--output", "json", "--gold-k", str(k),
+                                      "eval", str(gold_path), str(expected_dir)])
+        assert result.exit_code == 0, result.output
+        for topic_id, entry in json.loads(result.output)["topics"].items():
+            recalls[topic_id].append(entry["gold_k"]["recall"])
+            if k == lengths[topic_id]:
+                assert entry["gold_k"] == {
+                    name: entry[name] for name in ("precision", "recall", "f_score")
+                }, topic_id
+    for topic_id, series in recalls.items():
+        assert series == sorted(series), topic_id

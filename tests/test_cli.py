@@ -1,4 +1,5 @@
 import ast
+import codecs
 import http.client
 import json
 import math
@@ -559,6 +560,26 @@ class TestPipelineAndEval:
         report = json.loads(result.output)
         for entry in report["topics"].values():
             assert entry["f_score"] == 80.0
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_gold_file_with_a_byte_order_mark(self, runner, fixture_corpus_dir,
+                                              gold_path, expected_dir, tmp_path,
+                                              command):
+        """A leading UTF-8 byte-order mark is not part of the first topic id:
+        the report, and the files ``--out-dir`` gets, are the plain file's."""
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(codecs.BOM_UTF8 + gold_path.read_bytes())
+        out_dir = tmp_path / "ranked"
+        args = {"eval": ["eval", str(gold), str(expected_dir)],
+                "pipeline": ["pipeline", str(gold), "--out-dir", str(out_dir)]}[command]
+        result = _invoke(runner, ["--fixture-dir", str(fixture_corpus_dir),
+                                  "--output", "json", "--gold-k", "5", *args])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == json.loads(
+            (expected_dir / "report.json").read_text())
+        if command == "pipeline":
+            assert sorted(p.name for p in out_dir.iterdir()) == [
+                "T1.tsv", "T2.tsv", "T3.tsv"]
 
     @pytest.mark.parametrize("topic_id", ["../outside", "a/b", "a\\b", "/abs",
                                           ".", "..", ""])
@@ -1613,3 +1634,67 @@ def test_only_query_tree_walks_recurse():
     package = Path(citescreen.__file__).parent
     recursive = set().union(*map(_functions_on_call_cycles, package.glob("*.py")))
     assert recursive == {"retrieve.evaluate_query", "retrieve.FixtureCorpus._matching"}
+
+
+# --------------------------------------------------------------------------
+# Dead API: every function, class and method the package defines has a
+# caller inside the package, so none is kept alive only by tests.
+# --------------------------------------------------------------------------
+
+def _is_click_command(node):
+    """Whether ``node`` is registered with click by a ``@x.command(...)``
+    or ``@x.group(...)`` decorator."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _definitions(tree, module):
+    """``(qualified name, name, is method, node)`` of each module-level
+    function and class of ``tree`` and of each non-dunder method of those
+    classes; click commands are left out."""
+    for node in tree.body:
+        if isinstance(node, (*_DEFS, ast.ClassDef)) and not _is_click_command(node):
+            yield f"{module}.{node.name}", node.name, False, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, _DEFS) and not (
+                        method.name.startswith("__") and method.name.endswith("__")):
+                    yield f"{module}.{node.name}.{method.name}", method.name, True, method
+
+
+def _references(tree):
+    """``(name, is attribute, node)`` of each name read, attribute read and
+    name imported in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, False, node
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, True, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, False, node
+
+
+def _unreferenced_definitions(package):
+    """The qualified names of the definitions that ``_definitions`` yields
+    for the modules of ``package`` and that no code of the package outside
+    the definition itself refers to.  A method counts as referred to only
+    by an attribute of its name, since only an attribute reaches it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    refs = {}   # name -> (is attribute, node) of each reference
+    for tree in trees.values():
+        for name, is_attr, node in _references(tree):
+            refs.setdefault(name, []).append((is_attr, node))
+    unreferenced = []
+    for module, tree in trees.items():
+        for qualname, name, is_method, node in _definitions(tree, module):
+            inside = {id(n) for n in ast.walk(node)}
+            if not any((is_attr or not is_method) and id(ref) not in inside
+                       for is_attr, ref in refs.get(name, ())):
+                unreferenced.append(qualname)
+    return unreferenced
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    assert _unreferenced_definitions(Path(citescreen.__file__).parent) == []

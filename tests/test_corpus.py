@@ -1,4 +1,6 @@
+import codecs
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from citescreen import corpus
 from citescreen.corpus import Citation, MeshTerm, parse_citation_xml
 from citescreen.errors import FormatError
-from citescreen.pipeline import Resources
+from citescreen.pipeline import RESOURCE_FILES, Resources
 from citescreen.preprocess import normalize_token
 
 BUNDLED = Resources.bundled()
@@ -330,15 +332,14 @@ class TestLexicon:
 
 class TestDrugDictionary:
     def test_bundled_chain(self):
-        """The chain holds normalized names; ``canonical_name`` displays them."""
+        """The chain holds normalized names, the only form the dictionary holds."""
         drugs = BUNDLED.drugs
         chain = drugs.hierarchy("furosemide")
         assert chain == [
             "furosemide", "loop diuretics", "diuretics", "cardiovascular agents",
         ]
-        assert [drugs.canonical_name(key) for key in chain] == [
-            "Furosemide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
-        ]
+        assert all(key in drugs for key in chain)
+        assert "Furosemide" not in drugs
 
     def test_levels(self):
         drugs = BUNDLED.drugs
@@ -447,7 +448,7 @@ class TestOtherLoaders:
 
     def test_synonyms(self):
         syn = BUNDLED.synonyms
-        assert syn["beta blockers"] == "Beta adrenergic blockers"
+        assert syn["beta blockers"] == "beta adrenergic blockers"
 
     def test_journal_whitelist(self):
         journals = BUNDLED.journal_whitelist
@@ -470,3 +471,26 @@ class TestOtherLoaders:
             assert corpus.load_journal_whitelist(str(p)) == ["Circulation"]
         assert ("journal line 2: 'The \"Heart\" Journal' skipped: it holds a double "
                 "quote") in caplog.text
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark loads as it does
+    without one: the mark is not part of its first row."""
+
+    @pytest.mark.parametrize("loader,file_name",
+                             [(loader, name) for _, _, loader, name in RESOURCE_FILES],
+                             ids=[name for _, _, _, name in RESOURCE_FILES])
+    def test_resource_file(self, tmp_path, loader, file_name):
+        bundled = corpus.bundled_path(file_name)
+        marked = tmp_path / file_name
+        marked.write_bytes(codecs.BOM_UTF8 + Path(bundled).read_bytes())
+
+        def state(loaded):
+            return loaded if isinstance(loaded, (dict, list)) else vars(loaded)
+        assert state(loader(str(marked))) == state(loader(bundled))
+
+    def test_gold_standard(self, tmp_path, gold_path):
+        marked = tmp_path / "gold.tsv"
+        marked.write_bytes(codecs.BOM_UTF8 + Path(gold_path).read_bytes())
+        assert corpus.load_gold_standard(str(marked)) == corpus.load_gold_standard(
+            str(gold_path))

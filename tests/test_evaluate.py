@@ -1,23 +1,41 @@
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
+from citescreen.cli import main
 from citescreen.evaluate import (
     ConfusionCounts,
-    CurvePoint,
     aggregate_topics,
     confusion,
     macro_average,
-    pr_curve,
-    precision_at_k,
     prf,
 )
-from citescreen.rank import RankedResult
 
 
-def _ranked(pmids):
-    return [RankedResult(p, 0.0, 0.0, 0.0, 1.0 / (i + 1))
-            for i, p in enumerate(pmids)]
+def _eval_at(tmp_path, gold, ranked, k):
+    """Each topic's report entry from ``eval --gold-k k``, for gold sets
+    ``gold`` and rankings ``ranked``, each a topic id -> PMIDs mapping; a
+    topic with no ranking has no ranked file."""
+    gold_path = tmp_path / "gold.tsv"
+    gold_path.write_text("".join(f"{topic_id}\ttitle\t{','.join(map(str, pmids))}\n"
+                                 for topic_id, pmids in gold.items()))
+    ranked_dir = tmp_path / "ranked"
+    ranked_dir.mkdir(exist_ok=True)
+    for topic_id, pmids in ranked.items():
+        (ranked_dir / f"{topic_id}.tsv").write_text(
+            "rank\tpmid\n" + "".join(f"{i}\t{p}\n" for i, p in enumerate(pmids, 1)))
+    result = CliRunner().invoke(main, ["--output", "json", "--gold-k", str(k),
+                                       "eval", str(gold_path), str(ranked_dir)])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)["topics"]
+
+
+def _top_k(tmp_path, pmids, gold, k):
+    """(precision, recall) in percent over the top ``k`` of ``pmids``."""
+    entry = _eval_at(tmp_path, {"T": gold}, {"T": pmids}, k)["T"]["gold_k"]
+    return entry["precision"], entry["recall"]
 
 
 class TestPrf:
@@ -48,62 +66,57 @@ class TestConfusion:
 
 
 class TestPrecisionAtK:
-    def test_truncation(self):
-        ranked = _ranked([1, 2, 3, 4])
-        c = precision_at_k(ranked, {1, 4}, 2)
-        assert (c.tp, c.fp, c.fn) == (1, 1, 1)
-        # k past the end behaves like the whole list
-        c = precision_at_k(ranked, {1, 4}, 10)
-        assert (c.tp, c.fp, c.fn) == (2, 2, 0)
+    """P/R at a cutoff K, as ``eval --gold-k`` reports them."""
 
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            precision_at_k(_ranked([1]), {1}, 0)
+    def test_truncation(self, tmp_path):
+        assert _top_k(tmp_path, [1, 2, 3, 4], {1, 4}, 2) == (50.0, 50.0)
+        # k past the end behaves like the whole list
+        assert _top_k(tmp_path, [1, 2, 3, 4], {1, 4}, 10) == (50.0, 100.0)
+
+    def test_k_below_one_rejected(self, tmp_path):
+        (tmp_path / "gold.tsv").write_text("T\ttitle\t1\n")
+        result = CliRunner().invoke(main, ["--gold-k", "0", "eval",
+                                           str(tmp_path / "gold.tsv"), str(tmp_path)])
+        assert result.exit_code == 1
+        assert "x>=1" in result.output
 
 
 class TestPrCurve:
-    def test_derived_example(self):
+    """P/R over the top k of a ranking for a series of cutoffs k, one
+    ``eval --gold-k`` per cutoff."""
+
+    def test_derived_example(self, tmp_path):
         # 10 ranked items, 5 relevant; relevant at ranks 1, 2, 6, 9, 10
-        ranked = _ranked([11, 12, 13, 14, 15, 16, 17, 18, 19, 20])
+        ranked = [11, 12, 13, 14, 15, 16, 17, 18, 19, 20]
         gold = {11, 12, 16, 19, 20}
-        points = pr_curve(ranked, gold, [0.2, 0.6, 1.0])
-        assert points[0] == CurvePoint(0.2, 1.0, 0.4)
-        assert points[1] == CurvePoint(0.6, 0.5, 0.6)
-        assert points[2] == CurvePoint(1.0, 0.5, 1.0)
+        assert _top_k(tmp_path, ranked, gold, 2) == (100.0, 40.0)
+        assert _top_k(tmp_path, ranked, gold, 6) == (50.0, 60.0)
+        assert _top_k(tmp_path, ranked, gold, 10) == (50.0, 100.0)
 
-    def test_full_cutoff_matches_prf(self):
-        ranked = _ranked([1, 2, 3, 4, 5])
-        gold = {2, 5, 9}
-        (point,) = pr_curve(ranked, gold, [1.0])
-        p, r, _ = prf(confusion([r.pmid for r in ranked], gold))
-        assert (point.precision, point.recall) == (p, r)
+    def test_full_cutoff_matches_prf(self, tmp_path):
+        entry = _eval_at(tmp_path, {"T": {2, 5, 9}}, {"T": [1, 2, 3, 4, 5]}, 5)["T"]
+        assert entry["gold_k"] == {name: entry[name]
+                                   for name in ("precision", "recall", "f_score")}
 
-    def test_cutoffs_sorted_in_output(self):
-        ranked = _ranked([1, 2])
-        points = pr_curve(ranked, {1}, [1.0, 0.5])
-        assert [pt.cutoff_fraction for pt in points] == [0.5, 1.0]
+    def test_empty_ranking(self, tmp_path):
+        entry = _eval_at(tmp_path, {"T": {1, 2}}, {}, 1)["T"]
+        assert entry["gold_k"] == {"precision": 0.0, "recall": 0.0, "f_score": 0.0}
 
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            pr_curve(_ranked([1]), {1}, [0.0])
-        with pytest.raises(ValueError):
-            pr_curve(_ranked([1]), {1}, [1.5])
-
-    def test_empty_ranking(self):
-        (point,) = pr_curve([], {1, 2}, [1.0])
-        assert (point.precision, point.recall) == (0.0, 0.0)
-
-    def test_recall_monotone_in_cutoff(self):
+    def test_recall_monotone_in_cutoff(self, tmp_path):
         rng = random.Random(20240817)
-        for _ in range(30):
+        gold, ranked = {}, {}
+        for topic in range(30):
             n = rng.randint(1, 30)
             pmids = list(range(n))
             rng.shuffle(pmids)
-            gold = set(rng.sample(range(n), rng.randint(0, n)))
-            cutoffs = [i / 10 for i in range(1, 11)]
-            points = pr_curve(_ranked(pmids), gold, cutoffs)
-            recalls = [pt.recall for pt in points]
-            assert recalls == sorted(recalls)
+            ranked[f"T{topic}"] = pmids
+            gold[f"T{topic}"] = set(rng.sample(range(n), rng.randint(0, n)))
+        recalls = {topic_id: [] for topic_id in gold}
+        for k in range(1, 31):
+            for topic_id, entry in _eval_at(tmp_path, gold, ranked, k).items():
+                recalls[topic_id].append(entry["gold_k"]["recall"])
+        for topic_id, series in recalls.items():
+            assert series == sorted(series), topic_id
 
 
 class TestAggregation:

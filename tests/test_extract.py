@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,8 @@ from citescreen import corpus, extract, preprocess
 from citescreen.extract import (
     ConceptSet,
     build_concept_set,
-    drug_hierarchy,
     extract_concepts,
     extract_population,
-    normalize_drug,
     normalize_drug_components,
     population_terms,
     read,
@@ -21,6 +21,19 @@ from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
 from population_cases import CASES, reference_population
 
 BUNDLED = Resources.bundled()
+
+
+def bundled_drug_names():
+    """The display names of the bundled drug hierarchy, in file order, read
+    from the file itself rather than through ``DrugDictionary``."""
+    text = Path(corpus.bundled_path("drug_hierarchy.txt")).read_text(encoding="utf-8")
+    return [line.strip() for line in text.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def _keys(display):
+    """The keys of a comma-separated list of display names."""
+    return [preprocess.normalize_token(name) for name in display.split(", ")]
 
 
 def _phrases(tree, lexicon):
@@ -318,26 +331,31 @@ class TestDrugNormalization:
         ("Diuretic", "Diuretics"),
     ])
     def test_mapping_rules(self, drugs, synonyms, original, modified):
-        assert normalize_drug(original, drugs, synonyms) == modified
+        assert normalize_drug_components(original, drugs, synonyms) == _keys(modified)
 
     def test_idempotent_on_dictionary_names(self, drugs, synonyms):
-        for name in drugs.names():
-            assert normalize_drug(name, drugs, synonyms) == name
+        for name in bundled_drug_names():
+            key = preprocess.normalize_token(name)
+            assert normalize_drug_components(name, drugs, synonyms) == [key]
+            assert normalize_drug_components(key, drugs, synonyms) == [key]
 
     def test_single_mentions_idempotent(self, drugs, synonyms):
         for original in ("aldosterone antagonists", "Beta blockers",
                          "Diuretic", "furosemide"):
-            once = normalize_drug(original, drugs, synonyms)
-            assert normalize_drug(once, drugs, synonyms) == once
+            once = normalize_drug_components(original, drugs, synonyms)
+            assert normalize_drug_components(once[0], drugs, synonyms) == once
 
     def test_unknown_mention_unchanged(self, drugs, synonyms):
-        assert normalize_drug("placebo", drugs, synonyms) == "placebo"
+        """An unresolved mention comes back as its own normal form."""
+        assert normalize_drug_components("placebo", drugs, synonyms) == ["placebo"]
+        assert normalize_drug_components("Placebo (oral)", drugs,
+                                         synonyms) == ["placebo oral"]
 
     def test_multi_component_partial_resolution(self, drugs, synonyms):
         parts = normalize_drug_components(
-            "beta blockers/unknownium", drugs, synonyms
+            "beta blockers/Unknownium", drugs, synonyms
         )
-        assert parts == ["Beta adrenergic blockers", "unknownium"]
+        assert parts == ["beta adrenergic blockers", "unknownium"]
 
 
 _NAME_WORDS = ["angiotensin", "receptor", "blockers", "beta", "aspirin",
@@ -353,22 +371,19 @@ def _drug_names(draw):
     return draw(st.sampled_from([str, str.upper, str.title]))(" ".join(words))
 
 
-def _scanned_name_without_numerals(key, drugs):
-    """Rule 2b as a scan over every dictionary name in file order."""
+def _scanned_name_without_numerals(key, keys):
+    """Rule 2b as a scan over every dictionary key in file order."""
     def strip(norm):
         return " ".join(w for w in norm.split() if w not in _NUMERAL_WORDS)
-    for candidate in drugs.names():
-        if strip(preprocess.normalize_token(candidate)) == strip(key):
+    for candidate in keys:
+        if strip(candidate) == strip(key):
             return candidate
     return None
 
 
-def _dictionary(names):
-    """A flat dictionary of ``names``; the first of a normalized name wins."""
-    keyed = {}
-    for name in names:
-        keyed.setdefault(preprocess.normalize_token(name), name)
-    return corpus.DrugDictionary(dict.fromkeys(keyed), keyed)
+def _distinct_keys(names):
+    """The keys of ``names`` in file order, each once."""
+    return list(dict.fromkeys(map(preprocess.normalize_token, names)))
 
 
 class TestDrugNameWithoutNumerals:
@@ -376,40 +391,39 @@ class TestDrugNameWithoutNumerals:
     @given(names=st.lists(_drug_names(), max_size=8), mentions=st.lists(_drug_names(),
                                                                        max_size=5))
     def test_index_equals_the_scan(self, names, mentions):
-        drugs = _dictionary(names)
+        keys = _distinct_keys(names)
+        drugs = corpus.DrugDictionary(dict.fromkeys(keys))
         for mention in [*mentions, *names]:
             key = preprocess.normalize_token(mention)
             assert (drugs.name_without_numerals(key)
-                    == _scanned_name_without_numerals(key, drugs))
+                    == _scanned_name_without_numerals(key, keys))
 
     def test_first_name_in_file_order_wins(self):
-        drugs = _dictionary(["Blocker II", "Blocker 3", "II", "Aspirin"])
-        assert drugs.name_without_numerals("blocker iv") == "Blocker II"
-        assert drugs.name_without_numerals("5") == "II"
-        assert drugs.name_without_numerals("aspirin 2") == "Aspirin"
+        drugs = corpus.DrugDictionary(dict.fromkeys(
+            _distinct_keys(["Blocker II", "Blocker 3", "II", "Aspirin"])))
+        assert drugs.name_without_numerals("blocker iv") == "blocker ii"
+        assert drugs.name_without_numerals("5") == "ii"
+        assert drugs.name_without_numerals("aspirin 2") == "aspirin"
         assert drugs.name_without_numerals("heparin") is None
 
     def test_rule_2b_in_the_cascade(self, drugs, synonyms):
-        assert normalize_drug("Angiotensin III receptor blockers", drugs,
-                              synonyms) == "Angiotensin II receptor blockers"
+        assert normalize_drug_components(
+            "Angiotensin III receptor blockers", drugs, synonyms
+        ) == ["angiotensin ii receptor blockers"]
 
 
 class TestDrugHierarchy:
     def test_chain_for_drug(self, drugs):
-        assert drug_hierarchy("furosemide", drugs) == [
-            "Furosemide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
-        ]
-        assert drug_hierarchy("bumetanide", drugs) == [
-            "Bumetanide", "Loop diuretics", "Diuretics", "Cardiovascular agents",
-        ]
+        assert drugs.hierarchy("furosemide") == _keys(
+            "Furosemide, Loop diuretics, Diuretics, Cardiovascular agents")
+        assert drugs.hierarchy("bumetanide") == _keys(
+            "Bumetanide, Loop diuretics, Diuretics, Cardiovascular agents")
 
     def test_chain_for_class(self, drugs):
-        assert drug_hierarchy("diuretics", drugs) == [
-            "Diuretics", "Cardiovascular agents",
-        ]
+        assert drugs.hierarchy("diuretics") == _keys("Diuretics, Cardiovascular agents")
 
     def test_unknown_empty(self, drugs):
-        assert drug_hierarchy("placebo", drugs) == []
+        assert drugs.hierarchy("placebo") == []
 
 
 class TestConceptSet:

@@ -22,6 +22,8 @@ from citescreen.screen import (
     screening_query,
 )
 
+from test_extract import bundled_drug_names
+
 BUNDLED = Resources.bundled()
 DRUGS = BUNDLED.drugs
 
@@ -318,7 +320,7 @@ _POPULATION_WORDS = _vocabulary(
     _surfaces("population") + ["the", "of", "those", "who", "aged"],
 )
 _POPULATION = st.lists(_POPULATION_WORDS, min_size=1, max_size=4).map(" ".join)
-_DRUG_NAMES = sorted(DRUGS.names())
+_DRUG_NAMES = sorted(bundled_drug_names())
 _INTERVENTION = _vocabulary(
     ["diuretics", "furosemide", "loop diuretics", "warfarin", "placebo"],
     [preprocess.normalize_token(n) for n in _DRUG_NAMES]
