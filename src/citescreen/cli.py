@@ -28,7 +28,7 @@ from citescreen.extract import build_concept_set, extract_population, read
 from citescreen.pipeline import Resources
 from citescreen.rank import rank_citations
 from citescreen.screen import screen_citation, screening_query
-from citescreen.tree import parse_bracketed_tree, parse_phrase_tree
+from citescreen.tree import parse_bracketed_tree
 
 # Usage errors are validation errors, not transport errors.
 click.UsageError.exit_code = 1
@@ -58,19 +58,6 @@ def _emit(ctx, tsv_text: str, json_text: str):
         click.echo()
 
 
-def _read_input(path: str, encoding: str | None = "utf-8") -> str | bytes:
-    """The text of the input file ``path``, or its bytes for no
-    ``encoding``; one that cannot be read, such as a directory, or does
-    not decode is a FormatError."""
-    try:
-        with open(path, "r" if encoding else "rb", encoding=encoding) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def _topic_path(directory: str, topic_id: str) -> str:
     """``directory/<topic_id>.tsv``; an id that is not a plain file name,
     one holding a slash or backslash or the id "", "." or "..", is an error."""
@@ -91,7 +78,7 @@ def _write_output(path: str, text: str) -> None:
 
 def _load_citations_jsonl(path: str) -> list[Citation]:
     citations = []
-    for lineno, line in enumerate(_read_input(path).split("\n"), start=1):
+    for lineno, line in enumerate(corpus.read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -137,11 +124,7 @@ def ingest(ctx, xml_files, out):
     """Parse citation XML files into one JSON record per line."""
     citations: list[Citation] = []
     for path in xml_files:
-        document = _read_input(path, encoding=None)  # decoded by its XML declaration
-        try:
-            citations.extend(corpus.parse_citation_xml(document))
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        citations.extend(corpus.load_citation_file(path))
     lines = "".join(c.to_json() + "\n" for c in citations)
     if out:
         _write_output(out, lines)
@@ -250,18 +233,17 @@ def rank(ctx, title, citations_jsonl):
 
 def _read_ranked_pmids(path: str) -> list[int]:
     pmids = []
-    header, *lines = _read_input(path).split("\n")
+    header, *lines = corpus.read_text(path).split("\n")
     if not header.startswith("rank\t"):
         raise FormatError(f"{path}: expected a ranked TSV header")
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        try:
-            pmids.append(int(line.split("\t")[1]))
-        except (IndexError, ValueError) as exc:
+        pmid = (line.split("\t") + [""])[1].strip()
+        if not pmid.isdecimal():  # the gold table's rule
             raise FormatError(
-                f"{path} line {lineno}: expected rank<TAB>pmid, got {line.rstrip()!r}"
-            ) from exc
+                f"{path} line {lineno}: expected rank<TAB>pmid, got {line.rstrip()!r}")
+        pmids.append(int(pmid))
     return pmids
 
 

@@ -310,12 +310,37 @@ def parse_citation_xml(xml_document: str | bytes) -> list[Citation]:
     return citations
 
 
+def read_input(path: str) -> bytes:
+    """The bytes of the file ``path``; a failed read is a FormatError led by ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from exc
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the input file ``path``, less a leading byte-order
+    mark, with each ``\\r\\n`` or ``\\r`` made ``\\n``."""
+    try:
+        text = read_input(path).decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_citation_file(path: str) -> list[Citation]:
+    """The citations of the XML file ``path``, decoded by its declaration."""
+    document = read_input(path)
+    try:
+        return parse_citation_xml(document)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _read_rows(path: str, n_cols: int):
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line.split("\t", n_cols - 1)
 
 
@@ -358,29 +383,27 @@ def load_drug_dictionary(path: str) -> DrugDictionary:
     parents: dict[str, str | None] = {}
     stack: list[str] = []  # normalized names of open ancestors
 
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip() or raw.lstrip().startswith("#"):
-                continue
-            indent = len(raw) - len(raw.lstrip("\t"))
-            name = raw.strip()
-            if indent > 3:
-                raise FormatError(
-                    f"line {lineno}: indentation depth {indent + 1} exceeds the "
-                    f"three class levels plus drugs"
-                )
-            if indent > len(stack):
-                raise FormatError(f"line {lineno}: skipped a hierarchy level")
-            norm = preprocess.normalize_token(name)
-            if not norm:
-                raise FormatError(f"line {lineno}: empty node name")
-            if '"' in norm:
-                raise FormatError(f"line {lineno}: name {name!r} holds a double quote")
-            if norm in parents:
-                raise FormatError(f"line {lineno}: duplicate name {name!r}")
-            parents[norm] = stack[indent - 1] if indent > 0 else None
-            del stack[indent:]
-            stack.append(norm)
+    for lineno, (raw,) in _read_rows(path, 1):
+        indent = len(raw) - len(raw.lstrip("\t"))
+        name = raw.strip()
+        if indent > 3:
+            raise FormatError(
+                f"{path} line {lineno}: indentation depth {indent + 1} exceeds "
+                f"the three class levels plus drugs"
+            )
+        if indent > len(stack):
+            raise FormatError(f"{path} line {lineno}: skipped a hierarchy level")
+        norm = preprocess.normalize_token(name)
+        if not norm:
+            raise FormatError(f"{path} line {lineno}: empty node name")
+        if '"' in norm:
+            raise FormatError(
+                f"{path} line {lineno}: name {name!r} holds a double quote")
+        if norm in parents:
+            raise FormatError(f"{path} line {lineno}: duplicate name {name!r}")
+        parents[norm] = stack[indent - 1] if indent > 0 else None
+        del stack[indent:]
+        stack.append(norm)
     return DrugDictionary(parents)
 
 
@@ -391,12 +414,8 @@ def load_gold_standard(path: str) -> list[ClinicalTopic]:
     first row of a topic id wins.  A file that cannot be read, such as a
     directory, or is not UTF-8 is a FormatError naming it.
     """
-    try:
-        rows = list(_read_rows(path, 3))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"gold file {path}: {exc}") from exc
     topics: dict[str, ClinicalTopic] = {}
-    for lineno, cols in rows:
+    for lineno, cols in _read_rows(path, 3):
         if len(cols) < 2:
             log.warning("gold line %d rejected: expected >= 2 columns", lineno)
             continue
@@ -448,7 +467,10 @@ def load_hyponym_table(path: str) -> HyponymTable:
             continue
         table[cols[0].strip()] = [h.strip() for h in cols[1].split(",")
                                   if _is_query_term(h, "hyponym", lineno)]
-    return HyponymTable(table)
+    try:
+        return HyponymTable(table)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_synonym_table(path: str) -> dict[str, str]:
@@ -464,11 +486,10 @@ def load_synonym_table(path: str) -> dict[str, str]:
 
 
 def load_journal_whitelist(path: str) -> list[str]:
-    """Load one journal title per line; blank lines are skipped, and so,
-    with a warning, are titles with no words or with a double quote."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return [line.strip() for lineno, line in enumerate(fh, start=1)
-                if _is_query_term(line, "journal", lineno)]
+    """Load one journal title per line; blank and ``#`` lines are skipped,
+    and so, with a warning, are titles with no words or with a double quote."""
+    return [line.strip() for lineno, (line,) in _read_rows(path, 1)
+            if _is_query_term(line, "journal", lineno)]
 
 
 def bundled_path(name: str) -> str:

@@ -131,10 +131,10 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
     settings = {}
     if config:
         try:
-            with open(config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as exc:
+            raw = json.loads(corpus.read_text(config))
+        except FormatError as exc:  # it starts with the file's name
+            raise ConfigError(f"cannot read config {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {config}: {exc}") from exc
         try:
             settings = _config_settings(raw)
@@ -162,9 +162,8 @@ def _config_settings(raw) -> dict:
             raise ConfigError(f"paths.{key} must be a file name, not {paths[key]!r}")
         try:
             settings[name] = load(paths[key])
-        except (OSError, UnicodeDecodeError, FormatError) as exc:
-            raise ConfigError(f"cannot read paths.{key} file {paths[key]}: "
-                              f"{exc}") from exc
+        except FormatError as exc:  # it starts with the file's name
+            raise ConfigError(f"paths.{key} file {exc}") from exc
         if name == "lexicon" and not settings[name].entries:
             raise ConfigError(f"paths.lexicon file {paths[key]} has no entries")
     if "weights" in raw:

@@ -27,6 +27,7 @@ from citescreen.corpus import (
     Citation,
     ClinicalTopic,
     HyponymTable,
+    load_citation_file,
     parse_citation_xml,
 )
 from citescreen.errors import (
@@ -542,11 +543,7 @@ def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
         raise ConfigError(f"fixture directory not found: {fixture_dir}")
     citations: list[Citation] = []
     for path in sorted(glob.glob(os.path.join(fixture_dir, "*.xml"))):
-        try:
-            with open(path, "rb") as fh:
-                citations.extend(parse_citation_xml(fh.read()))
-        except (FormatError, OSError) as exc:
-            raise FormatError(f"fixture file {path}: {exc}") from exc
+        citations.extend(load_citation_file(path))
     return citations
 
 

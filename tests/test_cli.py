@@ -887,7 +887,8 @@ class TestPipelineAndEval:
         ])
         assert result.exit_code == 1
         assert "error:" in result.output
-        assert "paths.drug_hierarchy" in result.output and "bin.tsv" in result.output
+        assert "paths.drug_hierarchy" in result.output
+        assert result.output.count(str(binary)) == 1
 
     @pytest.mark.parametrize("key,content,message", [
         ("drug_hierarchy", "Diuretics\nDiuretics\n", "duplicate name 'Diuretics'"),
@@ -907,7 +908,8 @@ class TestPipelineAndEval:
         ])
         assert result.exit_code == 1
         assert "error:" in result.output and message in result.output
-        assert f"paths.{key}" in result.output and str(resource) in result.output
+        assert f"paths.{key}" in result.output
+        assert result.output.count(str(resource)) == 1
 
     def test_long_sentence_record_leaves_report_unchanged(
             self, runner, fixture_corpus_dir, gold_path, expected_dir, tmp_path):
@@ -959,15 +961,18 @@ class TestPipelineAndEval:
         }[kind]
         result = _invoke(runner, args)
         assert result.exit_code == 1
-        assert "error:" in result.output and str(binary) in result.output
+        assert "error:" in result.output and result.output.count(str(binary)) == 1
 
     @pytest.mark.parametrize("kind", ["gold-pipeline", "gold-eval", "ranked-eval",
                                       "jsonl-screen", "jsonl-rank", "xml-ingest",
-                                      "xml-fixture"])
+                                      "xml-fixture", "config", "paths"])
     def test_input_that_is_a_directory_is_named(self, runner, fixture_corpus_dir,
                                                 gold_path, tmp_path, kind):
+        """The error names the file once, and a ``paths`` file's key too."""
         directory = tmp_path / ("T1.xml" if kind == "xml-fixture" else "T1.tsv")
         directory.mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"journals": str(directory)}}))
         args = {
             "gold-pipeline": ["--fixture-dir", str(fixture_corpus_dir),
                               "pipeline", str(directory)],
@@ -977,11 +982,15 @@ class TestPipelineAndEval:
             "jsonl-rank": ["rank", "--title", T1_TITLE, str(directory)],
             "xml-ingest": ["ingest", str(directory)],
             "xml-fixture": ["--fixture-dir", str(tmp_path), "fetch", '"stroke"[MeSH]'],
+            "config": ["--config", str(directory), "query", "--title", T1_TITLE],
+            "paths": ["--config", str(config), "query", "--title", T1_TITLE],
         }[kind]
         result = _invoke(runner, args)
         assert result.exit_code == 1
-        assert "error:" in result.output and str(directory) in result.output
+        assert "error:" in result.output and result.output.count(str(directory)) == 1
         assert "Traceback" not in result.output
+        if kind == "paths":
+            assert "paths.journals" in result.output
 
     def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
                                                         tmp_path):
@@ -991,6 +1000,114 @@ class TestPipelineAndEval:
         result = _invoke(runner, ["eval", str(gold_path), str(ranked)])
         assert result.exit_code == 1
         assert "T1.tsv line 2" in result.output
+
+    @pytest.mark.parametrize("pmid", ["1_101", "-7", "+1102"])
+    def test_ranked_pmid_that_is_not_decimal_is_named(self, runner, gold_path,
+                                                      tmp_path, pmid):
+        """A ranked PMID is read by the gold table's rule, blanks stripped and
+        decimal digits only, so ``1_101`` is not scored as gold PMID 1101."""
+        ranked = tmp_path / "ranked"
+        ranked.mkdir()
+        (ranked / "T1.tsv").write_text(f"rank\tpmid\n1\t 1102 \n2\t{pmid}\n")
+        result = _invoke(runner, ["eval", str(gold_path), str(ranked)])
+        assert result.exit_code == 1
+        assert result.output == (f"error: {ranked / 'T1.tsv'} line 3: expected "
+                                 f"rank<TAB>pmid, got '2\\t{pmid}'\n")
+
+    def test_ranked_pmid_between_blanks_is_read(self, runner, gold_path, tmp_path):
+        outputs = []
+        for pmid in ("1102", " 1102 "):
+            ranked = tmp_path / f"ranked{len(outputs)}"
+            ranked.mkdir()
+            (ranked / "T1.tsv").write_text(f"rank\tpmid\n1\t{pmid}\n")
+            result = _invoke(runner, ["--output", "json", "eval", str(gold_path),
+                                      str(ranked)])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[1] == outputs[0]
+        assert json.loads(outputs[0])["topics"]["T1"]["precision"] == 100.0
+
+    @pytest.mark.parametrize("kind", [
+        "config", *(f"paths.{key}" for _, key, _, _ in RESOURCE_FILES),
+        "gold-pipeline", "gold-eval", "ranked-eval", "jsonl-screen", "jsonl-rank",
+        "xml-ingest", "xml-fixture"])
+    def test_byte_order_mark_and_crlf_read_as_the_plain_file(
+            self, runner, fixture_corpus_dir, gold_path, expected_dir, tmp_path,
+            kind):
+        """Each input file, copied with a leading UTF-8 byte-order mark and
+        CRLF line ends, gives the plain copy's stdout and ``--out-dir`` files."""
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(
+            {"min_year": 1980, "weights": {"w1": 0.5, "w2": 0.3, "w3": 0.2}},
+            indent=2))
+        key = kind.removeprefix("paths.")
+        resource = {key: Path(corpus.bundled_path(name))
+                    for _, key, _, name in RESOURCE_FILES}.get(key)
+        sources = {
+            "config": [settings], "gold-pipeline": [gold_path], "gold-eval": [gold_path],
+            "ranked-eval": [expected_dir / f"{t}.tsv" for t in ("T1", "T2", "T3")],
+            "jsonl-screen": [expected_dir / "ingest.jsonl"],
+            "jsonl-rank": [expected_dir / "ingest.jsonl"],
+            "xml-ingest": sorted(fixture_corpus_dir.glob("*.xml")),
+            "xml-fixture": sorted(fixture_corpus_dir.glob("*.xml")),
+        }.get(kind, [resource])
+
+        def run(d):
+            report = ["--output", "json", "--gold-k", "5"]
+            pipeline_run = [*report, "pipeline", str(d / "gold.tsv"),
+                            "--out-dir", str(d / "out")]
+            return {
+                "config": ["--config", str(d / "settings.json"), "--fixture-dir",
+                           str(fixture_corpus_dir), *pipeline_run],
+                "gold-pipeline": ["--fixture-dir", str(fixture_corpus_dir),
+                                  *pipeline_run],
+                "gold-eval": [*report, "eval", str(d / "gold.tsv"), str(expected_dir)],
+                "ranked-eval": [*report, "eval", str(gold_path), str(d)],
+                "jsonl-screen": ["screen", "--title", T1_TITLE, str(d / "ingest.jsonl")],
+                "jsonl-rank": ["--output", "json", "rank", "--title", T1_TITLE,
+                               str(d / "ingest.jsonl")],
+                "xml-ingest": ["ingest", *(str(d / p.name) for p in sources)],
+                "xml-fixture": ["--fixture-dir", str(d), *report, "pipeline",
+                                str(gold_path), "--out-dir", str(d / "out")],
+            }.get(kind, ["--config", str(d / "paths.json"), "--fixture-dir",
+                         str(fixture_corpus_dir), *pipeline_run])
+
+        seen = {}
+        for side in ("plain", "marked"):
+            d = tmp_path / side
+            d.mkdir()
+            shutil.copy(gold_path, d / "gold.tsv")
+            (d / "paths.json").write_text(json.dumps(
+                {"paths": {key: str(d / resource.name)}} if resource else {}))
+            for source in sources:
+                data = source.read_bytes()
+                if side == "marked":
+                    data = codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n")
+                (d / source.name).write_bytes(data)
+            result = _invoke(runner, run(d))
+            assert result.exit_code == 0, result.output
+            out = d / "out"
+            seen[side] = (result.output, {p.name: p.read_bytes() for p in out.iterdir()}
+                          if out.exists() else None)
+        assert seen["plain"][0]
+        assert seen["marked"] == seen["plain"]
+
+    def test_comment_line_in_journals_file_is_skipped(self, runner, tmp_path):
+        """Blank and ``#`` lines are skipped in every resource file, the
+        journals file too, so no ``"# comment"[Journal]`` term is built."""
+        bundled = Path(corpus.bundled_path("journals.txt")).read_text(encoding="utf-8")
+        queries = []
+        for text in (bundled, "# comment\n" + bundled):
+            journals = tmp_path / "journals.txt"
+            journals.write_text(text, encoding="utf-8")
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"paths": {"journals": str(journals)}}))
+            result = _invoke(runner, ["--config", str(config),
+                                      "query", "--title", T1_TITLE])
+            assert result.exit_code == 0, result.output
+            queries.append(result.output)
+        assert queries[1] == queries[0]
+        assert "comment" not in queries[1]
 
 
 # --------------------------------------------------------------------------
@@ -1698,3 +1815,52 @@ def _unreferenced_definitions(package):
 
 def test_every_definition_has_a_caller_in_the_package():
     assert _unreferenced_definitions(Path(citescreen.__file__).parent) == []
+
+
+# --------------------------------------------------------------------------
+# Imports and input files: every imported name is read by its module, so no
+# import keeps a dead definition looking alive, and input files are opened
+# in one place, ``corpus.read_input``, which decides how they are read.
+# --------------------------------------------------------------------------
+
+def _unused_imports(tree, module):
+    """``module.name`` of each name ``tree`` imports, other than from
+    ``__future__``, that no code of ``tree`` reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{module}.{name}")
+    return unused
+
+
+def _reading_opens(tree, module):
+    """``module.function``, or ``module`` outside any function, of each
+    ``open`` call in ``tree`` whose mode is not a constant that writes,
+    appends or creates."""
+    opens = []
+    for scope in (tree, *(n for n in ast.walk(tree)
+                          if isinstance(n, (*_DEFS, ast.ClassDef)))):
+        for call in _own_nodes(scope):
+            if not (isinstance(call, ast.Call) and "open" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None))):
+                continue
+            modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            if not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax")
+                       for m in modes):
+                opens.append(module if scope is tree else f"{module}.{scope.name}")
+    return opens
+
+
+def test_imports_are_read_and_input_is_opened_in_one_place():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(citescreen.__file__).parent.glob("*.py"))}
+    assert [name for module, tree in trees.items()
+            for name in _unused_imports(tree, module)] == []
+    assert [name for module, tree in trees.items()
+            for name in _reading_opens(tree, module)] == ["corpus.read_input"]
