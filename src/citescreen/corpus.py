@@ -123,27 +123,25 @@ class ClinicalTopic:
     gold_pmids: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    surface: str           # normalized at load time
-    canonical_id: str
-    group: str
-
-
 class ConceptLexicon:
-    """Surface-form lookup table over the five semantic groups."""
+    """Surface-form lookup table over the five semantic groups.
 
-    def __init__(self, entries: list[LexiconEntry]):
+    ``entries`` are its ``(surface, group)`` pairs, each surface a
+    normalized form.
+    """
+
+    def __init__(self, entries: list[tuple[str, str]]):
         self.entries = list(entries)
-        self._trie: dict = {}  # word -> child node; None -> entries ending here
-        for e in self.entries:
+        self._trie: dict = {}  # word -> child node; None -> groups ending here
+        for surface, group in self.entries:
             node = self._trie
-            for word in e.surface.split():
+            for word in surface.split():
                 node = node.setdefault(word, {})
-            node[None] = (*node.get(None, ()), e)
+            node[None] = (*node.get(None, ()), group)
 
     def matches(self, words) -> tuple:
-        """For each start, every ``(end, entries)`` that ``words[start:end]`` spells.
+        """For each start, every ``(end, groups)`` that ``words[start:end]`` spells,
+        ``groups`` holding the group of each entry spelled, in entry order.
 
         The pairs of one start come shortest first, so the last is the
         longest match there.
@@ -162,8 +160,10 @@ class ConceptLexicon:
         return tuple(hits)
 
 
-#: The Arabic and Roman numerals one to five, which drug names may vary in.
-_NUMERALS = frozenset({"i", "ii", "iii", "iv", "v", "1", "2", "3", "4", "5"})
+#: The Arabic numerals one to five, each with its Roman form: the
+#: numerals drug names may vary in (rule 2 of the mapping cascade).
+_ROMAN = {"1": "i", "2": "ii", "3": "iii", "4": "iv", "5": "v"}
+_NUMERALS = frozenset(_ROMAN) | frozenset(_ROMAN.values())
 
 
 def _strip_numerals(key: str) -> str:
@@ -187,9 +187,14 @@ class DrugDictionary:
     def __contains__(self, key: str) -> bool:
         return key in self._parents
 
-    def name_without_numerals(self, key: str) -> str | None:
-        """The first key, in file order, that equals ``key`` once the
-        numerals one to five are dropped from both; None if none."""
+    def numeral_variant(self, key: str) -> str | None:
+        """Rule 2: ``key`` with its Arabic numerals one to five made Roman,
+        if that is a key; else the first key, in file order, that equals
+        ``key`` once those numerals, Arabic or Roman, are dropped from both;
+        None if neither."""
+        roman = " ".join(_ROMAN.get(w, w) for w in key.split())
+        if roman in self._parents:
+            return roman
         return self._by_stripped.get(_strip_numerals(key))
 
     def hierarchy(self, key: str) -> list[str]:
@@ -317,6 +322,8 @@ def read_input(path: str) -> bytes:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:  # a path holding a NUL byte, shown escaped
+        raise FormatError(f"{path!r}: {exc}") from exc
 
 
 def read_text(path: str) -> str:
@@ -345,13 +352,16 @@ def _read_rows(path: str, n_cols: int):
 
 
 def load_lexicon(path: str) -> ConceptLexicon:
-    """Load a surface \\t canonical-id \\t group TSV lexicon."""
-    seen: dict[tuple[str, str], LexiconEntry] = {}
+    """Load a surface \\t id \\t group TSV lexicon; the id is not used.
+
+    A row whose (surface, group) an earlier row already holds loads once.
+    """
+    pairs: dict[tuple[str, str], None] = {}
     for lineno, cols in _read_rows(path, 3):
         if len(cols) != 3:
             log.warning("lexicon line %d rejected: expected 3 columns", lineno)
             continue
-        surface, canonical_id, group = (c.strip() for c in cols)
+        surface, _, group = (c.strip() for c in cols)
         group = group.lower()
         if group not in SEMANTIC_GROUPS:
             log.warning("lexicon line %d rejected: unknown group %r", lineno, group)
@@ -364,12 +374,11 @@ def load_lexicon(path: str) -> ConceptLexicon:
             log.warning("lexicon line %d rejected: %r holds a double quote",
                         lineno, surface)
             continue
-        key = (norm, group)
-        if key in seen:
-            log.warning("lexicon line %d: duplicate (%s, %s), last row wins",
+        if (norm, group) in pairs:
+            log.warning("lexicon line %d: duplicate (%s, %s) skipped",
                         lineno, norm, group)
-        seen[key] = LexiconEntry(norm, canonical_id, group)
-    return ConceptLexicon(list(seen.values()))
+        pairs[norm, group] = None
+    return ConceptLexicon(list(pairs))
 
 
 def load_drug_dictionary(path: str) -> DrugDictionary:

@@ -4,7 +4,7 @@
 ``extract_population`` returns the token spans of the noun phrases, and
 the verb phrases dominating a noun phrase, whose span holds a population
 term: what the paper's seven structural patterns select together.
-``extract_concepts`` returns the (group, normal form) pair of each entry
+``extract_concepts`` returns a (group, normal form) pair for each group
 of each longest dictionary match.  ``build_concept_set`` fills the
 population, intervention-or-comparison and disease bags from both,
 mapping drug mentions onto the class hierarchy with a cascade of
@@ -99,8 +99,8 @@ def read(text: str, lexicon: ConceptLexicon) -> Reading:
     population_spans = tuple(
         (sources[start], sources[end - 1])
         for start, found in enumerate(hits)
-        for end, entries in found
-        if any(e.group == "population" for e in entries)
+        for end, groups in found
+        if "population" in groups
     )
     return Reading(tokens, tuple(words), hits, population_spans)
 
@@ -144,24 +144,21 @@ def extract_population(tree: PhraseTree, reading: Reading) -> list[tuple[int, in
 # ---------------------------------------------------------------------------
 
 def extract_concepts(reading: Reading) -> list[tuple[str, str]]:
-    """(group, normal form) of each entry of each longest dictionary match."""
+    """(group, normal form) of each group of each longest dictionary match."""
     concepts: list[tuple[str, str]] = []
     covered = 0   # words before this index belong to an earlier match
     for start, found in enumerate(reading.hits):
         if start < covered or not found:
             continue
-        covered, entries = found[-1]
+        covered, groups = found[-1]
         normal = " ".join(reading.words[start:covered])
-        concepts.extend((entry.group, normal) for entry in entries)
+        concepts.extend((group, normal) for group in groups)
     return concepts
 
 
 # ---------------------------------------------------------------------------
 # Drug normalization
 # ---------------------------------------------------------------------------
-
-_ARABIC_TO_ROMAN = {"1": "i", "2": "ii", "3": "iii", "4": "iv", "5": "v"}
-
 
 def _normalize_single(
     mention: str, drugs: DrugDictionary, synonyms: dict[str, str]
@@ -175,10 +172,7 @@ def _normalize_single(
     if norm in drugs:
         return norm
     # Rule 2: Arabic/Roman numeral variants.
-    arabic_mapped = " ".join(_ARABIC_TO_ROMAN.get(w, w) for w in norm.split())
-    if arabic_mapped in drugs:
-        return arabic_mapped
-    hit = drugs.name_without_numerals(norm)
+    hit = drugs.numeral_variant(norm)
     if hit:
         return hit
     # Rule 4: removal of contents inside parenthesis.

@@ -59,24 +59,15 @@ PUBLICATION_TYPES = (
     "practice guideline",
     "editorial",
 )
-#: Each publication type by its normalized form.
-_PUBLICATION_TYPE_OF = {preprocess.normalize_token(t): t for t in PUBLICATION_TYPES}
-
-#: Phrases scanned for in title/abstract when no index carries the type.
-_TYPE_PHRASES = (
-    ("randomized controlled trial", "randomized controlled trial"),
-    ("systematic review", "systematic review"),
-    ("multiple time series", "multiple time series"),
-    ("nonrandomized trial", "nonrandomized trial"),
-    ("time series", "time series"),
-    ("cohort", "cohort"),
-    ("case-control", "case control"),
-    ("cross-sectional", "cross sectional"),
-    ("practice guideline", "practice guideline"),
-    ("editorial", "editorial"),
-    ("case studies", "case studies"),
-    ("case studies", "case study"),
-)
+#: The key of each publication type, its normalized form, in the same order.
+_PUBLICATION_TYPE_KEYS = tuple(map(preprocess.normalize_token, PUBLICATION_TYPES))
+#: The phrase scan's phrase -> key: each key, and "case study" for "case
+#: studies", longest phrase first, so that "multiple time series" is taken,
+#: and consumed, before the "time series" inside it, the only phrase that
+#: lies inside another.
+_KEY_OF_PHRASE = dict(sorted(
+    [*((key, key) for key in _PUBLICATION_TYPE_KEYS), ("case study", "case studies")],
+    key=lambda item: -len(item[0])))
 
 
 def _dedupe(terms) -> list[str]:
@@ -266,9 +257,7 @@ class QueryFields:
             title=f" {preprocess.normalize_token(citation.title)} ",
             journal=preprocess.normalize_token(citation.journal),
             year=citation.year,
-            pub_types=frozenset(
-                preprocess.normalize_token(t) for t in infer_publication_type(citation)
-            ),
+            pub_types=frozenset(infer_publication_type(citation)),
         )
 
 
@@ -292,7 +281,7 @@ def evaluate_query(node: _Term | _Bool, fields: QueryFields) -> bool:
 
 
 def infer_publication_type(citation: Citation) -> list[str]:
-    """Publication-type labels, inferred tier by tier.
+    """Publication-type keys, inferred tier by tier.
 
     Tier 1 is the publication-type index, tier 2 the MeSH descriptors,
     tier 3 a phrase scan over title then abstract.  An empty result
@@ -302,9 +291,9 @@ def infer_publication_type(citation: Citation) -> list[str]:
     def from_labels(labels):
         found = []
         for label in labels:
-            pub_type = _PUBLICATION_TYPE_OF.get(preprocess.normalize_token(label))
-            if pub_type and pub_type not in found:
-                found.append(pub_type)
+            key = preprocess.normalize_token(label)
+            if key in _PUBLICATION_TYPE_KEYS and key not in found:
+                found.append(key)
         return found
 
     hits = from_labels(citation.publication_types)
@@ -316,9 +305,9 @@ def infer_publication_type(citation: Citation) -> list[str]:
     for text in (citation.title, " ".join(citation.abstract)):
         norm_text = f" {preprocess.normalize_token(text)} "
         found = []
-        for canonical, phrase in _TYPE_PHRASES:
-            if f" {phrase} " in norm_text and canonical not in found:
-                found.append(canonical)
+        for phrase, key in _KEY_OF_PHRASE.items():
+            if f" {phrase} " in norm_text and key not in found:
+                found.append(key)
                 # consume the span so shorter phrases cannot re-match it
                 norm_text = norm_text.replace(f" {phrase} ", " * ")
         if found:

@@ -131,7 +131,7 @@ def _term_positions(phrase_tokens, lexicon):
         for w in preprocess.normalize_token(tok).split():
             words.append(w)
             sources.append(i)
-    surfaces = {e.surface for e in lexicon.entries if e.group == "population"}
+    surfaces = {surface for surface, group in lexicon.entries if group == "population"}
     hits = []
     for surface in surfaces:
         parts = surface.split()

@@ -524,6 +524,35 @@ class TestRank:
         assert len(result.output.splitlines()) == 4  # header + 3 rows
 
 
+#: Each stage command's arguments, by the suffix of its frozen output
+#: under ``expected/stages/``.
+STAGE_COMMANDS = {
+    "query.txt": ["query", "--title", "{title}"],
+    "extract.tsv": ["extract", "--text", "{title}"],
+    "fetch.tsv": ["--fixture-dir", "{corpus}", "fetch", "{query}"],
+    "screen.jsonl": ["screen", "--title", "{title}", "{jsonl}"],
+    "rank.tsv": ["rank", "--title", "{title}", "{jsonl}"],
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_COMMANDS)
+@pytest.mark.parametrize("topic_id", ["T1", "T2", "T3"])
+def test_stage_output_matches_frozen_file(runner, fixture_corpus_dir, gold_path,
+                                          expected_dir, topic_id, stage):
+    """Each stage command prints its frozen file byte for byte, for each
+    gold topic: ``fetch`` runs the frozen query, and ``screen`` and
+    ``rank`` read every frozen fixture record."""
+    titles = {t.topic_id: t.title for t in corpus.load_gold_standard(str(gold_path))}
+    stages = expected_dir / "stages"
+    query = (stages / f"{topic_id}.query.txt").read_text(encoding="utf-8").rstrip("\n")
+    args = [arg.format(title=titles[topic_id], query=query, corpus=fixture_corpus_dir,
+                       jsonl=expected_dir / "ingest.jsonl")
+            for arg in STAGE_COMMANDS[stage]]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.output == (stages / f"{topic_id}.{stage}").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("flag", ["--top-k", "--gold-k"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_cutoff_below_one_is_usage_error(runner, hf_jsonl, flag, value):
@@ -889,6 +918,17 @@ class TestPipelineAndEval:
         assert "error:" in result.output
         assert "paths.drug_hierarchy" in result.output
         assert result.output.count(str(binary)) == 1
+
+    @pytest.mark.parametrize("key", [key for _, key, _, _ in RESOURCE_FILES])
+    def test_path_holding_a_nul_byte_is_named(self, runner, tmp_path, key):
+        """``open`` rejects such a path with a ValueError, not an OSError;
+        it is a read failure all the same, naming the path, key and config."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {key: "a\u0000b"}}))
+        result = _invoke(runner, ["--config", str(config), "query", "--title", "x"])
+        assert result.exit_code == 1
+        assert result.output == (f"error: config {config}: paths.{key} file "
+                                 f"'a\\x00b': embedded null byte\n")
 
     @pytest.mark.parametrize("key,content,message", [
         ("drug_hierarchy", "Diuretics\nDiuretics\n", "duplicate name 'Diuretics'"),

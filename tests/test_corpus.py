@@ -307,15 +307,20 @@ class TestLexicon:
         p.write_text("Heart-Failure\tC1\tdisorder\n")
         lex = corpus.load_lexicon(str(p))
         words = normalize_token("HEART failure,").split()
-        end, (entry,) = lex.matches(words)[0][-1]
-        assert (end, entry.canonical_id) == (2, "C1")
+        assert lex.matches(words)[0] == ((2, ("disorder",)),)
 
-    def test_duplicate_last_wins(self, tmp_path, caplog):
+    def test_duplicate_row_loads_once(self, tmp_path, caplog):
+        """A row repeating an earlier row's surface and group, whatever its
+        id, loads once, with a warning; the same surface in another group
+        is another entry."""
         p = tmp_path / "lex.tsv"
-        p.write_text("aspirin\tC1\tchemical\naspirin\tC2\tchemical\n")
+        p.write_text("aspirin\tC1\tchemical\nAspirin\tC2\tchemical\n"
+                     "aspirin\tC3\tdisorder\n")
         with caplog.at_level("WARNING"):
             lex = corpus.load_lexicon(str(p))
-        assert [e.canonical_id for e in lex.entries] == ["C2"]
+        assert lex.entries == [("aspirin", "chemical"), ("aspirin", "disorder")]
+        assert lex.matches(["aspirin"]) == (((1, ("chemical", "disorder")),),)
+        assert "line 2: duplicate (aspirin, chemical)" in caplog.text
 
     def test_unknown_group_skipped(self, tmp_path, caplog):
         p = tmp_path / "lex.tsv"
@@ -325,7 +330,7 @@ class TestLexicon:
 
     def test_bundled_lexicon_has_all_groups(self):
         lex = BUNDLED.lexicon
-        groups = {e.group for e in lex.entries}
+        groups = {group for _, group in lex.entries}
         assert groups == {"population", "disorder", "chemical",
                           "procedure", "device"}
 

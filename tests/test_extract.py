@@ -83,7 +83,6 @@ class TestPopulationPatterns:
         assert len(spans) == len(set(spans))
 
 
-_E = corpus.LexiconEntry
 _LEXICONS = {
     "bundled": BUNDLED.lexicon,
     # "elderly" and "elderly patients" start together and "elderly
@@ -92,15 +91,15 @@ _LEXICONS = {
     # phrase boundary.  The longest match starting at "elderly" can be a
     # disorder that covers population terms.
     "overlapping": corpus.ConceptLexicon([
-        _E("patients hospitalized", "P0", "population"),
-        _E("patients", "P1", "population"),
-        _E("elderly patients", "P2", "population"),
-        _E("heart failure", "D1", "disorder"),
-        _E("elderly", "P3", "population"),
-        _E("heart failure patients", "P4", "population"),
-        _E("elderly patients", "P5", "population"),
-        _E("older adults", "P6", "population"),
-        _E("elderly patients with heart failure", "D2", "disorder"),
+        ("patients hospitalized", "population"),
+        ("patients", "population"),
+        ("elderly patients", "population"),
+        ("heart failure", "disorder"),
+        ("elderly", "population"),
+        ("heart failure patients", "population"),
+        ("elderly patients", "population"),
+        ("older adults", "population"),
+        ("elderly patients with heart failure", "disorder"),
     ]),
 }
 _CONNECTIVES = ["with", "who", "in", "and", "or", "the", "of", "that", "were",
@@ -111,7 +110,7 @@ _BREAKS = ["(", ")", ",", "-", "/", ";"]  # tokens that normalize to nothing
 
 @st.composite
 def _population_sentences(draw, lexicon):
-    surfaces = sorted({e.surface for e in lexicon.entries})
+    surfaces = sorted({surface for surface, _ in lexicon.entries})
     pieces = draw(st.lists(
         st.sampled_from(surfaces) | st.sampled_from(_CONNECTIVES)
         | st.sampled_from(_BREAKS),
@@ -152,7 +151,7 @@ def _bracketed_children(draw, words, depth):
 @st.composite
 def _bracketed_trees(draw, lexicon):
     words = sorted(
-        {w for e in lexicon.entries for w in e.surface.split()}
+        {w for surface, _ in lexicon.entries for w in surface.split()}
         | {w for c in _CONNECTIVES for w in c.split()}
         | {b for b in _BREAKS if b not in "()"}
     )
@@ -226,9 +225,7 @@ class TestDictionaryMatching:
         # Each lexicon is freed on return, so the next one built often
         # reuses its id(); no state may outlive the lexicon it came from.
         def groups(group):
-            lexicon = corpus.ConceptLexicon(
-                [corpus.LexiconEntry("zyloxin", "C1", group)]
-            )
+            lexicon = corpus.ConceptLexicon([("zyloxin", group)])
             return [g for g, _ in extract_concepts(read("zyloxin given.", lexicon))]
 
         for group in ["disorder", "chemical"] * 1000:
@@ -248,13 +245,13 @@ def _population_matches(lexicon, words):
         while i < len(words) and words[i] in node:
             node = node[words[i]]
             i += 1
-            if any(e.group == "population" for e in node.get(None, ())):
+            if "population" in node.get(None, ()):
                 hits.append((start, i))
     return hits
 
 
 def _longest_match(lexicon, words, start):
-    """Longest entry list starting at ``words[start]``, with its word length."""
+    """Groups of the longest match starting at ``words[start]``, with its word length."""
     node = lexicon._trie
     best = None
     i = start
@@ -280,8 +277,8 @@ def _reference_concepts(sentence, lexicon):
         if match is None:
             i += 1
             continue
-        length, entries = match
-        concepts += [(entry.group, " ".join(words[i:i + length])) for entry in entries]
+        length, groups = match
+        concepts += [(group, " ".join(words[i:i + length])) for group in groups]
         i += length
     return concepts
 
@@ -294,9 +291,8 @@ _SURFACES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".jo
 def _lexicons_and_texts(draw):
     """A lexicon over four words, so that entries share prefixes, nest,
     overlap and repeat across groups, and a text spelled from the same words."""
-    entries = draw(st.lists(st.builds(
-        corpus.LexiconEntry, _SURFACES, st.sampled_from(["C1", "C2"]),
-        st.sampled_from(sorted(corpus.SEMANTIC_GROUPS)),
+    entries = draw(st.lists(st.tuples(
+        _SURFACES, st.sampled_from(sorted(corpus.SEMANTIC_GROUPS)),
     ), max_size=10))
     tokens = draw(st.lists(
         st.sampled_from([*_WORDS, "AA", "aa-bb", "bb/cc-dd", "(cc", "dd,", "-", "of"]),
@@ -314,8 +310,8 @@ class TestOneTrieWalk:
         assert [
             (start, end)
             for start, found in enumerate(reading.hits)
-            for end, entries in found
-            if any(e.group == "population" for e in entries)
+            for end, groups in found
+            if "population" in groups
         ] == _population_matches(lexicon, list(reading.words))
         assert extract_concepts(reading) == _reference_concepts(text, lexicon)
 
@@ -371,8 +367,15 @@ def _drug_names(draw):
     return draw(st.sampled_from([str, str.upper, str.title]))(" ".join(words))
 
 
-def _scanned_name_without_numerals(key, keys):
-    """Rule 2b as a scan over every dictionary key in file order."""
+def _scanned_numeral_variant(key, keys):
+    """Rule 2 as a scan over every dictionary key in file order: ``key``
+    with Arabic numerals made Roman, else the first key equal to it once
+    both drop their numerals."""
+    roman = " ".join({"1": "i", "2": "ii", "3": "iii", "4": "iv", "5": "v"}.get(w, w)
+                     for w in key.split())
+    if roman in keys:
+        return roman
+
     def strip(norm):
         return " ".join(w for w in norm.split() if w not in _NUMERAL_WORDS)
     for candidate in keys:
@@ -395,16 +398,20 @@ class TestDrugNameWithoutNumerals:
         drugs = corpus.DrugDictionary(dict.fromkeys(keys))
         for mention in [*mentions, *names]:
             key = preprocess.normalize_token(mention)
-            assert (drugs.name_without_numerals(key)
-                    == _scanned_name_without_numerals(key, keys))
+            assert drugs.numeral_variant(key) == _scanned_numeral_variant(key, keys)
 
     def test_first_name_in_file_order_wins(self):
         drugs = corpus.DrugDictionary(dict.fromkeys(
             _distinct_keys(["Blocker II", "Blocker 3", "II", "Aspirin"])))
-        assert drugs.name_without_numerals("blocker iv") == "blocker ii"
-        assert drugs.name_without_numerals("5") == "ii"
-        assert drugs.name_without_numerals("aspirin 2") == "aspirin"
-        assert drugs.name_without_numerals("heparin") is None
+        assert drugs.numeral_variant("blocker iv") == "blocker ii"
+        assert drugs.numeral_variant("5") == "ii"
+        assert drugs.numeral_variant("aspirin 2") == "aspirin"
+        assert drugs.numeral_variant("heparin") is None
+
+    def test_roman_key_before_the_first_in_file_order(self):
+        drugs = corpus.DrugDictionary(dict.fromkeys(["blocker ii", "blocker iii"]))
+        assert drugs.numeral_variant("blocker 3") == "blocker iii"
+        assert drugs.numeral_variant("blocker iv") == "blocker ii"
 
     def test_rule_2b_in_the_cascade(self, drugs, synonyms):
         assert normalize_drug_components(

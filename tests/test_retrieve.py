@@ -1,18 +1,28 @@
+import gzip
 import http.client
+import io
+import json
 import math
 import random
 import re
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
+import urllib.response
+from email.message import Message
 from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
 from xml.sax.saxutils import escape
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citescreen import retrieve
+from citescreen.cli import main
 from citescreen.corpus import (
     Citation,
     ClinicalTopic,
@@ -71,7 +81,7 @@ _JOURNALS = _BUNDLED.journal_whitelist
 
 
 def _surfaces(groups):
-    return sorted({e.surface for e in _LEXICON.entries if e.group in groups})
+    return sorted({surface for surface, group in _LEXICON.entries if group in groups})
 
 
 @st.composite
@@ -882,3 +892,124 @@ def test_any_page_size_fetches_what_pages_of_one_fetch(count, page_size, distinc
     assert len(params) == 1 + math.ceil(count / page_size)
     assert [p["retstart"] for p in params[1:]] == list(range(0, count, page_size))
     assert all(p["retmax"] == page_size for p in params[1:])
+
+
+# ---------------------------------------------------------------------------
+# Generated reply scripts for `citescreen fetch` against a live endpoint
+# ---------------------------------------------------------------------------
+
+_BAD_BODIES = [b"", b"<html>Bad gateway", b"\xff\xfe not UTF-8",
+               b"<MedlineCitationSet></MedlineCitationSet>"]
+_RETRY_AFTER = [None, "", "0", "2", "9" * 40, "-5", "soon",
+                "Wed, 21 Oct 2015 07:28:00 GMT"]
+_FAILURES = [ConnectionResetError("reset"), TimeoutError("timed out"),
+             OSError("unreachable"), http.client.IncompleteRead(b"<eSearch", 20),
+             http.client.BadStatusLine("garbage"), http.client.RemoteDisconnected("gone")]
+
+
+def _encoded(body, encoding):
+    """``body`` as sent under ``encoding``: its bytes and the headers naming it."""
+    if encoding == "plain":
+        return body, {}
+    zipped = gzip.compress(body)
+    if encoding == "corrupt-gzip":
+        zipped = zipped[:len(zipped) // 2] if body else b"\x1f\x8bnot gzip"
+    return zipped, {"Content-Encoding": "gzip"}
+
+
+_FAULTS = st.one_of(
+    st.sampled_from(_FAILURES),
+    st.tuples(st.sampled_from([200, 204, 404, 429, 500, 503]),
+              st.sampled_from(_RETRY_AFTER),
+              st.sampled_from([None, *_BAD_BODIES]),  # None: the route's own reply
+              st.sampled_from(["plain", "gzip", "corrupt-gzip"])),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ids=st.lists(st.integers(1, 40), max_size=30),
+       unreached=st.sampled_from([0, 0, 0, 1, 7]),
+       webenv=st.sampled_from([True, True, True, False]), gzipped=st.booleans(),
+       faults=st.lists(_FAULTS, max_size=8),
+       max_retries=st.integers(0, 6), page_size=st.integers(1, 12),
+       rate_limit_ms=st.integers(0, retrieve.MAX_WAIT_S * 1000),
+       timeout_s=st.one_of(st.integers(1, retrieve.MAX_WAIT_S),
+                           st.floats(0.001, retrieve.MAX_WAIT_S)))
+def test_generated_reply_scripts(ids, unreached, webenv, gzipped, faults, max_retries,
+                                 page_size, rate_limit_ms, timeout_s):
+    """``citescreen --config C fetch Q`` against an endpoint that serves the
+    drawn faults, in order, ahead of its own replies: ``Count`` hits of
+    which ``ids`` are stored, with or without a ``WebEnv``.  The replies
+    enter below ``_http_get``, at ``urlopen``, so its status reading and
+    gzip inflation run; ``time.sleep`` is recorded, not run.
+
+    A run exits 0, or 1 or 2 with an ``error:`` line, never with a
+    traceback; no request is tried more than ``max_retries`` + 1 times; no
+    sleep passes the timeout or the rate interval, whichever is longer; and
+    exit 0 prints the distinct PMIDs of the pages served, in first-seen order.
+    """
+    count = len(ids) + unreached
+    script = list(faults)
+    attempts: dict[tuple, int] = {}
+    served: list[int] = []   # PMIDs of each 200 efetch page read, in order
+    slept: list[float] = []
+
+    def own_reply(route, params):
+        """The endpoint's own body for a request, and the PMIDs it serves."""
+        if route == "esearch.fcgi":
+            env = "<QueryKey>1</QueryKey>" + ("<WebEnv>W1</WebEnv>" if webenv else "")
+            return f"<eSearchResult><Count>{count}</Count>{env}</eSearchResult>".encode(), []
+        start = int(params["retstart"])
+        page = ids[start:start + int(params["retmax"])]
+        return _efetch_body(page, start).encode(), page
+
+    def urlopen(request, timeout=None):
+        url = urlsplit(request.full_url)
+        route, params = url.path.rsplit("/", 1)[1], dict(parse_qsl(url.query))
+        key = (route, params.get("retstart"))
+        attempts[key] = attempts.get(key, 0) + 1
+        body, page = own_reply(route, params)
+        if script:
+            fault = script.pop(0)
+            if isinstance(fault, Exception):
+                raise fault
+            status, retry_after, fault_body, encoding = fault
+            if fault_body is not None:
+                body, page = fault_body, []
+        else:
+            status, retry_after, encoding = 200, None, "gzip" if gzipped else "plain"
+        body, header_items = _encoded(body, encoding)
+        headers = Message()
+        for name, value in header_items.items():
+            headers[name] = value
+        if retry_after is not None:
+            headers["Retry-After"] = retry_after
+        if status == 200 and route == "efetch.fcgi" and encoding != "corrupt-gzip":
+            served.extend(page)
+        if not 200 <= status < 300:  # as urllib's default error processor does
+            raise urllib.error.HTTPError(request.full_url, status, "scripted", headers,
+                                         io.BytesIO(body))
+        return urllib.response.addinfourl(io.BytesIO(body), headers,
+                                          request.full_url, status)
+
+    endpoint = {"endpoint_base_url": "http://127.0.0.1:9/entrez",
+                "max_retries": max_retries, "page_size": page_size,
+                "rate_limit_ms": rate_limit_ms, "timeout_s": timeout_s}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"endpoint": endpoint}))
+        mp.setattr(urllib.request, "urlopen", urlopen)
+        mp.setattr(time, "sleep", slept.append)
+        result = CliRunner().invoke(main, ["--config", str(config), "fetch",
+                                           '"heart failure"[MeSH]'])
+
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exception)
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code:
+        assert any(line.startswith("error: ") for line in result.output.splitlines())
+    assert max(attempts.values()) <= max_retries + 1
+    assert all(0 <= s <= max(timeout_s, rate_limit_ms / 1000) for s in slept)
+    if result.exit_code == 0:
+        assert result.output == "pmid\n" + "".join(
+            f"{p}\n" for p in dict.fromkeys(served))

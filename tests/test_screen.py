@@ -307,7 +307,7 @@ _LEXICON = BUNDLED.lexicon
 
 
 def _surfaces(*groups):
-    return sorted({e.surface for e in _LEXICON.entries if e.group in groups})
+    return sorted({surface for surface, group in _LEXICON.entries if group in groups})
 
 
 def _vocabulary(common, everything):
