@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 
 from citescreen import corpus, preprocess
@@ -126,7 +127,8 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
     value of the wrong type, an unknown key at the top level or in
     ``paths``, ``weights`` or ``endpoint``, a ``paths`` file that cannot
     be read or breaks its format, and a lexicon file without entries are
-    a ``ConfigError`` naming the config file.
+    a ``ConfigError`` naming the config file.  A ``fixture_dir`` that is
+    not a directory is a ``ConfigError`` naming where it was set.
     """
     settings = {}
     if config:
@@ -142,6 +144,9 @@ def load_resources(config: str | None, fixture_dir: str | None) -> Resources:
             raise ConfigError(f"config {config}: {exc}") from exc
     if fixture_dir:
         settings["fixture_dir"] = fixture_dir
+    if settings.get("fixture_dir") and not os.path.isdir(settings["fixture_dir"]):
+        source = "--fixture-dir" if fixture_dir else f"config {config}: fixture_dir"
+        raise ConfigError(f"{source} {settings['fixture_dir']!r} is not a directory")
     return Resources.bundled(**settings)
 
 

@@ -529,7 +529,7 @@ def _fetch_live(query: str, config: EndpointConfig,
 
 def load_fixture_corpus(fixture_dir: str) -> list[Citation]:
     if not os.path.isdir(fixture_dir):
-        raise ConfigError(f"fixture directory not found: {fixture_dir}")
+        raise ConfigError(f"fixture directory not found: {fixture_dir!r}")
     citations: list[Citation] = []
     for path in sorted(glob.glob(os.path.join(fixture_dir, "*.xml"))):
         citations.extend(load_citation_file(path))

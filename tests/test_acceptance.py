@@ -14,10 +14,8 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from citescreen import preprocess
-from citescreen.cli import main
 from citescreen.extract import extract_population, normalize_drug_components, read
 from citescreen.pipeline import Resources
 from citescreen.rank import WeightConfig, rank_citations
@@ -25,6 +23,7 @@ from citescreen.screen import QUALIFIER_WHITELIST, screen_citation, screening_qu
 from citescreen.tree import parse_bracketed_tree
 
 from population_cases import CASES
+from run_cli import run_cli
 from test_extract import _keys, bundled_drug_names
 from test_rank import _oracle, _random_concepts
 from test_screen import QUERY as SCREEN_QUERY, _fixture as screening_fixture
@@ -278,12 +277,11 @@ def test_c6_screening_fixture():
                            "rankings and metric report across two runs")
 def test_c7_pipeline_reproducibility(fixture_corpus_dir, gold_path,
                                      expected_dir, tmp_path):
-    runner = CliRunner()
     expected_report = json.loads((expected_dir / "report.json").read_text())
     start = time.monotonic()
     for run in ("one", "two"):
         out_dir = tmp_path / run
-        result = runner.invoke(main, [
+        result = run_cli([
             "--fixture-dir", str(fixture_corpus_dir), "--output", "json",
             "--gold-k", "5",
             "pipeline", str(gold_path), "--out-dir", str(out_dir),
@@ -314,11 +312,10 @@ def test_c8_cutoff_invariants(gold_path, expected_dir):
     longest ranking: no topic's top-k recall falls as k grows, and at k =
     the ranking's length the top-k entry is the plain one."""
     lengths = _ranking_lengths(expected_dir)
-    runner = CliRunner()
     recalls = {topic_id: [] for topic_id in lengths}
     for k in range(1, max(lengths.values()) + 1):
-        result = runner.invoke(main, ["--output", "json", "--gold-k", str(k),
-                                      "eval", str(gold_path), str(expected_dir)])
+        result = run_cli(["--output", "json", "--gold-k", str(k),
+                          "eval", str(gold_path), str(expected_dir)])
         assert result.exit_code == 0, result.output
         for topic_id, entry in json.loads(result.output)["topics"].items():
             recalls[topic_id].append(entry["gold_k"]["recall"])

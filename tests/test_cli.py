@@ -8,19 +8,19 @@ import re
 import shutil
 import socket
 import string
+import subprocess
+import sys
 import time
 import urllib.parse
 import urllib.request
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import citescreen
 from citescreen import corpus, pipeline, retrieve
-from citescreen.cli import main
 from citescreen.pipeline import RESOURCE_FILES, Resources, citation_concepts
 from citescreen.retrieve import (
     MAX_QUERY_DEPTH,
@@ -32,11 +32,7 @@ from citescreen.retrieve import (
 from citescreen.tree import parse_bracketed_tree
 
 from population_cases import reference_population
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from run_cli import run_cli
 
 
 T1_TITLE = "Diuretics for heart failure in elderly patients"
@@ -50,30 +46,29 @@ UNKNOWN_KEYS = {
 }
 
 
-def _invoke(runner, args, **kw):
-    result = runner.invoke(main, args, **kw)
-    if result.exit_code != 0 and result.exception is not None:
-        if not isinstance(result.exception, SystemExit):
-            raise result.exception
+def _invoke(args):
+    result = run_cli(args)
+    if result.exception is not None:
+        raise result.exception
     return result
 
 
 class TestIngest:
-    def test_stdout_jsonl(self, runner, fixture_corpus_dir):
+    def test_stdout_jsonl(self, fixture_corpus_dir):
         xml = str(fixture_corpus_dir / "heart_failure.xml")
-        result = _invoke(runner, ["ingest", xml])
+        result = _invoke(["ingest", xml])
         assert result.exit_code == 0
         records = [json.loads(line) for line in result.output.splitlines()]
         assert [r["pmid"] for r in records] == list(range(1101, 1111))
 
-    def test_out_file(self, runner, fixture_corpus_dir, tmp_path):
+    def test_out_file(self, fixture_corpus_dir, tmp_path):
         xml = str(fixture_corpus_dir / "stroke.xml")
         out = tmp_path / "stroke.jsonl"
-        result = _invoke(runner, ["ingest", xml, "--out", str(out)])
+        result = _invoke(["ingest", xml, "--out", str(out)])
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 10
 
-    def test_jsonl_matches_frozen_records(self, runner, fixture_corpus_dir,
+    def test_jsonl_matches_frozen_records(self, fixture_corpus_dir,
                                           expected_dir, tmp_path):
         """``ingest`` and ``fetch --out`` write the pinned JSON lines, byte for
         byte: the files are given in PMID order, the order fetch keeps, and
@@ -81,29 +76,29 @@ class TestIngest:
         frozen = (expected_dir / "ingest.jsonl").read_text()
         xmls = [str(fixture_corpus_dir / f"{name}.xml")
                 for name in ("heart_failure", "atrial_fibrillation", "stroke")]
-        assert _invoke(runner, ["ingest", *xmls]).output == frozen
+        assert _invoke(["ingest", *xmls]).output == frozen
         out = tmp_path / "fetched.jsonl"
-        result = _invoke(runner, ["--fixture-dir", str(fixture_corpus_dir),
-                                  "fetch", "1000:[Year]", "--out", str(out)])
+        result = _invoke(["--fixture-dir", str(fixture_corpus_dir),
+                          "fetch", "1000:[Year]", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text() == frozen
 
-    def test_malformed_xml_is_validation_error(self, runner, tmp_path):
+    def test_malformed_xml_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<MedlineCitationSet><oops>")
-        result = _invoke(runner, ["ingest", str(bad)])
+        result = _invoke(["ingest", str(bad)])
         assert result.exit_code == 1
         assert "error:" in result.output
 
-    def test_malformed_file_is_named(self, runner, fixture_corpus_dir, tmp_path):
+    def test_malformed_file_is_named(self, fixture_corpus_dir, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<MedlineCitationSet><MedlineCitation><PMID>7</PMID>")
-        result = _invoke(runner, ["ingest", str(fixture_corpus_dir / "stroke.xml"),
-                                  str(bad)])
+        result = _invoke(["ingest", str(fixture_corpus_dir / "stroke.xml"),
+                          str(bad)])
         assert result.exit_code == 1
         assert result.output.startswith(f"error: {bad}: malformed XML: ")
 
-    def test_file_decodes_by_its_xml_declaration(self, runner, tmp_path):
+    def test_file_decodes_by_its_xml_declaration(self, tmp_path):
         """As a live reply does: ingest and a fixture fetch read the same
         ISO-8859-1 bytes alike."""
         (tmp_path / "latin.xml").write_bytes(
@@ -111,27 +106,27 @@ class TestIngest:
             '<MedlineCitation><PMID>7</PMID><Article><ArticleTitle>Sjögren '
             'syndrome and café-au-lait spots</ArticleTitle></Article>'
             '</MedlineCitation></MedlineCitationSet>'.encode("iso-8859-1"))
-        ingested = _invoke(runner, ["ingest", str(tmp_path / "latin.xml")])
+        ingested = _invoke(["ingest", str(tmp_path / "latin.xml")])
         assert ingested.exit_code == 0, ingested.output
         assert json.loads(ingested.output)["title"] == (
             "Sjögren syndrome and café-au-lait spots")
-        fetched = _invoke(runner, ["--fixture-dir", str(tmp_path), "fetch",
-                                   '"Sjögren syndrome"[MeSH]'])
+        fetched = _invoke(["--fixture-dir", str(tmp_path), "fetch",
+                           '"Sjögren syndrome"[MeSH]'])
         assert (fetched.exit_code, fetched.output) == (0, "pmid\n7\n")
 
-    def test_non_numeric_year_is_validation_error(self, runner, tmp_path):
+    def test_non_numeric_year_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<MedlineCitation><PMID>7</PMID><Article><Journal>"
                        "<JournalIssue><PubDate><Year>abc</Year></PubDate>"
                        "</JournalIssue></Journal></Article></MedlineCitation>")
-        result = _invoke(runner, ["ingest", str(bad)])
+        result = _invoke(["ingest", str(bad)])
         assert result.exit_code == 1
         assert "error:" in result.output and "'abc'" in result.output
 
 
 class TestExtract:
-    def test_text_mode(self, runner):
-        result = _invoke(runner, [
+    def test_text_mode(self):
+        result = _invoke([
             "extract", "--text",
             "Furosemide improved survival in elderly patients with heart failure.",
         ])
@@ -140,56 +135,54 @@ class TestExtract:
         assert "disease\theart failure" in result.output
         assert "intervention\tfurosemide" in result.output
 
-    def test_tree_mode(self, runner):
-        result = _invoke(runner, [
+    def test_tree_mode(self):
+        result = _invoke([
             "extract", "--tree",
             "(S (NP elderly (NN patients)) (VP improved))",
         ])
         assert result.exit_code == 0
         assert "population\telderly patients" in result.output
 
-    def test_json_output(self, runner):
-        result = _invoke(runner, [
+    def test_json_output(self):
+        result = _invoke([
             "--output", "json", "extract", "--text", "heart failure",
         ])
         assert result.exit_code == 0
         rows = json.loads(result.output)
         assert {"category": "disease", "concept": "heart failure"} in rows
 
-    def test_requires_exactly_one_input(self, runner):
-        assert _invoke(runner, ["extract"]).exit_code == 1
-        assert _invoke(
-            runner, ["extract", "--text", "x", "--tree", "(S x)"]
-        ).exit_code == 1
+    def test_requires_exactly_one_input(self):
+        assert _invoke(["extract"]).exit_code == 1
+        assert _invoke(["extract", "--text", "x", "--tree", "(S x)"]).exit_code == 1
 
-    def test_bad_tree_is_validation_error(self, runner):
-        result = _invoke(runner, ["extract", "--tree", "(S (NP"])
+    def test_bad_tree_is_validation_error(self):
+        result = _invoke(["extract", "--tree", "(S (NP"])
         assert result.exit_code == 1
 
-    def test_deeply_nested_tree(self, runner):
+    def test_deeply_nested_tree(self):
         tree = "(NP " * 3000 + "elderly (NN patients)" + ")" * 3000
-        result = _invoke(runner, ["extract", "--tree", tree])
+        result = _invoke(["extract", "--tree", tree])
         assert result.exit_code == 0, result.output
         assert result.output == "category\tconcept\npopulation\telderly patients\n"
 
 
 class TestQuery:
-    def test_boolean_string(self, runner):
-        result = _invoke(runner, ["query", "--title", T1_TITLE])
+    def test_boolean_string(self):
+        result = _invoke(["query", "--title", T1_TITLE])
         assert result.exit_code == 0
         assert '"heart failure"[MeSH]' in result.output
         assert '"congestive heart failure"[MeSH]' in result.output
         assert "1974:[Year]" in result.output
 
-    def test_min_year_before_1900_is_validation_error(self, runner, tmp_path):
+    def test_min_year_before_1900_is_validation_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"min_year": 1492}))
-        result = _invoke(runner, ["--config", str(config), "query", "--title", T1_TITLE])
+        result = _invoke(["--config", str(config), "query", "--title", T1_TITLE])
         assert result.exit_code == 1
         assert "min_year must be >= 1900" in result.output
         assert f"config {config}" in result.output
 
-    def test_wordless_resource_entries_make_no_terms(self, runner, tmp_path):
+    def test_wordless_resource_entries_make_no_terms(self, tmp_path):
         (tmp_path / "hyponyms.tsv").write_text(
             "heart failure\t---, congestive heart failure\n")
         (tmp_path / "journals.txt").write_text("Circulation\n--\n")
@@ -197,7 +190,7 @@ class TestQuery:
         config.write_text(json.dumps({"paths": {
             "hyponyms": str(tmp_path / "hyponyms.tsv"),
             "journals": str(tmp_path / "journals.txt")}}))
-        result = _invoke(runner, ["--config", str(config), "query", "--title", T1_TITLE])
+        result = _invoke(["--config", str(config), "query", "--title", T1_TITLE])
         assert result.exit_code == 0, result.output
         assert result.output.startswith(
             '("heart failure"[MeSH] OR "congestive heart failure"[MeSH]) AND '
@@ -206,9 +199,9 @@ class TestQuery:
 
 
 class TestFetch:
-    def test_fixture_pmids(self, runner, fixture_corpus_dir):
-        query = _invoke(runner, ["query", "--title", T1_TITLE]).output.strip()
-        result = _invoke(runner, [
+    def test_fixture_pmids(self, fixture_corpus_dir):
+        query = _invoke(["query", "--title", T1_TITLE]).output.strip()
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir), "fetch", query,
         ])
         assert result.exit_code == 0
@@ -216,22 +209,22 @@ class TestFetch:
         assert lines[0] == "pmid"
         assert lines[1:] == [str(p) for p in range(1101, 1108)]
 
-    def test_json_names_the_source(self, runner, fixture_corpus_dir, tmp_path,
+    def test_json_names_the_source(self, fixture_corpus_dir, tmp_path,
                                    monkeypatch):
         query = '"heart failure"[MeSH]'
-        fixture = _invoke(runner, ["--output", "json", "--fixture-dir",
-                                   str(fixture_corpus_dir), "fetch", query])
+        fixture = _invoke(["--output", "json", "--fixture-dir",
+                           str(fixture_corpus_dir), "fetch", query])
         assert json.loads(fixture.output)["source"] == "fixture"
         monkeypatch.setattr(retrieve, "_http_get", lambda *a, **k: (
             200, {}, b"<eSearchResult><Count>0</Count></eSearchResult>"))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"endpoint": {
             "endpoint_base_url": "https://api.example/entrez", "rate_limit_ms": 0}}))
-        live = _invoke(runner, ["--output", "json", "--config", str(config),
-                                "fetch", query])
+        live = _invoke(["--output", "json", "--config", str(config),
+                        "fetch", query])
         assert json.loads(live.output) == {"source": "live", "pmids": []}
 
-    def test_unreachable_endpoint_is_transport_error(self, runner, tmp_path):
+    def test_unreachable_endpoint_is_transport_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "endpoint": {
@@ -240,12 +233,12 @@ class TestFetch:
                 "rate_limit_ms": 0,
             },
         }))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "fetch", '"heart failure"[MeSH]',
         ])
         assert result.exit_code == 2
 
-    def test_repeated_429_is_transport_error(self, runner, tmp_path, monkeypatch):
+    def test_repeated_429_is_transport_error(self, tmp_path, monkeypatch):
         attempts = []
 
         def fake_get(url, params=None, timeout=None):
@@ -259,14 +252,14 @@ class TestFetch:
             "endpoint_base_url": "https://api.example/entrez",
             "max_retries": 2, "rate_limit_ms": 0,
         }}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "fetch", '"heart failure"[MeSH]',
         ])
         assert result.exit_code == 2
         assert "HTTP 429" in result.output
         assert len(attempts) == 3
 
-    def test_retry_after_past_the_timeout_is_status_error(self, runner, tmp_path,
+    def test_retry_after_past_the_timeout_is_status_error(self, tmp_path,
                                                           monkeypatch):
         """A wait no sleep can take, or one of days, is not sat through."""
         attempts = []
@@ -276,7 +269,7 @@ class TestFetch:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"endpoint": {
             "endpoint_base_url": "https://api.example/entrez", "rate_limit_ms": 0}}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "fetch", '"heart failure"[MeSH]',
         ])
         assert result.exit_code == 2
@@ -292,7 +285,7 @@ class TestFetch:
         ("rate_limit_ms", 10 ** 13, False),
     ], ids=["timeout-one-day", "timeout-past-a-day", "timeout-past-time_t",
             "rate-one-day", "rate-past-a-day", "rate-past-time_t"])
-    def test_endpoint_waits_are_at_most_a_day(self, runner, tmp_path, monkeypatch,
+    def test_endpoint_waits_are_at_most_a_day(self, tmp_path, monkeypatch,
                                               key, value, accepted):
         """Up to one day, the refused connection ends the run (exit 2) with
         no wait before the first request; past it, the config is an error
@@ -307,7 +300,7 @@ class TestFetch:
         config.write_text(json.dumps({"endpoint": {
             "endpoint_base_url": f"http://127.0.0.1:{port}/entrez",
             "max_retries": 0, key: value}}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "fetch", '"heart failure"[MeSH]',
         ])
         if accepted:
@@ -320,16 +313,15 @@ class TestFetch:
                 f"error: config {config}: endpoint {key} must be")
             assert "(one day)" in result.output
 
-    def test_malformed_query_is_validation_error(self, runner,
-                                                 fixture_corpus_dir):
-        result = _invoke(runner, [
+    def test_malformed_query_is_validation_error(self, fixture_corpus_dir):
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir), "fetch", "((broken",
         ])
         assert result.exit_code == 1
 
     def test_unknown_field_is_validation_error_whatever_the_corpus_holds(
-            self, runner, fixture_corpus_dir):
-        result = _invoke(runner, [
+            self, fixture_corpus_dir):
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir), "fetch",
             '"no such disease"[MeSH] AND "x"[Foo]',
         ])
@@ -338,9 +330,9 @@ class TestFetch:
 
     @pytest.mark.parametrize("term", ['""[MeSH]', '"--"[MeSH]', '" "[Journal]',
                                       '"()"[PubType]'])
-    def test_wordless_term_is_validation_error(self, runner, fixture_corpus_dir,
+    def test_wordless_term_is_validation_error(self, fixture_corpus_dir,
                                                term):
-        result = _invoke(runner, [
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir), "fetch",
             f'"heart failure"[MeSH] OR {term}',
         ])
@@ -348,36 +340,35 @@ class TestFetch:
         assert "error:" in result.output and "has no words" in result.output
 
     @pytest.mark.parametrize("depth", [MAX_QUERY_DEPTH, MAX_QUERY_DEPTH + 1, 3000])
-    def test_query_nesting_limit(self, runner, fixture_corpus_dir, depth):
+    def test_query_nesting_limit(self, fixture_corpus_dir, depth):
         # two expression nodes per level, the deepest shape a level can take
         term = '"atrial fibrillation"[MeSH]'
         query = term
         for _ in range(depth):
             query = f'({query} AND {term} OR "no such disease"[MeSH])'
         args = ["--fixture-dir", str(fixture_corpus_dir), "fetch"]
-        result = _invoke(runner, [*args, query])
+        result = _invoke([*args, query])
         assert "Traceback" not in result.output
         if depth <= MAX_QUERY_DEPTH:
             assert result.exit_code == 0, result.output
-            assert result.output == _invoke(runner, [*args, term]).output
+            assert result.output == _invoke([*args, term]).output
         else:
             assert result.exit_code == 1
             assert "error:" in result.output
             assert f"deeper than {MAX_QUERY_DEPTH} levels" in result.output
 
-    def test_malformed_fixture_file_is_named(self, runner, fixture_corpus_dir,
+    def test_malformed_fixture_file_is_named(self, fixture_corpus_dir,
                                              tmp_path):
         (tmp_path / "stroke.xml").write_bytes(
             (fixture_corpus_dir / "stroke.xml").read_bytes())
         (tmp_path / "b.xml").write_text("<MedlineCitationSet><MedlineCitation>")
-        result = _invoke(runner, [
+        result = _invoke([
             "--fixture-dir", str(tmp_path), "fetch", '"stroke"[MeSH]',
         ])
         assert result.exit_code == 1
         assert "error:" in result.output and "b.xml" in result.output
 
-    def test_records_without_a_pmid_of_their_own_are_skipped(self, runner,
-                                                             tmp_path):
+    def test_records_without_a_pmid_of_their_own_are_skipped(self, tmp_path):
         def record(pmid_xml):
             return (f"<MedlineCitation>{pmid_xml}<Article><ArticleTitle>Heart "
                     f"failure</ArticleTitle></Article></MedlineCitation>")
@@ -386,28 +377,26 @@ class TestFetch:
             + record("<PMID>000</PMID>") + record("<PMID>12</PMID>")
             + record("<CommentsCorrections><PMID>999</PMID></CommentsCorrections>")
             + "</MedlineCitationSet>")
-        fetched = _invoke(runner, ["--fixture-dir", str(tmp_path), "fetch",
-                                   '"heart failure"[MeSH]'])
+        fetched = _invoke(["--fixture-dir", str(tmp_path), "fetch",
+                           '"heart failure"[MeSH]'])
         assert (fetched.exit_code, fetched.output) == (0, "pmid\n12\n")
-        ingested = _invoke(runner, ["ingest", str(tmp_path / "a.xml")])
+        ingested = _invoke(["ingest", str(tmp_path / "a.xml")])
         assert ingested.exit_code == 0, ingested.output
         assert [json.loads(line)["pmid"] for line in
                 ingested.output.splitlines()] == [12]
 
 
 @pytest.fixture
-def hf_jsonl(runner, fixture_corpus_dir, tmp_path):
+def hf_jsonl(fixture_corpus_dir, tmp_path):
     xml = str(fixture_corpus_dir / "heart_failure.xml")
     out = tmp_path / "hf.jsonl"
-    assert _invoke(
-        runner, ["ingest", xml, "--out", str(out)]
-    ).exit_code == 0
+    assert _invoke(["ingest", xml, "--out", str(out)]).exit_code == 0
     return out
 
 
 class TestScreen:
-    def test_decisions(self, runner, hf_jsonl):
-        result = _invoke(runner, [
+    def test_decisions(self, hf_jsonl):
+        result = _invoke([
             "screen", "--title", T1_TITLE, str(hf_jsonl),
         ])
         assert result.exit_code == 0
@@ -421,14 +410,14 @@ class TestScreen:
 
 @pytest.mark.parametrize("command", ["screen", "rank"])
 @pytest.mark.parametrize("field", ["pmid", "title"])
-def test_record_missing_field_is_validation_error(runner, hf_jsonl, tmp_path,
+def test_record_missing_field_is_validation_error(hf_jsonl, tmp_path,
                                                   command, field):
     first, second = hf_jsonl.read_text().splitlines()[:2]
     broken = json.loads(second)
     del broken[field]
     path = tmp_path / "broken.jsonl"
     path.write_text(first + "\n" + json.dumps(broken) + "\n")
-    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    result = _invoke([command, "--title", T1_TITLE, str(path)])
     assert result.exit_code == 1
     assert "error:" in result.output and "line 2" in result.output
 
@@ -454,14 +443,14 @@ def test_record_missing_field_is_validation_error(runner, hf_jsonl, tmp_path,
     ("pmid", "1101"),
     ("year", 1e400),    # JSON reads 1e400 as infinity
 ])
-def test_record_wrong_field_type_is_validation_error(runner, hf_jsonl, tmp_path,
+def test_record_wrong_field_type_is_validation_error(hf_jsonl, tmp_path,
                                                      command, field, value):
     first, second = hf_jsonl.read_text().splitlines()[:2]
     broken = json.loads(second)
     broken[field] = value
     path = tmp_path / "broken.jsonl"
     path.write_text(first + "\n" + json.dumps(broken) + "\n")
-    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    result = _invoke([command, "--title", T1_TITLE, str(path)])
     assert result.exit_code == 1
     assert "error:" in result.output and "line 2" in result.output
     assert field in result.output
@@ -469,30 +458,30 @@ def test_record_wrong_field_type_is_validation_error(runner, hf_jsonl, tmp_path,
 
 @pytest.mark.parametrize("command", ["screen", "rank"])
 @pytest.mark.parametrize("record", ["[]", "null", "5"])
-def test_record_not_an_object_is_validation_error(runner, hf_jsonl, tmp_path,
+def test_record_not_an_object_is_validation_error(hf_jsonl, tmp_path,
                                                   command, record):
     first = hf_jsonl.read_text().splitlines()[0]
     path = tmp_path / "broken.jsonl"
     path.write_text(first + "\n" + record + "\n")
-    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    result = _invoke([command, "--title", T1_TITLE, str(path)])
     assert result.exit_code == 1
     assert "error:" in result.output and "line 2" in result.output
 
 
 @pytest.mark.parametrize("command", ["screen", "rank"])
-def test_deeply_nested_record_is_named(runner, hf_jsonl, tmp_path, command):
+def test_deeply_nested_record_is_named(hf_jsonl, tmp_path, command):
     """A line nested deeper than the JSON decoder recurses is a bad record."""
     first = hf_jsonl.read_text().splitlines()[0]
     path = tmp_path / "deep.jsonl"
     path.write_text(first + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
-    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    result = _invoke([command, "--title", T1_TITLE, str(path)])
     assert result.exit_code == 1
     assert f"error: {path} line 2: bad citation record" in result.output
     assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("command", ["screen", "rank"])
-def test_repeated_record_is_extracted_once(runner, hf_jsonl, tmp_path, monkeypatch,
+def test_repeated_record_is_extracted_once(hf_jsonl, tmp_path, monkeypatch,
                                            command):
     extracted = []
 
@@ -504,21 +493,21 @@ def test_repeated_record_is_extracted_once(runner, hf_jsonl, tmp_path, monkeypat
     lines = hf_jsonl.read_text().splitlines()
     path = tmp_path / "repeated.jsonl"
     path.write_text("\n".join([*lines, lines[0]]) + "\n")
-    result = _invoke(runner, [command, "--title", T1_TITLE, str(path)])
+    result = _invoke([command, "--title", T1_TITLE, str(path)])
     assert result.exit_code == 0
     assert sorted(extracted) == list(range(1101, 1111))
 
 
 class TestRank:
-    def test_matches_frozen_expectation(self, runner, hf_jsonl, expected_dir):
-        result = _invoke(runner, ["rank", "--title", T1_TITLE, str(hf_jsonl)])
+    def test_matches_frozen_expectation(self, hf_jsonl, expected_dir):
+        result = _invoke(["rank", "--title", T1_TITLE, str(hf_jsonl)])
         assert result.exit_code == 0
         assert result.output.startswith(
             "rank\tpmid\tpop_sim\tint_sim\tdis_sim\tvsm_score\n"
         )
 
-    def test_top_k(self, runner, hf_jsonl):
-        result = _invoke(runner, [
+    def test_top_k(self, hf_jsonl):
+        result = _invoke([
             "--top-k", "3", "rank", "--title", T1_TITLE, str(hf_jsonl),
         ])
         assert len(result.output.splitlines()) == 4  # header + 3 rows
@@ -537,7 +526,7 @@ STAGE_COMMANDS = {
 
 @pytest.mark.parametrize("stage", STAGE_COMMANDS)
 @pytest.mark.parametrize("topic_id", ["T1", "T2", "T3"])
-def test_stage_output_matches_frozen_file(runner, fixture_corpus_dir, gold_path,
+def test_stage_output_matches_frozen_file(fixture_corpus_dir, gold_path,
                                           expected_dir, topic_id, stage):
     """Each stage command prints its frozen file byte for byte, for each
     gold topic: ``fetch`` runs the frozen query, and ``screen`` and
@@ -548,26 +537,68 @@ def test_stage_output_matches_frozen_file(runner, fixture_corpus_dir, gold_path,
     args = [arg.format(title=titles[topic_id], query=query, corpus=fixture_corpus_dir,
                        jsonl=expected_dir / "ingest.jsonl")
             for arg in STAGE_COMMANDS[stage]]
-    result = _invoke(runner, args)
+    result = _invoke(args)
     assert result.exit_code == 0
     assert result.output == (stages / f"{topic_id}.{stage}").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("flag", ["--top-k", "--gold-k"])
 @pytest.mark.parametrize("value", ["0", "-3"])
-def test_cutoff_below_one_is_usage_error(runner, hf_jsonl, flag, value):
-    result = _invoke(runner, [
+def test_cutoff_below_one_is_usage_error(hf_jsonl, flag, value):
+    result = _invoke([
         flag, value, "rank", "--title", T1_TITLE, str(hf_jsonl),
     ])
     assert result.exit_code == 1
     assert "x>=1" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["--fixture-dir", "{corpus}", "pipeline", "{gold}", "--out", "x"],
+    ["--top", "3", "rank", "--title", T1_TITLE, "{jsonl}"],
+    ["--top-k", "abc", "rank", "--title", T1_TITLE, "{jsonl}"],
+], ids=["abbreviated-out-dir", "abbreviated-top-k", "non-integer-top-k"])
+def test_usage_error_writes_nothing(fixture_corpus_dir, gold_path, expected_dir,
+                                    tmp_path, monkeypatch, args):
+    """An abbreviated option is unknown, not the option it starts, and a
+    cutoff that is not an integer is a usage error: each exits 1 before
+    any output file is written."""
+    monkeypatch.chdir(tmp_path)
+    result = _invoke([arg.format(corpus=fixture_corpus_dir, gold=gold_path,
+                                 jsonl=expected_dir / "ingest.jsonl") for arg in args])
+    assert result.exit_code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_exits_1_without_a_traceback(fixture_corpus_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "citescreen.cli", "ingest",
+             str(fixture_corpus_dir / "heart_failure.xml")],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(citescreen.__file__).parents[1])})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+
+
+def test_interrupt_exits_1_without_a_traceback(monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(pipeline, "load_resources", interrupted)
+    result = _invoke(["query", "--title", T1_TITLE])
+    assert result.exit_code == 1
+    assert "Aborted!" in result.output
+    assert "Traceback" not in result.output
+
+
 class TestPipelineAndEval:
-    def test_end_to_end_report(self, runner, fixture_corpus_dir, gold_path,
+    def test_end_to_end_report(self, fixture_corpus_dir, gold_path,
                                tmp_path, expected_dir):
         out_dir = tmp_path / "ranked"
-        result = _invoke(runner, [
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir), "--output", "json",
             "--gold-k", "5",
             "pipeline", str(gold_path), "--out-dir", str(out_dir),
@@ -581,8 +612,8 @@ class TestPipelineAndEval:
             frozen = (expected_dir / f"{topic_id}.tsv").read_text()
             assert produced == frozen
 
-    def test_eval_on_frozen_rankings(self, runner, gold_path, expected_dir):
-        result = _invoke(runner, [
+    def test_eval_on_frozen_rankings(self, gold_path, expected_dir):
+        result = _invoke([
             "--output", "json", "eval", str(gold_path), str(expected_dir),
         ])
         assert result.exit_code == 0
@@ -591,7 +622,7 @@ class TestPipelineAndEval:
             assert entry["f_score"] == 80.0
 
     @pytest.mark.parametrize("command", ["eval", "pipeline"])
-    def test_gold_file_with_a_byte_order_mark(self, runner, fixture_corpus_dir,
+    def test_gold_file_with_a_byte_order_mark(self, fixture_corpus_dir,
                                               gold_path, expected_dir, tmp_path,
                                               command):
         """A leading UTF-8 byte-order mark is not part of the first topic id:
@@ -601,8 +632,8 @@ class TestPipelineAndEval:
         out_dir = tmp_path / "ranked"
         args = {"eval": ["eval", str(gold), str(expected_dir)],
                 "pipeline": ["pipeline", str(gold), "--out-dir", str(out_dir)]}[command]
-        result = _invoke(runner, ["--fixture-dir", str(fixture_corpus_dir),
-                                  "--output", "json", "--gold-k", "5", *args])
+        result = _invoke(["--fixture-dir", str(fixture_corpus_dir),
+                          "--output", "json", "--gold-k", "5", *args])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output) == json.loads(
             (expected_dir / "report.json").read_text())
@@ -613,7 +644,7 @@ class TestPipelineAndEval:
     @pytest.mark.parametrize("topic_id", ["../outside", "a/b", "a\\b", "/abs",
                                           ".", "..", ""])
     def test_eval_topic_id_that_is_not_a_file_name_is_named(
-            self, runner, gold_path, expected_dir, tmp_path, topic_id):
+            self, gold_path, expected_dir, tmp_path, topic_id):
         """An id that is not one plain file name could score a ranked file
         outside the ranked directory, such as ``outside.tsv`` beside it."""
         if topic_id == "/abs":
@@ -623,13 +654,23 @@ class TestPipelineAndEval:
         (tmp_path / "ranked").mkdir()
         for name in ("outside", "abs"):
             (tmp_path / f"{name}.tsv").write_text((expected_dir / "T1.tsv").read_text())
-        result = _invoke(runner, ["eval", str(gold), str(tmp_path / "ranked")])
+        result = _invoke(["eval", str(gold), str(tmp_path / "ranked")])
         assert result.exit_code == 1
         assert "error:" in result.output and repr(topic_id) in result.output
         assert "Traceback" not in result.output
 
-    def test_gold_k_section(self, runner, gold_path, expected_dir):
-        result = _invoke(runner, [
+    @pytest.mark.parametrize("ranked", ["gold.tsv", "missing"])
+    def test_ranked_dir_that_is_not_a_directory_is_named(self, gold_path, tmp_path,
+                                                         ranked):
+        """A RANKED_DIR that is a file, or is not there, is an error, not
+        a run that scores every topic on an empty ranking."""
+        ranked_dir = str(gold_path if ranked == "gold.tsv" else tmp_path / ranked)
+        result = _invoke(["eval", str(gold_path), ranked_dir])
+        assert result.exit_code == 1
+        assert result.output == f"error: RANKED_DIR {ranked_dir!r} is not a directory\n"
+
+    def test_gold_k_section(self, gold_path, expected_dir):
+        result = _invoke([
             "--gold-k", "5", "--output", "json",
             "eval", str(gold_path), str(expected_dir),
         ])
@@ -637,17 +678,17 @@ class TestPipelineAndEval:
         assert "overall_gold_k_micro" in report
 
     @pytest.mark.parametrize("command", ["eval", "pipeline"])
-    def test_gold_k_row_in_tsv(self, runner, fixture_corpus_dir, gold_path,
+    def test_gold_k_row_in_tsv(self, fixture_corpus_dir, gold_path,
                                expected_dir, command):
         """``--gold-k`` adds one overall row to the TSV report, holding the
         JSON report's ``overall_gold_k_micro``; the other rows are unchanged."""
         args = {"eval": ["eval", str(gold_path), str(expected_dir)],
                 "pipeline": ["pipeline", str(gold_path)]}[command]
         base = ["--fixture-dir", str(fixture_corpus_dir)]
-        plain = _invoke(runner, [*base, *args])
-        with_k = _invoke(runner, [*base, "--gold-k", "2", *args])
+        plain = _invoke([*base, *args])
+        with_k = _invoke([*base, "--gold-k", "2", *args])
         report = json.loads(
-            _invoke(runner, [*base, "--gold-k", "2", "--output", "json", *args]).output)
+            _invoke([*base, "--gold-k", "2", "--output", "json", *args]).output)
         assert plain.exit_code == with_k.exit_code == 0
         entry = report["overall_gold_k_micro"]
         assert with_k.output == plain.output + (
@@ -655,7 +696,7 @@ class TestPipelineAndEval:
             f"\t{entry['f_score']}\n")
 
     @pytest.mark.parametrize("case", ["out-dir-is-a-file", "topic-id-with-slash"])
-    def test_unwritable_out_dir_is_named(self, runner, fixture_corpus_dir,
+    def test_unwritable_out_dir_is_named(self, fixture_corpus_dir,
                                          gold_path, tmp_path, case):
         out_dir, gold = tmp_path / "ranked", tmp_path / "gold.tsv"
         if case == "out-dir-is-a-file":
@@ -665,7 +706,7 @@ class TestPipelineAndEval:
         else:
             gold.write_text(gold_path.read_text().replace("T1\t", "x/y\t", 1))
             unwritable = out_dir / "x" / "y.tsv"
-        result = _invoke(runner, [
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir),
             "pipeline", str(gold), "--out-dir", str(out_dir),
         ])
@@ -676,7 +717,7 @@ class TestPipelineAndEval:
     @pytest.mark.parametrize("topic_id", ["../escaped", "a/b", "a\\b", "/abs",
                                           ".", "..", ""])
     def test_topic_id_that_is_not_a_file_name_is_named(
-            self, runner, fixture_corpus_dir, gold_path, tmp_path, topic_id):
+            self, fixture_corpus_dir, gold_path, tmp_path, topic_id):
         """An id that is not one plain file name could put its ranking
         outside --out-dir; it is an error before any topic runs."""
         if topic_id == "/abs":
@@ -684,7 +725,7 @@ class TestPipelineAndEval:
         gold = tmp_path / "gold.tsv"
         gold.write_text(gold_path.read_text().replace("T2\t", f"{topic_id}\t", 1))
         out_dir = tmp_path / "out"
-        result = _invoke(runner, [
+        result = _invoke([
             "--fixture-dir", str(fixture_corpus_dir),
             "pipeline", str(gold), "--out-dir", str(out_dir),
         ])
@@ -694,22 +735,22 @@ class TestPipelineAndEval:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["gold.tsv"]
 
     @pytest.mark.parametrize("command", ["fetch", "ingest"])
-    def test_unwritable_out_file_is_named(self, runner, fixture_corpus_dir,
+    def test_unwritable_out_file_is_named(self, fixture_corpus_dir,
                                           tmp_path, command):
         args = {
             "fetch": ["--fixture-dir", str(fixture_corpus_dir),
                       "fetch", '"heart failure"[MeSH]'],
             "ingest": ["ingest", str(fixture_corpus_dir / "stroke.xml")],
         }[command]
-        result = _invoke(runner, [*args, "--out", str(tmp_path)])  # a directory
+        result = _invoke([*args, "--out", str(tmp_path)])  # a directory
         assert result.exit_code == 1
         assert "error:" in result.output and str(tmp_path) in result.output
         assert "Traceback" not in result.output
 
-    def test_bad_config_is_validation_error(self, runner, gold_path, tmp_path):
+    def test_bad_config_is_validation_error(self, gold_path, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "pipeline", str(gold_path),
         ])
         assert result.exit_code == 1
@@ -718,11 +759,11 @@ class TestPipelineAndEval:
         {"endpoint": {"bogus": 1}},
         {"weights": {"w1": 0.5}},
     ])
-    def test_bad_config_value_is_validation_error(self, runner, gold_path,
+    def test_bad_config_value_is_validation_error(self, gold_path,
                                                   tmp_path, settings):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(settings))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "pipeline", str(gold_path),
         ])
         assert result.exit_code == 1
@@ -744,14 +785,14 @@ class TestPipelineAndEval:
             "null-min-year", "integer-fixture-dir", "zero-page-size",
             "string-rate-limit", "boolean-weight", "huge-weight", "nan-weight",
             *UNKNOWN_KEYS])
-    def test_unusable_config_is_validation_error(self, runner, tmp_path,
+    def test_unusable_config_is_validation_error(self, tmp_path, monkeypatch,
                                                  settings):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(settings))
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            result = _invoke(runner, [
-                "--config", str(config), "query", "--title", "heart failure",
-            ])
+        monkeypatch.chdir(tmp_path)
+        result = _invoke([
+            "--config", str(config), "query", "--title", "heart failure",
+        ])
         assert result.exit_code == 1
         assert "error:" in result.output
         assert "Traceback" not in result.output
@@ -764,10 +805,10 @@ class TestPipelineAndEval:
         json.dumps({"endpoint": {"page_size": 0}}).encode(),
     ], ids=["not-utf8", "weights-list", "weights-missing", "boolean-weight",
             "zero-page-size"])
-    def test_config_error_names_the_config(self, runner, tmp_path, content):
+    def test_config_error_names_the_config(self, tmp_path, content):
         config = tmp_path / "config.json"
         config.write_bytes(content)
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", "heart failure",
         ])
         assert result.exit_code == 1
@@ -775,10 +816,10 @@ class TestPipelineAndEval:
         assert f"config {config}" in result.output
         assert "Traceback" not in result.output
 
-    def test_deeply_nested_config_is_named(self, runner, tmp_path):
+    def test_deeply_nested_config_is_named(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[" * 100_000 + "]" * 100_000)
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", "heart failure",
         ])
         assert result.exit_code == 1
@@ -787,12 +828,12 @@ class TestPipelineAndEval:
 
     @pytest.mark.parametrize("content", ["", "heart failure\tD1\tno-such-group\n"],
                              ids=["empty", "all-rejected"])
-    def test_lexicon_without_entries_is_named(self, runner, tmp_path, content):
+    def test_lexicon_without_entries_is_named(self, tmp_path, content):
         lexicon = tmp_path / "lexicon.tsv"
         lexicon.write_text(content)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {"lexicon": str(lexicon)}}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", "heart failure",
         ])
         assert result.exit_code == 1
@@ -804,7 +845,7 @@ class TestPipelineAndEval:
         ("hyponyms", lambda text: text.replace(
             "systolic heart failure", 'systolic heart failure, cardiac"pump failure')),
     ], ids=["journals", "hyponyms"])
-    def test_quoted_resource_entry_is_skipped(self, runner, fixture_corpus_dir,
+    def test_quoted_resource_entry_is_skipped(self, fixture_corpus_dir,
                                               gold_path, expected_dir, tmp_path,
                                               key, edit):
         """The query syntax has no escape for a double quote, so an entry
@@ -816,7 +857,7 @@ class TestPipelineAndEval:
         assert resource.read_text(encoding="utf-8") != bundled
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {key: str(resource)}}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "--fixture-dir", str(fixture_corpus_dir),
             "--output", "json", "--gold-k", "5", "pipeline", str(gold_path),
         ])
@@ -824,7 +865,7 @@ class TestPipelineAndEval:
         assert json.loads(result.output) == json.loads(
             (expected_dir / "report.json").read_text())
 
-    def test_quoted_lexicon_surface_is_skipped(self, runner, tmp_path, caplog):
+    def test_quoted_lexicon_surface_is_skipped(self, tmp_path, caplog):
         """A lexicon surface whose normal form holds a double quote is left
         out with a warning, so the query it would break is not built."""
         bundled = Path(corpus.bundled_path("lexicon.tsv")).read_text(encoding="utf-8")
@@ -834,26 +875,26 @@ class TestPipelineAndEval:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {"lexicon": str(lexicon)}}))
         title = ["--title", 'rock"n"roll syndrome treated with furosemide']
-        result = _invoke(runner, ["--config", str(config), "query", *title])
+        result = _invoke(["--config", str(config), "query", *title])
         assert result.exit_code == 0, result.output
-        assert result.output == _invoke(runner, ["query", *title]).output
+        assert result.output == _invoke(["query", *title]).output
         parse_query(result.output.strip())
         assert "holds a double quote" in caplog.text
 
     @pytest.mark.parametrize("key", UNKNOWN_KEYS)
-    def test_unknown_config_key_is_named(self, runner, tmp_path, key):
+    def test_unknown_config_key_is_named(self, tmp_path, key):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(UNKNOWN_KEYS[key]))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", "heart failure",
         ])
         assert result.exit_code == 1
         assert f"unknown key '{key}'" in result.output
 
-    def test_fixture_dir_precedence(self, runner, fixture_corpus_dir, tmp_path):
+    def test_fixture_dir_precedence(self, fixture_corpus_dir, tmp_path):
         """--fixture-dir wins over the config's fixture_dir."""
         query, corpus = '"heart failure"[MeSH]', str(fixture_corpus_dir)
-        plain = _invoke(runner, ["--fixture-dir", corpus, "fetch", query])
+        plain = _invoke(["--fixture-dir", corpus, "fetch", query])
         assert len(plain.output.splitlines()) > 1
         for settings, option in (
             ({"fixture_dir": str(tmp_path / "nowhere")}, ["--fixture-dir", corpus]),
@@ -861,32 +902,55 @@ class TestPipelineAndEval:
         ):
             config = tmp_path / "config.json"
             config.write_text(json.dumps(settings))
-            result = _invoke(runner, ["--config", str(config), *option,
-                                      "fetch", query])
+            result = _invoke(["--config", str(config), *option,
+                              "fetch", query])
             assert result.exit_code == 0, result.output
             assert result.output == plain.output
 
-    def test_min_year_past_9999_runs(self, runner, fixture_corpus_dir,
+    @pytest.mark.parametrize("command", ["query", "fetch"])
+    @pytest.mark.parametrize("value", ["missing", "file.xml", "a\x00b"],
+                             ids=["missing", "file", "nul"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_fixture_dir_that_is_not_a_directory_is_named(
+            self, tmp_path, source, value, command):
+        """A fixture_dir that is not a directory is an error led by where
+        it was set, with the name escaped, whether or not the command
+        fetches."""
+        (tmp_path / "file.xml").write_text("<MedlineCitationSet/>")
+        fixture_dir = value if "\x00" in value else str(tmp_path / value)
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"fixture_dir": fixture_dir}))
+            option, where = ["--config", str(config)], f"config {config}: fixture_dir"
+        else:
+            option, where = ["--fixture-dir", fixture_dir], "--fixture-dir"
+        args = (["query", "--title", T1_TITLE] if command == "query"
+                else ["fetch", '"heart failure"[MeSH]'])
+        result = _invoke([*option, *args])
+        assert result.exit_code == 1
+        assert result.output == f"error: {where} {fixture_dir!r} is not a directory\n"
+
+    def test_min_year_past_9999_runs(self, fixture_corpus_dir,
                                      gold_path, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"min_year": 10000}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "--fixture-dir", str(fixture_corpus_dir),
             "pipeline", str(gold_path),
         ])
         assert result.exit_code == 0, result.output
 
-    def test_readme_example_config_is_accepted(self, runner, tmp_path):
+    def test_readme_example_config_is_accepted(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         example = re.search(r"Example config:\n\n```json\n(.*?)```", readme, re.S)
         config = tmp_path / "config.json"
         config.write_text(example.group(1))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", T1_TITLE,
         ])
         assert result.exit_code == 0, result.output
 
-    def test_integer_path_is_validation_error(self, runner, tmp_path):
+    def test_integer_path_is_validation_error(self, tmp_path):
         """An integer ``paths`` entry is no file descriptor to read and close."""
         lexicon = tmp_path / "lexicon.tsv"
         lexicon.write_text("patients\tPOP-001\tpopulation\n")
@@ -894,7 +958,7 @@ class TestPipelineAndEval:
         fd = os.open(lexicon, os.O_RDONLY)
         try:
             config.write_text(json.dumps({"paths": {"lexicon": fd}}))
-            result = _invoke(runner, [
+            result = _invoke([
                 "--config", str(config), "query", "--title", "heart failure",
             ])
             os.fstat(fd)  # still open
@@ -906,12 +970,12 @@ class TestPipelineAndEval:
         assert result.exit_code == 1
         assert "error:" in result.output
 
-    def test_binary_resource_file_is_named(self, runner, tmp_path):
+    def test_binary_resource_file_is_named(self, tmp_path):
         binary = tmp_path / "bin.tsv"
         binary.write_bytes(b"\x80\x81\xfe\xff")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {"drug_hierarchy": str(binary)}}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", "heart failure",
         ])
         assert result.exit_code == 1
@@ -920,12 +984,12 @@ class TestPipelineAndEval:
         assert result.output.count(str(binary)) == 1
 
     @pytest.mark.parametrize("key", [key for _, key, _, _ in RESOURCE_FILES])
-    def test_path_holding_a_nul_byte_is_named(self, runner, tmp_path, key):
+    def test_path_holding_a_nul_byte_is_named(self, tmp_path, key):
         """``open`` rejects such a path with a ValueError, not an OSError;
         it is a read failure all the same, naming the path, key and config."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {key: "a\u0000b"}}))
-        result = _invoke(runner, ["--config", str(config), "query", "--title", "x"])
+        result = _invoke(["--config", str(config), "query", "--title", "x"])
         assert result.exit_code == 1
         assert result.output == (f"error: config {config}: paths.{key} file "
                                  f"'a\\x00b': embedded null byte\n")
@@ -937,13 +1001,13 @@ class TestPipelineAndEval:
         ("drug_hierarchy", 'Diuretics\n\tRock"n"roll diuretics\n',
          """line 2: name 'Rock"n"roll diuretics' holds a double quote"""),
     ], ids=["drug_hierarchy", "hyponyms", "drug_hierarchy-quote"])
-    def test_malformed_resource_file_is_named(self, runner, tmp_path, key,
+    def test_malformed_resource_file_is_named(self, tmp_path, key,
                                               content, message):
         resource = tmp_path / "resource.txt"
         resource.write_text(content)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {key: str(resource)}}))
-        result = _invoke(runner, [
+        result = _invoke([
             "--config", str(config), "query", "--title", "heart failure",
         ])
         assert result.exit_code == 1
@@ -952,7 +1016,7 @@ class TestPipelineAndEval:
         assert result.output.count(str(resource)) == 1
 
     def test_long_sentence_record_leaves_report_unchanged(
-            self, runner, fixture_corpus_dir, gold_path, expected_dir, tmp_path):
+            self, fixture_corpus_dir, gold_path, expected_dir, tmp_path):
         """A record whose abstract holds a 1,500-word sentence is fetched, chunked
         and screened out without changing any topic's result."""
         corpus_dir = tmp_path / "corpus"
@@ -968,12 +1032,12 @@ class TestPipelineAndEval:
             f"<MedlineCitationSet>{record}</MedlineCitation></MedlineCitationSet>")
         args = ["--fixture-dir", str(corpus_dir)]
         t2_title = gold_path.read_text().splitlines()[1].split("\t")[1]
-        t2_query = _invoke(runner, ["query", "--title", t2_title]).output.strip()
-        fetched = _invoke(runner, [*args, "fetch", t2_query]).output.split()
+        t2_query = _invoke(["query", "--title", t2_title]).output.strip()
+        fetched = _invoke([*args, "fetch", t2_query]).output.split()
         assert "2299" in fetched
 
         out_dir = tmp_path / "ranked"
-        result = _invoke(runner, [
+        result = _invoke([
             *args, "--output", "json", "--gold-k", "5",
             "pipeline", str(gold_path), "--out-dir", str(out_dir),
         ])
@@ -986,7 +1050,7 @@ class TestPipelineAndEval:
 
     @pytest.mark.parametrize("kind", ["gold-pipeline", "gold-eval", "ranked-eval",
                                       "jsonl-screen", "jsonl-rank", "xml-ingest"])
-    def test_input_file_not_utf8_is_named(self, runner, fixture_corpus_dir,
+    def test_input_file_not_utf8_is_named(self, fixture_corpus_dir,
                                           gold_path, tmp_path, kind):
         binary = tmp_path / "T1.tsv"
         binary.write_bytes(b"rank\tpmid\n\xff\xfe\x80\n")
@@ -999,14 +1063,14 @@ class TestPipelineAndEval:
             "jsonl-rank": ["rank", "--title", T1_TITLE, str(binary)],
             "xml-ingest": ["ingest", str(binary)],
         }[kind]
-        result = _invoke(runner, args)
+        result = _invoke(args)
         assert result.exit_code == 1
         assert "error:" in result.output and result.output.count(str(binary)) == 1
 
     @pytest.mark.parametrize("kind", ["gold-pipeline", "gold-eval", "ranked-eval",
                                       "jsonl-screen", "jsonl-rank", "xml-ingest",
                                       "xml-fixture", "config", "paths"])
-    def test_input_that_is_a_directory_is_named(self, runner, fixture_corpus_dir,
+    def test_input_that_is_a_directory_is_named(self, fixture_corpus_dir,
                                                 gold_path, tmp_path, kind):
         """The error names the file once, and a ``paths`` file's key too."""
         directory = tmp_path / ("T1.xml" if kind == "xml-fixture" else "T1.tsv")
@@ -1025,43 +1089,43 @@ class TestPipelineAndEval:
             "config": ["--config", str(directory), "query", "--title", T1_TITLE],
             "paths": ["--config", str(config), "query", "--title", T1_TITLE],
         }[kind]
-        result = _invoke(runner, args)
+        result = _invoke(args)
         assert result.exit_code == 1
         assert "error:" in result.output and result.output.count(str(directory)) == 1
         assert "Traceback" not in result.output
         if kind == "paths":
             assert "paths.journals" in result.output
 
-    def test_ranked_row_without_tab_is_validation_error(self, runner, gold_path,
+    def test_ranked_row_without_tab_is_validation_error(self, gold_path,
                                                         tmp_path):
         ranked = tmp_path / "ranked"
         ranked.mkdir()
         (ranked / "T1.tsv").write_text("rank\tpmid\nbroken\n")
-        result = _invoke(runner, ["eval", str(gold_path), str(ranked)])
+        result = _invoke(["eval", str(gold_path), str(ranked)])
         assert result.exit_code == 1
         assert "T1.tsv line 2" in result.output
 
     @pytest.mark.parametrize("pmid", ["1_101", "-7", "+1102"])
-    def test_ranked_pmid_that_is_not_decimal_is_named(self, runner, gold_path,
+    def test_ranked_pmid_that_is_not_decimal_is_named(self, gold_path,
                                                       tmp_path, pmid):
         """A ranked PMID is read by the gold table's rule, blanks stripped and
         decimal digits only, so ``1_101`` is not scored as gold PMID 1101."""
         ranked = tmp_path / "ranked"
         ranked.mkdir()
         (ranked / "T1.tsv").write_text(f"rank\tpmid\n1\t 1102 \n2\t{pmid}\n")
-        result = _invoke(runner, ["eval", str(gold_path), str(ranked)])
+        result = _invoke(["eval", str(gold_path), str(ranked)])
         assert result.exit_code == 1
         assert result.output == (f"error: {ranked / 'T1.tsv'} line 3: expected "
                                  f"rank<TAB>pmid, got '2\\t{pmid}'\n")
 
-    def test_ranked_pmid_between_blanks_is_read(self, runner, gold_path, tmp_path):
+    def test_ranked_pmid_between_blanks_is_read(self, gold_path, tmp_path):
         outputs = []
         for pmid in ("1102", " 1102 "):
             ranked = tmp_path / f"ranked{len(outputs)}"
             ranked.mkdir()
             (ranked / "T1.tsv").write_text(f"rank\tpmid\n1\t{pmid}\n")
-            result = _invoke(runner, ["--output", "json", "eval", str(gold_path),
-                                      str(ranked)])
+            result = _invoke(["--output", "json", "eval", str(gold_path),
+                              str(ranked)])
             assert result.exit_code == 0, result.output
             outputs.append(result.output)
         assert outputs[1] == outputs[0]
@@ -1072,7 +1136,7 @@ class TestPipelineAndEval:
         "gold-pipeline", "gold-eval", "ranked-eval", "jsonl-screen", "jsonl-rank",
         "xml-ingest", "xml-fixture"])
     def test_byte_order_mark_and_crlf_read_as_the_plain_file(
-            self, runner, fixture_corpus_dir, gold_path, expected_dir, tmp_path,
+            self, fixture_corpus_dir, gold_path, expected_dir, tmp_path,
             kind):
         """Each input file, copied with a leading UTF-8 byte-order mark and
         CRLF line ends, gives the plain copy's stdout and ``--out-dir`` files."""
@@ -1100,7 +1164,7 @@ class TestPipelineAndEval:
                 "config": ["--config", str(d / "settings.json"), "--fixture-dir",
                            str(fixture_corpus_dir), *pipeline_run],
                 "gold-pipeline": ["--fixture-dir", str(fixture_corpus_dir),
-                                  *pipeline_run],
+                          *pipeline_run],
                 "gold-eval": [*report, "eval", str(d / "gold.tsv"), str(expected_dir)],
                 "ranked-eval": [*report, "eval", str(gold_path), str(d)],
                 "jsonl-screen": ["screen", "--title", T1_TITLE, str(d / "ingest.jsonl")],
@@ -1124,7 +1188,7 @@ class TestPipelineAndEval:
                 if side == "marked":
                     data = codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n")
                 (d / source.name).write_bytes(data)
-            result = _invoke(runner, run(d))
+            result = _invoke(run(d))
             assert result.exit_code == 0, result.output
             out = d / "out"
             seen[side] = (result.output, {p.name: p.read_bytes() for p in out.iterdir()}
@@ -1132,7 +1196,7 @@ class TestPipelineAndEval:
         assert seen["plain"][0]
         assert seen["marked"] == seen["plain"]
 
-    def test_comment_line_in_journals_file_is_skipped(self, runner, tmp_path):
+    def test_comment_line_in_journals_file_is_skipped(self, tmp_path):
         """Blank and ``#`` lines are skipped in every resource file, the
         journals file too, so no ``"# comment"[Journal]`` term is built."""
         bundled = Path(corpus.bundled_path("journals.txt")).read_text(encoding="utf-8")
@@ -1142,8 +1206,8 @@ class TestPipelineAndEval:
             journals.write_text(text, encoding="utf-8")
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"paths": {"journals": str(journals)}}))
-            result = _invoke(runner, ["--config", str(config),
-                                      "query", "--title", T1_TITLE])
+            result = _invoke(["--config", str(config),
+                              "query", "--title", T1_TITLE])
             assert result.exit_code == 0, result.output
             queries.append(result.output)
         assert queries[1] == queries[0]
@@ -1226,7 +1290,7 @@ def test_any_config_exits_cleanly(path_files, parts):
                            for key, kind in paths.items()}
     path = root / "config.json"
     path.write_text(json.dumps(config))
-    result = _invoke(CliRunner(), [
+    result = _invoke([
         "--config", str(path), "query", "--title", "heart failure",
     ])
     assert result.exit_code in (0, 1), result.output
@@ -1274,7 +1338,7 @@ def test_any_endpoint_url_exits_cleanly(tmp_path_factory, url):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieve, "_http_get",
                    lambda *args: sent.append(args) or _sendable(*args))
-        result = _invoke(CliRunner(), [
+        result = _invoke([
             "--config", str(config), "fetch", '"heart failure"[MeSH]'])
     assert "Traceback" not in result.output
     if sent:
@@ -1318,7 +1382,7 @@ def test_any_jsonl_record_exits_cleanly(jsonl_dir, command, index, field, value,
     record[field] = value
     path = root / "citations.jsonl"
     path.write_text(json.dumps(records[0]) + "\n" + json.dumps(record) + "\n")
-    result = _invoke(CliRunner(), [command, "--title", T1_TITLE, str(path)])
+    result = _invoke([command, "--title", T1_TITLE, str(path)])
     assert result.exit_code in (0, 1), result.output
     assert "Traceback" not in result.output
     if result.exit_code == 1:
@@ -1370,7 +1434,7 @@ def fixture_fields(fixture_corpus_dir):
 @example(query="(" * (MAX_QUERY_DEPTH + 1) + '"stroke"[MeSH]' + ")" * MAX_QUERY_DEPTH)
 @example(query="(" * 3000 + '"stroke"[MeSH]' + ")" * 3000)
 def test_any_query_string_exits_cleanly(fixture_corpus_dir, fixture_fields, query):
-    result = _invoke(CliRunner(), [
+    result = _invoke([
         "--fixture-dir", str(fixture_corpus_dir), "fetch", "--", query,
     ])
     assert result.exit_code in (0, 1), result.output
@@ -1479,7 +1543,7 @@ def _run_on_xml(xml_dir, document):
     path = xml_dir / "corpus" / "records.xml"
     path.write_bytes(document)
     corpus_dir = str(xml_dir / "corpus")
-    return [_invoke(CliRunner(), args) for args in (
+    return [_invoke(args) for args in (
         ["ingest", str(path)],
         ["--fixture-dir", corpus_dir, "fetch", '"heart failure"[MeSH]'],
         ["--fixture-dir", corpus_dir, "pipeline", str(xml_dir / "gold.tsv")])]
@@ -1537,7 +1601,7 @@ def test_printed_query_parses(entry_dir, journals, hyponyms):
         "journals": str(entry_dir / "journals.txt"),
         "hyponyms": str(entry_dir / "hyponyms.tsv"),
     }}))
-    result = _invoke(CliRunner(), [
+    result = _invoke([
         "--config", str(config), "query", "--title", T1_TITLE,
     ])
     assert result.exit_code == 0, result.output
@@ -1597,7 +1661,7 @@ def _bracketed_trees(draw):
 @example(tree_text="(S (NP elderly (NN heart failure)) (VP (TOK ) with (NP adults)))")
 @example(tree_text="(S (XP elderly patients))")
 def test_any_tree_exits_cleanly(tree_text):
-    result = _invoke(CliRunner(), ["extract", "--tree", tree_text])
+    result = _invoke(["extract", "--tree", tree_text])
     assert result.exit_code in (0, 1), result.output
     assert "Traceback" not in result.output
     if result.exit_code == 1:
@@ -1670,7 +1734,7 @@ def test_any_gold_tsv_exits_cleanly(fixture_corpus_dir, tmp_path_factory, data):
     base = tmp_path_factory.mktemp("gold")
     gold, out_dir = base / "gold.tsv", base / "out"
     gold.write_bytes(data.replace(b"{abs}", str(base / "abs").encode()))
-    result = _invoke(CliRunner(), ["--fixture-dir", str(fixture_corpus_dir),
+    result = _invoke(["--fixture-dir", str(fixture_corpus_dir),
                                    "pipeline", str(gold), "--out-dir", str(out_dir)])
     _clean_exit(result)
     if result.exit_code == 0:
@@ -1709,7 +1773,7 @@ def test_any_ranked_tsv_exits_cleanly(gold_path, tmp_path_factory, data, topic,
         (ranked / f"{topic}.tsv").mkdir()
     else:
         (ranked / f"{topic}.tsv").write_bytes(data)
-    result = _invoke(CliRunner(), ["--output", "json", "eval", str(gold), str(ranked)])
+    result = _invoke(["--output", "json", "eval", str(gold), str(ranked)])
     _clean_exit(result)
     stripped = gold_id.strip()
     if (as_dir and topic in ("T1", stripped) or stripped in ("", ".", "..")
@@ -1798,19 +1862,12 @@ def test_only_query_tree_walks_recurse():
 # caller inside the package, so none is kept alive only by tests.
 # --------------------------------------------------------------------------
 
-def _is_click_command(node):
-    """Whether ``node`` is registered with click by a ``@x.command(...)``
-    or ``@x.group(...)`` decorator."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in node.decorator_list)
-
-
 def _definitions(tree, module):
     """``(qualified name, name, is method, node)`` of each module-level
     function and class of ``tree`` and of each non-dunder method of those
-    classes; click commands are left out."""
+    classes."""
     for node in tree.body:
-        if isinstance(node, (*_DEFS, ast.ClassDef)) and not _is_click_command(node):
+        if isinstance(node, (*_DEFS, ast.ClassDef)):
             yield f"{module}.{node.name}", node.name, False, node
         if isinstance(node, ast.ClassDef):
             for method in node.body:
@@ -1895,6 +1952,28 @@ def _reading_opens(tree, module):
                        for m in modes):
                 opens.append(module if scope is tree else f"{module}.{scope.name}")
     return opens
+
+
+# A fresh interpreter's top-level modules that ``import citescreen.cli``
+# adds and that are neither citescreen's nor the standard library's; the
+# modules site start-up loaded before the import are left out.
+_THIRD_PARTY_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import citescreen.cli
+print(sorted({name.split(".")[0] for name in set(sys.modules) - before}
+             - {"citescreen", *sys.stdlib_module_names}))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    out = subprocess.run(
+        [sys.executable, "-c", _THIRD_PARTY_IMPORTS,
+         str(Path(citescreen.__file__).parents[1])],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_imports_are_read_and_input_is_opened_in_one_place():

@@ -2,9 +2,7 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
 
-from citescreen.cli import main
 from citescreen.evaluate import (
     ConfusionCounts,
     aggregate_topics,
@@ -12,6 +10,8 @@ from citescreen.evaluate import (
     macro_average,
     prf,
 )
+
+from run_cli import run_cli
 
 
 def _eval_at(tmp_path, gold, ranked, k):
@@ -26,8 +26,8 @@ def _eval_at(tmp_path, gold, ranked, k):
     for topic_id, pmids in ranked.items():
         (ranked_dir / f"{topic_id}.tsv").write_text(
             "rank\tpmid\n" + "".join(f"{i}\t{p}\n" for i, p in enumerate(pmids, 1)))
-    result = CliRunner().invoke(main, ["--output", "json", "--gold-k", str(k),
-                                       "eval", str(gold_path), str(ranked_dir)])
+    result = run_cli(["--output", "json", "--gold-k", str(k),
+                      "eval", str(gold_path), str(ranked_dir)])
     assert result.exit_code == 0, result.output
     return json.loads(result.output)["topics"]
 
@@ -75,8 +75,8 @@ class TestPrecisionAtK:
 
     def test_k_below_one_rejected(self, tmp_path):
         (tmp_path / "gold.tsv").write_text("T\ttitle\t1\n")
-        result = CliRunner().invoke(main, ["--gold-k", "0", "eval",
-                                           str(tmp_path / "gold.tsv"), str(tmp_path)])
+        result = run_cli(["--gold-k", "0", "eval",
+                          str(tmp_path / "gold.tsv"), str(tmp_path)])
         assert result.exit_code == 1
         assert "x>=1" in result.output
 

@@ -20,13 +20,13 @@ from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
-from click.testing import CliRunner
 
 from citescreen import retrieve
-from citescreen.cli import main
 from citescreen.errors import StatusError, TransportError
 from citescreen.pipeline import Resources
 from citescreen.retrieve import EndpointConfig
+
+from run_cli import run_cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEART_FAILURE = [400011, 400005, 400017, 400003, 400013]
@@ -222,7 +222,7 @@ def test_refused_port_exits_2(tmp_path):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    result = CliRunner().invoke(main, [
+    result = run_cli([
         "--config", _config(tmp_path, f"http://127.0.0.1:{port}/entrez"),
         "fetch", '"heart failure"[MeSH]'])
     assert result.exit_code == 2

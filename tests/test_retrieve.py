@@ -17,12 +17,10 @@ from urllib.parse import parse_qsl, urlsplit
 from xml.sax.saxutils import escape
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citescreen import retrieve
-from citescreen.cli import main
 from citescreen.corpus import (
     Citation,
     ClinicalTopic,
@@ -51,6 +49,8 @@ from citescreen.retrieve import (
     load_fixture_corpus,
     parse_query,
 )
+
+from run_cli import run_cli
 
 
 def _topic(title="Diuretics for heart failure in elderly patients"):
@@ -1000,8 +1000,8 @@ def test_generated_reply_scripts(ids, unreached, webenv, gzipped, faults, max_re
         config.write_text(json.dumps({"endpoint": endpoint}))
         mp.setattr(urllib.request, "urlopen", urlopen)
         mp.setattr(time, "sleep", slept.append)
-        result = CliRunner().invoke(main, ["--config", str(config), "fetch",
-                                           '"heart failure"[MeSH]'])
+        result = run_cli(["--config", str(config), "fetch",
+                          '"heart failure"[MeSH]'])
 
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         result.exception)
